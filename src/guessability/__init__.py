@@ -72,6 +72,7 @@ from .synth import (
     ExtendedNat,
     Guesser,
     INFINITY,
+    MuStream,
     Overguesser,
     PairingCodec,
     TopologySpec,

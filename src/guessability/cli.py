@@ -214,17 +214,13 @@ def cmd_mu(args) -> int:
     sig = _load_signature(args.sig)
     sentence = lang.Sigma2Sentence.from_formula(_load_sentence(args.sentence, sig))
     source = _sequence(args.seq)
-    values: list[int] = []
-    rows = []
-    for i in range(args.horizon):
-        values.append(source.query(i))
-        mu = synth.mu_from_sigma2(sentence, oracle.FinitePrefix(tuple(values)), sig)
-        rows.append(None if mu.is_infinite else mu.value)
+    stream = synth.MuStream(sentence, sig)
+    rows = [stream.push(source.query(i)).value for i in range(args.horizon)]
     if args.json:
         print(json.dumps({"mu": rows}))
     else:
         for length, value in enumerate(rows, start=1):
-            print(f"len={length} mu={'inf' if value is None else value}")
+            print(f"len={length} mu={value}")
     return EXIT_OK
 
 
@@ -254,8 +250,9 @@ def cmd_adversary(args) -> int:
 
 def _write_sentence(path: Path, text: str, sig: lang.Signature) -> None:
     reparsed = lang.parse(text, sig)
+    if lang.parse(lang.print_formula(reparsed), sig) != reparsed:
+        raise CliError(f"{path}: sentence does not survive a print/parse round trip")
     path.write_text(text + "\n")
-    assert lang.parse(lang.print_formula(reparsed), sig) == reparsed
 
 
 def cmd_synth(args) -> int:

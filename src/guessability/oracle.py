@@ -125,7 +125,7 @@ def zero_pad(prefix: FinitePrefix) -> SequenceOracle:
     def rule(i: int) -> int:
         return entries[i] if i < len(entries) else 0
 
-    return SequenceOracle(rule, describe=prefix_spec(prefix))
+    return SequenceOracle(rule, describe="zero-padded prefix")
 
 
 def prefix_of(oracle: SequenceOracle, k: int) -> FinitePrefix:
@@ -167,7 +167,9 @@ def from_spec(text: str) -> SequenceOracle:
     if m:
         body = m.group(1)
         values = tuple(int(v) for v in body.split(",")) if body else ()
-        return zero_pad(FinitePrefix(values))
+        source = zero_pad(FinitePrefix(values))
+        source.describe = text
+        return source
     m = _CYCLE_RE.match(text)
     if m:
         values = tuple(int(v) for v in m.group(1).split(","))

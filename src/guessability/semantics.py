@@ -179,17 +179,20 @@ def eval_qf(formula: Formula, oracle: SequenceOracle, s: Assignment | None = Non
     return EvalResult(value=value, queried=log.snapshot())
 
 
-def attempt(formula: Formula, prefix: FinitePrefix, sig: Signature | None = None) -> AttemptOutcome:
-    """Check a closed quantifier-free sentence over the zero-padded prefix.
+def attempt(formula: Formula, prefix: FinitePrefix, sig: Signature | None = None,
+            s: Assignment | None = None) -> AttemptOutcome:
+    """Check a quantifier-free formula under an assignment over the zero-padded prefix.
 
-    Fails the moment any query goes past the prefix's last index; an empty
-    prefix fails on the first query.
+    With no assignment the formula is read as a closed sentence.  Fails the
+    moment any query goes past the prefix's last index; an empty prefix
+    fails on the first query.
     """
+    s = s if s is not None else EMPTY_ASSIGNMENT
     sig = sig if sig is not None else default_signature()
     oracle = zero_pad(prefix)
     oracle.begin_session(limit=prefix.last_index)
     try:
-        truth = _qf_truth(formula, oracle, EMPTY_ASSIGNMENT, sig)
+        truth = _qf_truth(formula, oracle, s, sig)
     except QueryBeyondLimit as exc:
         return AttemptOutcome.failure(exc.index)
     return AttemptOutcome.success(truth)

@@ -13,6 +13,7 @@ boolean operations.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,7 +30,7 @@ from .lang import (
     substitute,
 )
 from .oracle import FinitePrefix
-from .semantics import attempt
+from .semantics import Assignment, attempt
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +159,10 @@ def mu_from_sigma2(sentence: Sigma2Sentence, prefix: FinitePrefix,
     b <= len(prefix).  A witness past the prefix's last index cannot be
     refuted by what has been observed, so the search never looks beyond it:
     the value is the least genuinely very nice a within the prefix, else
-    len(prefix).  Infinity only arises for empty search ranges, which the
-    length bound rules out here.
+    len(prefix).  The value is therefore always finite.
+
+    This is the one-shot reference: it decides every attempt afresh.
+    MuStream computes the same values incrementally.
     """
     if len(prefix) == 0:
         raise ValueError("mu needs at least one observed entry")
@@ -172,7 +175,6 @@ def mu_from_sigma2(sentence: Sigma2Sentence, prefix: FinitePrefix,
             return ExtendedNat.finite(a)
         if _very_nice(sentence, a, prefix, search_bound, sig):
             return ExtendedNat.finite(a)
-    return INFINITY
 
 
 def _very_nice(sentence: Sigma2Sentence, a: int, prefix: FinitePrefix,
@@ -186,13 +188,77 @@ def _very_nice(sentence: Sigma2Sentence, a: int, prefix: FinitePrefix,
     return True
 
 
+class MuStream:
+    """The values of mu_from_sigma2 over a prefix that grows one entry at a time.
+
+    Attempts are deterministic and read only the observed entries when they
+    succeed, so a decided attempt keeps its result on every extension, and a
+    failed one fails again at the same offending index until the prefix
+    reaches that index.  A refuted witness therefore stays refuted, and the
+    stream keeps only the current witness ``a`` (which never decreases), the
+    next inner ``b`` to try for it, and the failed ``b``s with their
+    offending indices.  A trace of H pushes costs O(H^2) attempts.
+    """
+
+    def __init__(self, sentence: Sigma2Sentence, sig: Signature | None = None):
+        self.sentence = sentence
+        self.sig = sig if sig is not None else default_signature()
+        self.prefix = FinitePrefix(())
+        self._a = 0
+        self._next_b = 0
+        self._failed: dict[int, int] = {}  # b -> offending index
+
+    def push(self, value: int) -> ExtendedNat:
+        """Observe the next entry and return mu for the prefix seen so far."""
+        prefix = self.prefix = self.prefix.extended(value)
+        while self._a <= prefix.last_index and not self._survives(prefix):
+            self._a += 1
+            self._next_b = 0
+            self._failed = {}
+        return ExtendedNat.finite(self._a)
+
+    def _survives(self, prefix: FinitePrefix) -> bool:
+        """Whether no b <= len(prefix) refutes the current witness on this prefix."""
+        sentence = self.sentence
+        due = sorted(b for b, k in self._failed.items() if k <= prefix.last_index)
+        for b in itertools.chain(due, range(self._next_b, len(prefix) + 1)):
+            s = Assignment({sentence.outer: self._a, sentence.inner: b})
+            outcome = attempt(sentence.matrix, prefix, self.sig, s)
+            if outcome.failed:
+                self._failed[b] = outcome.offending_index
+            else:
+                self._failed.pop(b, None)
+                if not outcome.truth:
+                    return False
+        self._next_b = len(prefix) + 1
+        return True
+
+
+def _streamed_mu(sentence: Sigma2Sentence,
+                 sig: Signature | None) -> Callable[[FinitePrefix], ExtendedNat]:
+    """mu for each nonempty prefix asked, computed through one MuStream.
+
+    A prefix that extends the previous one by one entry is pushed; any other
+    prefix restarts the stream and replays it from the first entry.
+    """
+    sig = sig if sig is not None else default_signature()
+    stream = MuStream(sentence, sig)
+
+    def evaluate(prefix: FinitePrefix) -> ExtendedNat:
+        nonlocal stream
+        if prefix.entries[:-1] != stream.prefix.entries:
+            stream = MuStream(sentence, sig)
+            for value in prefix.entries[:-1]:
+                stream.push(value)
+        return stream.push(prefix.entries[-1])
+
+    return evaluate
+
+
 def overguesser_from_sigma2(sentence: Sigma2Sentence,
                             sig: Signature | None = None) -> Overguesser:
     """Package mu for a sentence as a prefix-indexed overguesser."""
-    return Overguesser(
-        evaluate=lambda prefix: mu_from_sigma2(sentence, prefix, sig),
-        provenance=sentence.text(),
-    )
+    return Overguesser(evaluate=_streamed_mu(sentence, sig), provenance=sentence.text())
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +272,15 @@ def complement_sigma2(spec: Delta2Spec) -> Sigma2Sentence:
 
 def guesser_from_delta2(spec: Delta2Spec, sig: Signature | None = None) -> Guesser:
     """Guess 1 exactly when mu for the set stays at or below mu for the complement."""
-    sig = sig if sig is not None else default_signature()
-    mu_sentence = spec.sigma2
-    nu_sentence = complement_sigma2(spec)
+    mu = _streamed_mu(spec.sigma2, sig)
+    nu = _streamed_mu(complement_sigma2(spec), sig)
 
     def evaluate(prefix: FinitePrefix) -> int:
-        mu = mu_from_sigma2(mu_sentence, prefix, sig)
-        nu = mu_from_sigma2(nu_sentence, prefix, sig)
-        return 1 if mu <= nu else 0
+        return 1 if mu(prefix) <= nu(prefix) else 0
 
     return Guesser(
         evaluate=evaluate,
-        provenance=f"mu<=nu for sigma2={mu_sentence.text()!r} pi2={spec.pi2.text()!r}",
+        provenance=f"mu<=nu for sigma2={spec.sigma2.text()!r} pi2={spec.pi2.text()!r}",
     )
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from guessability import cli
+from guessability import cli, lang, synth
 from guessability.lang import load_signature, parse
 from guessability.cli import GuessTrace
 
@@ -178,6 +178,30 @@ def test_mu_requires_prenex_sentence(capsys, qf_file):
     assert code == 2
 
 
+def test_mu_trace_attempts_grow_quadratically(capsys, monkeypatch, tmp_path):
+    sentence = tmp_path / "mu.lg"
+    sentence.write_text("exists x. forall y. ((y > x) -> f(y) = 0)")
+    calls = 0
+    original = synth.attempt
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(synth, "attempt", counted)
+    counts = []
+    for horizon in (30, 60):
+        calls = 0
+        code, _, _ = run(capsys, "mu", str(sentence), "--seq", "cycle:[3,1,4]",
+                         "--horizon", str(horizon))
+        assert code == 0
+        counts.append(calls)
+    # O(H^2) attempts per trace give a ratio near 4; redoing every attempt
+    # at each prefix length (O(H^3)) gives about 7.3
+    assert counts[1] / counts[0] <= 4.5, counts
+
+
 # ---------------------------------------------------------------------------
 # adversary
 
@@ -252,6 +276,17 @@ def test_synth_guesser_files_round_trip(capsys, tmp_path):
     assert pi2 == "forall x. exists y. ((y > x) & Gz[ f(z) : z .. y ] = 1)"
     for text in (sigma2, pi2):
         assert parse(text, sig) == parse(text, sig)
+
+
+def test_synth_round_trip_failure_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    sig_path = tmp_path / "session.sig"
+    sig_path.write_text("seqfn Gz contains0\n")
+    monkeypatch.setattr(lang, "print_formula", lambda formula: "f(0) = 0")
+    code, _, err = run(capsys, "synth", "guesser", "Gz", "--sig", str(sig_path),
+                       "--out-dir", str(tmp_path))
+    assert code == 2
+    assert "round trip" in err
+    assert not (tmp_path / "Gz.sigma2.lg").exists()
 
 
 def test_synth_family(capsys, tmp_path):

@@ -155,6 +155,7 @@ def test_prefix_spec_round_trip():
     p = FinitePrefix((3, 0, 2))
     assert prefix_spec(p) == "prefix:[3,0,2]:pad0"
     assert prefix_of(from_spec(prefix_spec(p)), 2) == p
+    assert from_spec(prefix_spec(p)).describe == "prefix:[3,0,2]:pad0"
 
 
 @pytest.mark.parametrize("bad", ["", "idd", "const:", "cycle:[]", "prefix:[1,]:pad0",

@@ -13,12 +13,14 @@ from guessability.lang import (
 )
 from guessability.oracle import FinitePrefix, from_spec, prefix_of
 from guessability.semantics import attempt
-from guessability.lang import Numeral, substitute
+from guessability.lang import Numeral, Pi2Sentence, Sigma2Sentence, substitute
 from guessability.synth import (
     CountableFamily,
     ExtendedNat,
+    Delta2Spec,
     Guesser,
     INFINITY,
+    MuStream,
     TopologySpec,
     complement_sigma2,
     constants_family,
@@ -425,3 +427,49 @@ def test_rejected_witness_stays_rejected():
                         again = attempt(closed, FinitePrefix(tuple(values[:longer])), gsig)
                         assert again.succeeded and again.truth is False
                     break
+
+
+# ---------------------------------------------------------------------------
+# incremental mu against the one-shot reference
+
+
+def _matrix(rnd):
+    """A generated matrix over x, y; every third one has an ellipsis binder shadowing x or y."""
+    if rnd.randrange(3):
+        return formula_gen.gen_qf(rnd, 2, ("x", "y"))
+    return formula_gen.gen_qf(rnd, 2, ("x", "y"), force_ellipsis=True,
+                              binder=rnd.choice(("x", "y")))
+
+
+def test_mu_stream_matches_one_shot_mu():
+    rnd = random.Random(4243)
+    gsig = formula_gen.generator_signature()
+    for _ in range(90):
+        sentence = Sigma2Sentence("x", "y", _matrix(rnd))
+        oracle = formula_gen.random_oracle(rnd)
+        values = tuple(oracle.query(i) for i in range(14))
+        stream = MuStream(sentence, gsig)
+        for k in range(1, len(values) + 1):
+            assert stream.push(values[k - 1]) == \
+                mu_from_sigma2(sentence, FinitePrefix(values[:k]), gsig), (sentence.text(), k)
+
+
+def test_streamed_guessers_replay_prefixes_that_do_not_extend():
+    rnd = random.Random(4244)
+    gsig = formula_gen.generator_signature()
+    for _ in range(30):
+        spec = Delta2Spec(pi2=Pi2Sentence("x", "y", _matrix(rnd)),
+                          sigma2=Sigma2Sentence("x", "y", _matrix(rnd)))
+        g = guesser_from_delta2(spec, gsig)
+        over = overguesser_from_sigma2(spec.sigma2, gsig)
+        runs = [tuple(o.query(i) for i in range(10))
+                for o in (formula_gen.random_oracle(rnd), formula_gen.random_oracle(rnd))]
+        # jumps between runs and lengths, then one run extended entry by entry
+        asked = [rnd.choice(runs)[:rnd.randrange(1, 11)] for _ in range(12)]
+        asked += [runs[0][:k] for k in range(1, 11)]
+        for entries in asked:
+            p = FinitePrefix(entries)
+            mu = mu_from_sigma2(spec.sigma2, p, gsig)
+            nu = mu_from_sigma2(complement_sigma2(spec), p, gsig)
+            assert g(p) == (1 if mu <= nu else 0), (spec, entries)
+            assert over(p) == mu, (spec.sigma2.text(), entries)
