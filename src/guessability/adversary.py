@@ -83,21 +83,16 @@ class _Run:
         self.guesser = guesser
         self.target_flips = target_flips
         self.step_budget = step_budget
-        self.values: list[int] = []
+        self.prefix = FinitePrefix()
         self.flips: list[int] = []
         self.guesses: list[int] = []
-
-    @property
-    def prefix(self) -> FinitePrefix:
-        return FinitePrefix(tuple(self.values))
 
     def seek(self, target: int, next_value: Callable[[int], int]) -> bool:
         """Append values until the guesser outputs target; False when the budget runs out."""
         for _ in range(self.step_budget):
-            index = len(self.values)
-            self.values.append(next_value(index))
+            self.prefix = self.prefix.extended(next_value(len(self.prefix)))
             if self.guesser(self.prefix) == target:
-                self.flips.append(index)
+                self.flips.append(self.prefix.last_index)
                 self.guesses.append(target)
                 return True
         return False

@@ -59,11 +59,11 @@ def trace_guesser(guesser: synth.Guesser, source: oracle.SequenceOracle,
                   horizon: int) -> GuessTrace:
     if horizon < 1:
         raise CliError("horizon must be at least 1")
-    values: list[int] = []
+    prefix = oracle.FinitePrefix()
     guesses = []
     for i in range(horizon):
-        values.append(source.query(i))
-        guesses.append(guesser(oracle.FinitePrefix(tuple(values))))
+        prefix = prefix.extended(source.query(i))
+        guesses.append(guesser(prefix))
     return GuessTrace(tuple(guesses))
 
 
@@ -339,7 +339,7 @@ def cmd_play(args) -> int:
     sig = _load_signature(args.sig)
     names = args.guesser or ["contains-zero"]
     guessers = [(name, _resolve_guesser(name, sig)) for name in names]
-    values: list[int] = []
+    prefix = oracle.FinitePrefix()
     traces: dict[str, list[int]] = {name: [] for name, _ in guessers}
     print("feed the sequence one natural at a time; :trace shows guesses so far, :quit ends")
     while True:
@@ -362,13 +362,12 @@ def cmd_play(args) -> int:
         if not line.isdigit():
             print("enter a natural number, :trace, or :quit")
             continue
-        values.append(int(line))
-        prefix = oracle.FinitePrefix(tuple(values))
+        prefix = prefix.extended(int(line))
         for name, guesser in guessers:
             guess = guesser(prefix)
             traces[name].append(guess)
             print(f"{name}: {guess}")
-    print(f"sequence so far: {oracle.prefix_spec(oracle.FinitePrefix(tuple(values)))}")
+    print(f"sequence so far: {oracle.prefix_spec(prefix)}")
     for name, _ in guessers:
         trace = traces[name]
         if trace:

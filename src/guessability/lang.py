@@ -24,6 +24,7 @@ with ``f``, ``forall`` and ``exists`` reserved.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import operator
 from dataclasses import dataclass
@@ -474,12 +475,18 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # Parser
 
+# Deepest nesting the parser accepts, both in the text (quantifier bodies,
+# negations, implications, parentheses, term arguments) and in the tree it
+# builds; the parser and every evaluator of the tree recurse once per level.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token], sig: Signature):
         self.tokens = tokens
         self.pos = 0
         self.sig = sig
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -493,6 +500,14 @@ class _Parser:
     def fail(self, message: str) -> ParseError:
         tok = self.peek()
         return ParseError(message, tok.line, tok.column)
+
+    @contextlib.contextmanager
+    def nested(self):
+        if self.depth >= MAX_NESTING:
+            raise self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        yield
+        self.depth -= 1
 
     def expect_op(self, op: str) -> _Token:
         tok = self.peek()
@@ -519,7 +534,8 @@ class _Parser:
             self.advance()
             var = self.parse_variable_name()
             self.expect_op(".")
-            body = self.parse_formula()
+            with self.nested():
+                body = self.parse_formula()
             return Forall(var, body) if tok.text == "forall" else Exists(var, body)
         return self.parse_imp()
 
@@ -527,7 +543,8 @@ class _Parser:
         left = self.parse_disj()
         if self.at_op("->"):
             self.advance()
-            return Implies(left, self.parse_imp())
+            with self.nested():
+                return Implies(left, self.parse_imp())
         return left
 
     def parse_disj(self) -> Formula:
@@ -547,13 +564,15 @@ class _Parser:
     def parse_neg(self) -> Formula:
         if self.at_op("!"):
             self.advance()
-            return Not(self.parse_neg())
+            with self.nested():
+                return Not(self.parse_neg())
         return self.parse_atom()
 
     def parse_atom(self) -> Formula:
         if self.at_op("("):
             self.advance()
-            inner = self.parse_formula()
+            with self.nested():
+                inner = self.parse_formula()
             self.expect_op(")")
             return inner
         tok = self.peek()
@@ -580,10 +599,11 @@ class _Parser:
 
     def parse_arg_list(self) -> list[Term]:
         self.expect_op("(")
-        args = [self.parse_term()]
-        while self.at_op(","):
-            self.advance()
-            args.append(self.parse_term())
+        with self.nested():
+            args = [self.parse_term()]
+            while self.at_op(","):
+                self.advance()
+                args.append(self.parse_term())
         self.expect_op(")")
         return args
 
@@ -599,7 +619,8 @@ class _Parser:
         name = self.advance().text
         if name == "f":
             self.expect_op("(")
-            arg = self.parse_term()
+            with self.nested():
+                arg = self.parse_term()
             self.expect_op(")")
             return SeqApp(arg)
         if self.at_op("("):
@@ -617,11 +638,12 @@ class _Parser:
             if self.sig.kind_of(name) != "seq":
                 raise self.fail(f"{name!r} is not a declared sequence-tuple symbol")
             self.advance()
-            body = self.parse_term()
-            self.expect_op(":")
-            binder = self.parse_variable_name()
-            self.expect_op("..")
-            bound = self.parse_term()
+            with self.nested():
+                body = self.parse_term()
+                self.expect_op(":")
+                binder = self.parse_variable_name()
+                self.expect_op("..")
+                bound = self.parse_term()
             self.expect_op("]")
             return EllipsisApp(name, body, binder, bound)
         return Variable(name)
@@ -635,6 +657,9 @@ def parse(text: str, sig: Signature | None = None) -> Formula:
     tok = parser.peek()
     if tok.kind != "eof":
         raise parser.fail(f"unexpected trailing input {tok.text!r}")
+    # '&' and '|' chains are parsed in a loop but nest in the tree
+    if _height(formula) > MAX_NESTING:
+        raise parser.fail(f"nesting deeper than {MAX_NESTING} levels")
     return formula
 
 
@@ -647,6 +672,18 @@ def parse_term(text: str, sig: Signature | None = None) -> Term:
     if tok.kind != "eof":
         raise parser.fail(f"unexpected trailing input {tok.text!r}")
     return term
+
+
+def _height(node: Term | Formula) -> int:
+    """Levels below the root of a syntax tree, counted without recursion."""
+    height, level = 0, [node]
+    while True:
+        level = [child for parent in level for value in vars(parent).values()
+                 for child in (value if isinstance(value, tuple) else (value,))
+                 if isinstance(child, (Term, Formula))]
+        if not level:
+            return height
+        height += 1
 
 
 # ---------------------------------------------------------------------------

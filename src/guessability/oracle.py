@@ -56,7 +56,13 @@ class FinitePrefix:
         return len(self.entries) - 1
 
     def extended(self, value: int) -> "FinitePrefix":
-        return FinitePrefix(self.entries + (int(value),))
+        """This prefix plus one entry; only the new entry is checked."""
+        entries = self.entries + (int(value),)
+        if entries[-1] < 0:
+            raise ValueError(f"prefix entries must be naturals: {entries}")
+        longer = object.__new__(FinitePrefix)
+        object.__setattr__(longer, "entries", entries)
+        return longer
 
 
 class QueryLog:

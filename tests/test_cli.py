@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from guessability import cli, lang, synth
+from guessability import cli, lang, oracle, synth
 from guessability.lang import load_signature, parse
 from guessability.cli import GuessTrace
 
@@ -71,6 +71,23 @@ def test_eval_malformed_file(capsys, tmp_path):
     code, _, err = run(capsys, "eval", str(path), "--seq", "id")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("text", [
+    "!" * 5000 + "f(0) = 0",
+    "(" * 5000 + "f(0) = 0" + ")" * 5000,
+    "f(" * 5000 + "0" + ")" * 5000 + " = 0",
+    "forall x. " * 5000 + "f(0) = 0",
+    " & ".join(["f(0) = 0"] * 5000),
+    " -> ".join(["f(0) = 0"] * 5000),
+], ids=["negations", "parentheses", "sequence-applications", "quantifiers",
+        "conjunctions", "implications"])
+def test_eval_deep_nesting_is_a_parse_error(capsys, tmp_path, text):
+    path = tmp_path / "deep.lg"
+    path.write_text(text)
+    code, _, err = run(capsys, "eval", str(path), "--seq", "id", "--bound", "1")
+    assert code == 2
+    assert "nesting deeper than 100 levels (line 1, column" in err
 
 
 def test_eval_bad_sequence_spec(capsys, qf_file):
@@ -200,6 +217,25 @@ def test_mu_trace_attempts_grow_quadratically(capsys, monkeypatch, tmp_path):
     # O(H^2) attempts per trace give a ratio near 4; redoing every attempt
     # at each prefix length (O(H^3)) gives about 7.3
     assert counts[1] / counts[0] <= 4.5, counts
+
+
+def test_adversary_validates_each_entry_once(capsys, monkeypatch):
+    validated = 0
+    original = oracle.FinitePrefix.__post_init__
+
+    def counted(self):
+        nonlocal validated
+        validated += len(self.entries)
+        original(self)
+
+    monkeypatch.setattr(oracle.FinitePrefix, "__post_init__", counted)
+    for budget in (400, 800):
+        validated = 0
+        code, _, _ = run(capsys, "adversary", "--guesser", "constant-1", "--kind", "diagonal",
+                         "--set", "inf-zeros", "--budget", str(budget))
+        assert code == 3
+        # rebuilding the whole prefix on every step validates about budget^2 / 2 entries
+        assert validated <= budget, (budget, validated)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from guessability.lang import (
     And,
@@ -142,6 +143,26 @@ def test_parse_reports_line_and_column(sig):
         parse("forall x. (", sig)
     assert err.value.line == 1
     assert err.value.column >= 11
+
+
+# DSL tokens and a few phrases; runs of 1200 reach past the nesting limit
+_FUZZ_PIECES = ("forall", "exists", "x", "y", "z", "f", "G", "g", "0", "7", "(", ")", "[", "]",
+                ",", ":", ".", "..", "->", "|", "&", "!", "=", "<", ">", "<=", ">=", "\n",
+                "0 = 0 &", "f(x) < y |", "x = 1 ->", "forall x.", "f(")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_FUZZ_PIECES), st.sampled_from((1, 2, 3, 1200))),
+                max_size=12))
+def test_parse_any_token_text_yields_a_formula_or_a_lang_error(runs):
+    sig = default_signature()
+    sig.register_seq_function("G", lambda t: sum(t))
+    text = " ".join(" ".join([token] * count) for token, count in runs)
+    try:
+        formula = parse(text, sig)
+    except LangError:
+        return
+    parse(print_formula(formula), sig)
 
 
 def test_parse_connective_precedence(sig):

@@ -121,6 +121,8 @@ def test_capped_session_raises_past_the_limit():
 def test_negative_values_rejected():
     with pytest.raises(ValueError):
         FinitePrefix((1, -2))
+    with pytest.raises(ValueError):
+        FinitePrefix((1,)).extended(-1)
     o = SequenceOracle(lambda i: -1)
     with pytest.raises(ValueError):
         o.query(0)
@@ -135,6 +137,8 @@ def test_prefix_indexing():
     assert list(p) == [4, 5, 6]
     assert p.last_index == 2
     assert p.extended(9) == FinitePrefix((4, 5, 6, 9))
+    assert hash(p.extended(9)) == hash(FinitePrefix((4, 5, 6, 9)))
+    assert p == FinitePrefix((4, 5, 6))
 
 
 def test_from_spec_plantzero():
