@@ -60,6 +60,7 @@ from .semantics import (
     AttemptOutcome,
     EMPTY_ASSIGNMENT,
     EvalResult,
+    EvaluationBudgetExhausted,
     MisplacedQuantifierError,
     attempt,
     eval_bounded,

@@ -6,8 +6,9 @@ guesser over growing prefixes), ``mu`` (trace an overguesser), ``adversary``
 (generate defining sentences), and ``play`` (interactive game: you feed the
 sequence, the guessers guess).
 
-Exit codes: 0 ok, 2 parse or signature error, 3 adversary budget exhausted,
-4 density violation (no suitable extension at some prefix).
+Exit codes: 0 ok, 2 parse or signature error, 3 adversary or bounded
+evaluation budget exhausted, 4 density violation (no suitable extension at
+some prefix).
 """
 
 from __future__ import annotations
@@ -151,6 +152,8 @@ def _resolve_guesser(ref: str, sig: lang.Signature) -> synth.Guesser:
 
 
 def cmd_eval(args) -> int:
+    if args.bound is not None and args.bound < 0:
+        raise CliError("bound must be at least 0")
     sig = _load_signature(args.sig)
     formula = _load_sentence(args.sentence, sig)
     source = _sequence(args.seq)
@@ -168,7 +171,10 @@ def cmd_eval(args) -> int:
         return EXIT_OK
     if args.bound is None:
         raise CliError("quantified sentence: pass --bound B for a bounded evaluation")
-    value = semantics.eval_bounded(formula, source, assignment, sig, args.bound)
+    try:
+        value = semantics.eval_bounded(formula, source, assignment, sig, args.bound)
+    except semantics.EvaluationBudgetExhausted as exc:
+        raise CliError(f"budget exhausted: {exc}", EXIT_BUDGET)
     print(f"note: quantifiers evaluated over 0..{args.bound}; the result is an approximation",
           file=sys.stderr)
     if args.json:

@@ -5,13 +5,14 @@ exactly which oracle indices it read.  Connectives are never short-circuited,
 so the query set is determined by the syntax alone and not by evaluation
 order.  ``attempt`` runs a sentence against the zero-padded extension of a
 finite prefix and reports failure the moment any query would look past the
-prefix's last index.
+prefix's last index; given an ``EllipsisMemo`` it evaluates each ellipsis
+term once for each value of its free variables along a growing prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .lang import (
     And,
@@ -31,6 +32,7 @@ from .lang import (
     Term,
     Variable,
     default_signature,
+    free_vars,
 )
 from .oracle import FinitePrefix, QueryBeyondLimit, SequenceOracle, zero_pad
 
@@ -60,6 +62,27 @@ class Assignment:
 
 
 EMPTY_ASSIGNMENT = Assignment()
+
+
+class EllipsisMemo:
+    """Values of the ellipsis terms of one matrix over one growing prefix.
+
+    An entry maps an ``EllipsisApp`` node, by identity, and the values of its
+    free variables to the value the node evaluated to.  An evaluation that
+    succeeded read only observed entries, which never change as the prefix
+    grows, so with deterministic host functions the entry holds on every
+    extension.  The owner keeps the matrix alive, so node ids stay unique.
+    """
+
+    def __init__(self):
+        self._names: dict[int, tuple[str, ...]] = {}
+        self.values: dict[tuple[int, ...], int] = {}
+
+    def key(self, term: EllipsisApp, s: Assignment) -> tuple[int, ...]:
+        names = self._names.get(id(term))
+        if names is None:
+            names = self._names[id(term)] = tuple(free_vars(term))
+        return (id(term), *(s[name] for name in names))
 
 
 @dataclass(frozen=True)
@@ -103,55 +126,64 @@ class AttemptOutcome:
         return cls(truth=None, offending_index=offending_index)
 
 
-def _term_value(term: Term, oracle: SequenceOracle, s: Assignment, sig: Signature) -> int:
+def _term_value(term: Term, oracle: SequenceOracle, s: Assignment, sig: Signature,
+                memo: EllipsisMemo | None = None) -> int:
     if isinstance(term, Numeral):
         return term.value
     if isinstance(term, Variable):
         return s[term.name]
     if isinstance(term, SeqApp):
-        return oracle.query(_term_value(term.arg, oracle, s, sig))
+        return oracle.query(_term_value(term.arg, oracle, s, sig, memo))
     if isinstance(term, FixedApp):
         arity, host = sig.function(term.symbol)
         if len(term.args) != arity:
             raise ValueError(f"{term.symbol!r} expects {arity} arguments, got {len(term.args)}")
-        values = [_term_value(a, oracle, s, sig) for a in term.args]
+        values = [_term_value(a, oracle, s, sig, memo) for a in term.args]
         return int(host(*values))
     if isinstance(term, EllipsisApp):
+        if memo is not None:
+            key = memo.key(term, s)
+            if key in memo.values:
+                return memo.values[key]
         host = sig.seq_function(term.symbol)
         # the bound evaluates first, then the body at binder = 0..bound, ascending
-        bound = _term_value(term.bound, oracle, s, sig)
+        bound = _term_value(term.bound, oracle, s, sig, memo)
         values = tuple(
-            _term_value(term.body, oracle, s.set(term.binder, i), sig)
+            _term_value(term.body, oracle, s.set(term.binder, i), sig, memo)
             for i in range(bound + 1)
         )
-        return int(host(values))
+        value = int(host(values))
+        if memo is not None:
+            memo.values[key] = value
+        return value
     raise TypeError(f"not a term: {term!r}")
 
 
-def _qf_truth(formula: Formula, oracle: SequenceOracle, s: Assignment, sig: Signature) -> bool:
+def _qf_truth(formula: Formula, oracle: SequenceOracle, s: Assignment, sig: Signature,
+              memo: EllipsisMemo | None = None) -> bool:
     if isinstance(formula, Eq):
-        left = _term_value(formula.left, oracle, s, sig)
-        right = _term_value(formula.right, oracle, s, sig)
+        left = _term_value(formula.left, oracle, s, sig, memo)
+        right = _term_value(formula.right, oracle, s, sig, memo)
         return left == right
     if isinstance(formula, Pred):
         arity, host = sig.predicate(formula.symbol)
         if len(formula.args) != arity:
             raise ValueError(f"{formula.symbol!r} expects {arity} arguments, got {len(formula.args)}")
-        values = [_term_value(a, oracle, s, sig) for a in formula.args]
+        values = [_term_value(a, oracle, s, sig, memo) for a in formula.args]
         return bool(host(*values))
     if isinstance(formula, Not):
-        return not _qf_truth(formula.body, oracle, s, sig)
+        return not _qf_truth(formula.body, oracle, s, sig, memo)
     if isinstance(formula, And):
-        left = _qf_truth(formula.left, oracle, s, sig)
-        right = _qf_truth(formula.right, oracle, s, sig)
+        left = _qf_truth(formula.left, oracle, s, sig, memo)
+        right = _qf_truth(formula.right, oracle, s, sig, memo)
         return left and right
     if isinstance(formula, Or):
-        left = _qf_truth(formula.left, oracle, s, sig)
-        right = _qf_truth(formula.right, oracle, s, sig)
+        left = _qf_truth(formula.left, oracle, s, sig, memo)
+        right = _qf_truth(formula.right, oracle, s, sig, memo)
         return left or right
     if isinstance(formula, Implies):
-        left = _qf_truth(formula.left, oracle, s, sig)
-        right = _qf_truth(formula.right, oracle, s, sig)
+        left = _qf_truth(formula.left, oracle, s, sig, memo)
+        right = _qf_truth(formula.right, oracle, s, sig, memo)
         return (not left) or right
     if isinstance(formula, (Forall, Exists)):
         raise MisplacedQuantifierError(
@@ -180,22 +212,33 @@ def eval_qf(formula: Formula, oracle: SequenceOracle, s: Assignment | None = Non
 
 
 def attempt(formula: Formula, prefix: FinitePrefix, sig: Signature | None = None,
-            s: Assignment | None = None) -> AttemptOutcome:
+            s: Assignment | None = None, memo: EllipsisMemo | None = None) -> AttemptOutcome:
     """Check a quantifier-free formula under an assignment over the zero-padded prefix.
 
     With no assignment the formula is read as a closed sentence.  Fails the
     moment any query goes past the prefix's last index; an empty prefix
-    fails on the first query.
+    fails on the first query.  A memo must only ever see this formula over
+    prefixes that extend one another; an ellipsis value found in it is not
+    evaluated again, and one that evaluates without raising is stored.
     """
     s = s if s is not None else EMPTY_ASSIGNMENT
     sig = sig if sig is not None else default_signature()
     oracle = zero_pad(prefix)
     oracle.begin_session(limit=prefix.last_index)
     try:
-        truth = _qf_truth(formula, oracle, s, sig)
+        truth = _qf_truth(formula, oracle, s, sig, memo)
     except QueryBeyondLimit as exc:
         return AttemptOutcome.failure(exc.index)
     return AttemptOutcome.success(truth)
+
+
+# Quantifier instances one bounded evaluation may visit: k nested quantifiers
+# under a bound B visit up to (B+1)^k of them.
+MAX_BOUNDED_INSTANCES = 100_000
+
+
+class EvaluationBudgetExhausted(Exception):
+    """A bounded evaluation visited more than MAX_BOUNDED_INSTANCES quantifier instances."""
 
 
 def eval_bounded(formula: Formula, oracle: SequenceOracle, s: Assignment | None = None,
@@ -203,34 +246,41 @@ def eval_bounded(formula: Formula, oracle: SequenceOracle, s: Assignment | None 
     """Truth with quantifiers restricted to 0..bound.
 
     A test-harness approximation only; never used inside the overguesser or
-    guesser constructions.
+    guesser constructions.  Raises EvaluationBudgetExhausted past
+    MAX_BOUNDED_INSTANCES quantifier instances.
     """
     s = s if s is not None else EMPTY_ASSIGNMENT
     sig = sig if sig is not None else default_signature()
-    return _bounded_truth(formula, oracle, s, sig, bound)
+    return _bounded_truth(formula, oracle, s, sig, bound, iter(range(MAX_BOUNDED_INSTANCES)))
+
+
+def _instances(formula: Forall | Exists, s: Assignment, bound: int,
+               budget: Iterator[int]) -> Iterator[Assignment]:
+    """The assignments for the quantifier's variable at 0..bound, each spending one unit."""
+    for n in range(bound + 1):
+        if next(budget, None) is None:
+            raise EvaluationBudgetExhausted(
+                f"bounded evaluation visited more than {MAX_BOUNDED_INSTANCES} quantifier instances")
+        yield s.set(formula.var, n)
 
 
 def _bounded_truth(formula: Formula, oracle: SequenceOracle, s: Assignment,
-                   sig: Signature, bound: int) -> bool:
+                   sig: Signature, bound: int, budget: Iterator[int]) -> bool:
     if isinstance(formula, Forall):
-        return all(
-            _bounded_truth(formula.body, oracle, s.set(formula.var, n), sig, bound)
-            for n in range(bound + 1)
-        )
+        return all(_bounded_truth(formula.body, oracle, t, sig, bound, budget)
+                   for t in _instances(formula, s, bound, budget))
     if isinstance(formula, Exists):
-        return any(
-            _bounded_truth(formula.body, oracle, s.set(formula.var, n), sig, bound)
-            for n in range(bound + 1)
-        )
+        return any(_bounded_truth(formula.body, oracle, t, sig, bound, budget)
+                   for t in _instances(formula, s, bound, budget))
     if isinstance(formula, Not):
-        return not _bounded_truth(formula.body, oracle, s, sig, bound)
+        return not _bounded_truth(formula.body, oracle, s, sig, bound, budget)
     if isinstance(formula, And):
-        return (_bounded_truth(formula.left, oracle, s, sig, bound)
-                and _bounded_truth(formula.right, oracle, s, sig, bound))
+        return (_bounded_truth(formula.left, oracle, s, sig, bound, budget)
+                and _bounded_truth(formula.right, oracle, s, sig, bound, budget))
     if isinstance(formula, Or):
-        return (_bounded_truth(formula.left, oracle, s, sig, bound)
-                or _bounded_truth(formula.right, oracle, s, sig, bound))
+        return (_bounded_truth(formula.left, oracle, s, sig, bound, budget)
+                or _bounded_truth(formula.right, oracle, s, sig, bound, budget))
     if isinstance(formula, Implies):
-        return ((not _bounded_truth(formula.left, oracle, s, sig, bound))
-                or _bounded_truth(formula.right, oracle, s, sig, bound))
+        return ((not _bounded_truth(formula.left, oracle, s, sig, bound, budget))
+                or _bounded_truth(formula.right, oracle, s, sig, bound, budget))
     return _qf_truth(formula, oracle, s, sig)

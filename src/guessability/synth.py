@@ -30,7 +30,7 @@ from .lang import (
     substitute,
 )
 from .oracle import FinitePrefix
-from .semantics import Assignment, attempt
+from .semantics import Assignment, EllipsisMemo, attempt
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,9 @@ class MuStream:
     reaches that index.  A refuted witness therefore stays refuted, and the
     stream keeps only the current witness ``a`` (which never decreases), the
     next inner ``b`` to try for it, and the failed ``b``s with their
-    offending indices.  A trace of H pushes costs O(H^2) attempts.
+    offending indices.  A trace of H pushes costs O(H^2) attempts.  For the
+    same reason an ellipsis term is evaluated once for each value of its free
+    variables (see EllipsisMemo), which assumes deterministic host functions.
     """
 
     def __init__(self, sentence: Sigma2Sentence, sig: Signature | None = None):
@@ -207,6 +209,7 @@ class MuStream:
         self._a = 0
         self._next_b = 0
         self._failed: dict[int, int] = {}  # b -> offending index
+        self._memo = EllipsisMemo()
 
     def push(self, value: int) -> ExtendedNat:
         """Observe the next entry and return mu for the prefix seen so far."""
@@ -223,7 +226,7 @@ class MuStream:
         due = sorted(b for b, k in self._failed.items() if k <= prefix.last_index)
         for b in itertools.chain(due, range(self._next_b, len(prefix) + 1)):
             s = Assignment({sentence.outer: self._a, sentence.inner: b})
-            outcome = attempt(sentence.matrix, prefix, self.sig, s)
+            outcome = attempt(sentence.matrix, prefix, self.sig, s, self._memo)
             if outcome.failed:
                 self._failed[b] = outcome.offending_index
             else:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -32,6 +33,35 @@ def pi2_file(tmp_path):
     path = tmp_path / "pi2.lg"
     path.write_text("forall x. exists y. f(y) = 0")
     return str(path)
+
+
+@pytest.fixture
+def gz_files(tmp_path):
+    """(signature, sigma2, pi2) files for the pair synthesized from the Gz guesser."""
+    sig = tmp_path / "gz.sig"
+    sig.write_text("seqfn Gz contains0\n")
+    sigma2, pi2 = tmp_path / "Gz.sigma2.lg", tmp_path / "Gz.pi2.lg"
+    for path, text in zip((sigma2, pi2), synth.guesser_sentence_texts("Gz")):
+        path.write_text(text)
+    return str(sig), str(sigma2), str(pi2)
+
+
+def count_tuple_entries(monkeypatch) -> list[int]:
+    """Make every sequence-tuple host add its tuple's length to the returned counter."""
+    entries = [0]
+    original = lang.Signature.seq_function
+
+    def seq_function(sig, name):
+        host = original(sig, name)
+
+        def counted(t):
+            entries[0] += len(t)
+            return host(t)
+
+        return counted
+
+    monkeypatch.setattr(lang.Signature, "seq_function", seq_function)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +118,27 @@ def test_eval_deep_nesting_is_a_parse_error(capsys, tmp_path, text):
     code, _, err = run(capsys, "eval", str(path), "--seq", "id", "--bound", "1")
     assert code == 2
     assert "nesting deeper than 100 levels (line 1, column" in err
+
+
+def test_eval_rejects_negative_bound(capsys, tmp_path):
+    path = tmp_path / "all7.lg"
+    path.write_text("forall x. f(x) = 7")
+    code, out, err = run(capsys, "eval", str(path), "--seq", "const:1", "--bound", "-1")
+    assert code == 2
+    assert out == ""
+    assert "bound must be at least 0" in err
+
+
+def test_eval_bounded_work_is_budgeted(capsys, tmp_path):
+    # 2^97 quantifier instances at bound 1, inside the nesting limit
+    path = tmp_path / "wide.lg"
+    path.write_text("forall x. " * 97 + "0 = 0")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", str(path), "--seq", "id", "--bound", "1")
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert out == ""
+    assert "budget exhausted" in err
 
 
 def test_eval_bad_sequence_spec(capsys, qf_file):
@@ -216,6 +267,45 @@ def test_mu_trace_attempts_grow_quadratically(capsys, monkeypatch, tmp_path):
         counts.append(calls)
     # O(H^2) attempts per trace give a ratio near 4; redoing every attempt
     # at each prefix length (O(H^3)) gives about 7.3
+    assert counts[1] / counts[0] <= 4.5, counts
+
+
+def test_guess_ellipsis_tuple_entries_grow_quadratically(capsys, monkeypatch, gz_files):
+    sig, sigma2, pi2 = gz_files
+    entries = count_tuple_entries(monkeypatch)
+    values = [1] * 50
+    values[10] = 0
+    seq = "prefix:[" + ",".join(map(str, values)) + "]:pad0"
+    counts = []
+    for horizon in (25, 50):
+        entries[0] = 0
+        code, out, _ = run(capsys, "guess", "--sig", sig, "--sigma2", sigma2, "--pi2", pi2,
+                           "--seq", seq, "--horizon", str(horizon))
+        assert code == 0
+        assert out.splitlines()[1:] == ["stable_from: 11", "final: 1"]
+        counts.append(entries[0])
+    # evaluating Gz[ f(z) : z .. y ] once per y and stream gives O(H^2) tuple
+    # entries, a ratio near 4; rebuilding it on every attempt (O(H^3)) gives about 6
+    assert counts[1] / counts[0] <= 4.5, counts
+
+
+def test_adversary_delta2_ellipsis_entries_grow_quadratically(capsys, monkeypatch, gz_files):
+    sig, sigma2, pi2 = gz_files
+    entries = count_tuple_entries(monkeypatch)
+    counts = []
+    for budget in (60, 120):
+        entries[0] = 0
+        code, out, _ = run(capsys, "adversary", "--sig", sig, "--guesser",
+                           f"delta2:{sigma2}:{pi2}", "--kind", "diagonal", "--set", "inf-zeros",
+                           "--flips", "10", "--budget", str(budget))
+        assert code == 3
+        # phase 1 steers along zeros and the guesser says 1 at once; phase 2
+        # steers along ones, but a 0 has been seen, so it never says 0 again
+        ones = ",".join(["1"] * budget)
+        assert out == (f"flips=[0] guesses=[1] status=budget-exhausted phase=2 steps={budget}\n"
+                       f"prefix: prefix:[0,{ones}]:pad0\n")
+        counts.append(entries[0])
+    # about 7.3 when every attempt rebuilds the tuple
     assert counts[1] / counts[0] <= 4.5, counts
 
 

@@ -7,6 +7,9 @@ from guessability.oracle import FinitePrefix, from_spec, zero_pad
 from guessability.semantics import (
     Assignment,
     EMPTY_ASSIGNMENT,
+    EllipsisMemo,
+    EvaluationBudgetExhausted,
+    MAX_BOUNDED_INSTANCES,
     MisplacedQuantifierError,
     attempt,
     eval_bounded,
@@ -173,6 +176,26 @@ def test_attempt_monotone_in_prefix_length(sig):
     assert checked > 40
 
 
+def test_attempt_with_memo_matches_plain_attempt():
+    rnd = random.Random(8)
+    gsig = formula_gen.generator_signature()
+    for _ in range(60):
+        matrix = formula_gen.gen_qf(rnd, 2, ("x", "y"), force_ellipsis=True,
+                                    binder=rnd.choice(("x", "y", "z")))
+        oracle = formula_gen.random_oracle(rnd)
+        values = tuple(oracle.query(i) for i in range(10))
+        memo = EllipsisMemo()
+        # one memo over a growing prefix, assignments in a fresh order each time
+        for k in range(len(values) + 1):
+            prefix = FinitePrefix(values[:k])
+            pairs = [(x, y) for x in range(4) for y in range(4)]
+            rnd.shuffle(pairs)
+            for x, y in pairs:
+                s = Assignment({"x": x, "y": y})
+                assert attempt(matrix, prefix, gsig, s, memo) == attempt(matrix, prefix, gsig, s), \
+                    (matrix, k, x, y)
+
+
 # ---------------------------------------------------------------------------
 # bounded quantifiers
 
@@ -192,6 +215,13 @@ def test_eval_bounded_misses_witness_outside(sig):
 def test_eval_bounded_nested(sig):
     # every value up to the bound appears in the identity sequence
     assert eval_bounded(parse("forall x. exists y. f(y) = x", sig), from_spec("id"), None, sig, 8)
+
+
+def test_eval_bounded_counts_quantifier_instances(sig):
+    formula = parse("forall x. 0 = 0", sig)
+    assert eval_bounded(formula, from_spec("id"), None, sig, MAX_BOUNDED_INSTANCES - 1)
+    with pytest.raises(EvaluationBudgetExhausted):
+        eval_bounded(formula, from_spec("id"), None, sig, MAX_BOUNDED_INSTANCES)
 
 
 # ---------------------------------------------------------------------------
