@@ -13,7 +13,6 @@ and diagonalizing adversaries that defeat candidate guessers.
 from .oracle import (
     FinitePrefix,
     QueryBeyondLimit,
-    QueryLog,
     SequenceOracle,
     agrees_through,
     from_spec,

@@ -6,9 +6,8 @@ guesser over growing prefixes), ``mu`` (trace an overguesser), ``adversary``
 (generate defining sentences), and ``play`` (interactive game: you feed the
 sequence, the guessers guess).
 
-Exit codes: 0 ok, 2 parse or signature error, 3 adversary or bounded
-evaluation budget exhausted, 4 density violation (no suitable extension at
-some prefix).
+Exit codes: 0 ok, 2 parse or signature error, 3 adversary or evaluation
+budget exhausted, 4 density violation (no suitable extension at some prefix).
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ def _parse_assignment(text: str | None) -> semantics.Assignment:
     bindings = {}
     for part in text.split(","):
         name, _, value = part.partition("=")
-        if not name or not value.isdigit():
+        if not name or not value.isdecimal():
             raise CliError(f"bad assignment entry {part!r}; use name=nat")
         bindings[name.strip()] = int(value)
     return semantics.Assignment(bindings)
@@ -171,10 +170,7 @@ def cmd_eval(args) -> int:
         return EXIT_OK
     if args.bound is None:
         raise CliError("quantified sentence: pass --bound B for a bounded evaluation")
-    try:
-        value = semantics.eval_bounded(formula, source, assignment, sig, args.bound)
-    except semantics.EvaluationBudgetExhausted as exc:
-        raise CliError(f"budget exhausted: {exc}", EXIT_BUDGET)
+    value = semantics.eval_bounded(formula, source, assignment, sig, args.bound)
     print(f"note: quantifiers evaluated over 0..{args.bound}; the result is an approximation",
           file=sys.stderr)
     if args.json:
@@ -365,7 +361,7 @@ def cmd_play(args) -> int:
                 else:
                     print(f"{name}: no entries yet")
             continue
-        if not line.isdigit():
+        if not line.isdecimal():
             print("enter a natural number, :trace, or :quit")
             continue
         prefix = prefix.extended(int(line))
@@ -457,6 +453,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except semantics.EvaluationBudgetExhausted as exc:
+        print(f"error: budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except (lang.LangError, oracle.SequenceSpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

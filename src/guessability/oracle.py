@@ -1,9 +1,8 @@
-"""Finite prefixes and lazy infinite sequences with memoised, query-tracked access.
+"""Finite prefixes and lazy infinite sequences with memoised access.
 
 A SequenceOracle wraps a total rule index -> natural.  Values are produced
-lazily, memoised forever, and every read made during an evaluation session is
-recorded in a QueryLog, so callers can tell exactly which part of the sequence
-a result depended on.
+lazily and memoised forever.  Which indices an evaluation read is tracked by
+the evaluation itself (see ``semantics``), not by the oracle.
 """
 
 from __future__ import annotations
@@ -14,10 +13,10 @@ from typing import Callable
 
 
 class QueryBeyondLimit(Exception):
-    """A capped session tried to read an index past its limit."""
+    """An evaluation tried to read an index past the last one it may read."""
 
     def __init__(self, index: int, limit: int):
-        super().__init__(f"query at index {index} exceeds session limit {limit}")
+        super().__init__(f"query at index {index} exceeds limit {limit}")
         self.index = index
         self.limit = limit
 
@@ -65,54 +64,21 @@ class FinitePrefix:
         return longer
 
 
-class QueryLog:
-    """Indices read during one evaluation session.
-
-    Entries are only ever added.  A session may carry a limit; recording an
-    index past the limit raises QueryBeyondLimit before the read happens.
-    """
-
-    def __init__(self, limit: int | None = None):
-        self.queried: set[int] = set()
-        self.limit = limit
-
-    def record(self, index: int) -> None:
-        if self.limit is not None and index > self.limit:
-            raise QueryBeyondLimit(index, self.limit)
-        self.queried.add(index)
-
-    @property
-    def max_queried(self) -> int | None:
-        return max(self.queried) if self.queried else None
-
-    def snapshot(self) -> frozenset[int]:
-        return frozenset(self.queried)
-
-
 class SequenceOracle:
     """Lazy, memoised view of a total deterministic rule index -> natural.
 
     The memo makes the first answer authoritative: even if a user-supplied
     rule misbehaves, repeated queries at one index return identical values.
-    Each evaluation session gets a fresh log via begin_session; the memo
-    persists across sessions.
     """
 
     def __init__(self, rule: Callable[[int], int], describe: str = "oracle"):
         self._rule = rule
         self._memo: dict[int, int] = {}
         self.describe = describe
-        self.log = QueryLog()
-
-    def begin_session(self, limit: int | None = None) -> QueryLog:
-        """Install and return a fresh query log, optionally index-capped."""
-        self.log = QueryLog(limit)
-        return self.log
 
     def query(self, index: int) -> int:
         if index < 0:
             raise ValueError(f"oracle index must be a natural, got {index}")
-        self.log.record(index)
         if index not in self._memo:
             value = int(self._rule(index))
             if value < 0:

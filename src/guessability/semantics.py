@@ -1,18 +1,19 @@
-"""Evaluation of terms and quantifier-free formulas over a sequence oracle.
+"""Evaluation of terms and formulas over a sequence, tracking the entries read.
 
-Evaluation is pure given (AST, oracle, assignment, signature) and records
-exactly which oracle indices it read.  Connectives are never short-circuited,
-so the query set is determined by the syntax alone and not by evaluation
-order.  ``attempt`` runs a sentence against the zero-padded extension of a
-finite prefix and reports failure the moment any query would look past the
-prefix's last index; given an ``EllipsisMemo`` it evaluates each ellipsis
-term once for each value of its free variables along a growing prefix.
+One evaluator serves every entry point; they differ in how an entry is read.
+``eval_term`` and ``eval_qf`` read an oracle and report which indices they
+read.  ``attempt`` reads a finite prefix and fails the moment a read would look
+past its last index; given an ``EllipsisMemo`` it evaluates each ellipsis term
+once for each value of its free variables along a growing prefix.
+``eval_bounded`` restricts quantifiers to 0..bound.  Connectives are never
+short-circuited, so the query set is determined by the syntax alone, and every
+evaluation has a budget of ``MAX_BOUNDED_INSTANCES`` units of work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Mapping
 
 from .lang import (
     And,
@@ -34,7 +35,7 @@ from .lang import (
     default_signature,
     free_vars,
 )
-from .oracle import FinitePrefix, QueryBeyondLimit, SequenceOracle, zero_pad
+from .oracle import FinitePrefix, QueryBeyondLimit, SequenceOracle
 
 
 class MisplacedQuantifierError(ValueError):
@@ -126,89 +127,125 @@ class AttemptOutcome:
         return cls(truth=None, offending_index=offending_index)
 
 
-def _term_value(term: Term, oracle: SequenceOracle, s: Assignment, sig: Signature,
-                memo: EllipsisMemo | None = None) -> int:
-    if isinstance(term, Numeral):
-        return term.value
-    if isinstance(term, Variable):
-        return s[term.name]
-    if isinstance(term, SeqApp):
-        return oracle.query(_term_value(term.arg, oracle, s, sig, memo))
-    if isinstance(term, FixedApp):
-        arity, host = sig.function(term.symbol)
-        if len(term.args) != arity:
-            raise ValueError(f"{term.symbol!r} expects {arity} arguments, got {len(term.args)}")
-        values = [_term_value(a, oracle, s, sig, memo) for a in term.args]
-        return int(host(*values))
-    if isinstance(term, EllipsisApp):
-        if memo is not None:
-            key = memo.key(term, s)
-            if key in memo.values:
-                return memo.values[key]
-        host = sig.seq_function(term.symbol)
-        # the bound evaluates first, then the body at binder = 0..bound, ascending
-        bound = _term_value(term.bound, oracle, s, sig, memo)
-        values = tuple(
-            _term_value(term.body, oracle, s.set(term.binder, i), sig, memo)
-            for i in range(bound + 1)
-        )
-        value = int(host(values))
-        if memo is not None:
-            memo.values[key] = value
+# Units of work one evaluation may spend: one per quantifier instance (k nested
+# quantifiers under a bound B visit up to (B+1)^k) and one per ellipsis entry.
+MAX_BOUNDED_INSTANCES = 100_000
+
+
+class EvaluationBudgetExhausted(Exception):
+    """An evaluation spent more than MAX_BOUNDED_INSTANCES quantifier instances and ellipsis entries."""
+
+
+class _Evaluation:
+    """One evaluation: how entries are read, the host symbols, the memo, the bound and the budget.
+
+    Connectives always evaluate both sides, so the entries read are fixed by
+    the syntax and not by evaluation order.  Quantifiers range over 0..bound
+    and stop at the first instance that decides them; with no bound they are
+    an error.  A memo hit spends nothing.
+    """
+
+    def __init__(self, read: Callable[[int], int], sig: Signature | None,
+                 memo: EllipsisMemo | None = None, bound: int | None = None):
+        self.read = read
+        self.sig = sig if sig is not None else default_signature()
+        self.memo = memo
+        self.bound = bound
+        self.budget_left = MAX_BOUNDED_INSTANCES
+
+    def spend(self) -> None:
+        self.budget_left -= 1
+        if self.budget_left < 0:
+            raise EvaluationBudgetExhausted(
+                f"evaluation spent more than {MAX_BOUNDED_INSTANCES} quantifier instances"
+                " and ellipsis entries")
+
+    def value(self, term: Term, s: Assignment) -> int:
+        if isinstance(term, Numeral):
+            return term.value
+        if isinstance(term, Variable):
+            return s[term.name]
+        if isinstance(term, SeqApp):
+            return self.read(self.value(term.arg, s))
+        if isinstance(term, FixedApp):
+            arity, host = self.sig.function(term.symbol)
+            if len(term.args) != arity:
+                raise ValueError(f"{term.symbol!r} expects {arity} arguments, got {len(term.args)}")
+            return int(host(*[self.value(a, s) for a in term.args]))
+        if isinstance(term, EllipsisApp):
+            memo = self.memo
+            if memo is not None:
+                key = memo.key(term, s)
+                if key in memo.values:
+                    return memo.values[key]
+            host = self.sig.seq_function(term.symbol)
+            # the bound evaluates first, then the body at binder = 0..bound, ascending
+            entries = []
+            for i in range(self.value(term.bound, s) + 1):
+                self.spend()
+                entries.append(self.value(term.body, s.set(term.binder, i)))
+            value = int(host(tuple(entries)))
+            if memo is not None:
+                memo.values[key] = value
+            return value
+        raise TypeError(f"not a term: {term!r}")
+
+    def truth(self, formula: Formula, s: Assignment) -> bool:
+        if isinstance(formula, Eq):
+            return self.value(formula.left, s) == self.value(formula.right, s)
+        if isinstance(formula, Pred):
+            arity, host = self.sig.predicate(formula.symbol)
+            if len(formula.args) != arity:
+                raise ValueError(f"{formula.symbol!r} expects {arity} arguments, got {len(formula.args)}")
+            return bool(host(*[self.value(a, s) for a in formula.args]))
+        if isinstance(formula, Not):
+            return not self.truth(formula.body, s)
+        if isinstance(formula, And):
+            left, right = self.truth(formula.left, s), self.truth(formula.right, s)
+            return left and right
+        if isinstance(formula, Or):
+            left, right = self.truth(formula.left, s), self.truth(formula.right, s)
+            return left or right
+        if isinstance(formula, Implies):
+            left, right = self.truth(formula.left, s), self.truth(formula.right, s)
+            return (not left) or right
+        if isinstance(formula, (Forall, Exists)):
+            if self.bound is None:
+                raise MisplacedQuantifierError(
+                    "quantifiers have no exact evaluation here; use eval_bounded or attempt-based machinery")
+            decisive = isinstance(formula, Exists)
+            for n in range(self.bound + 1):
+                self.spend()
+                if self.truth(formula.body, s.set(formula.var, n)) == decisive:
+                    return decisive
+            return not decisive
+        raise TypeError(f"not a formula: {formula!r}")
+
+
+def _recorded(evaluate: Callable, node: Term | Formula, oracle: SequenceOracle,
+              s: Assignment | None, sig: Signature | None) -> EvalResult:
+    """Run ``evaluate`` (``_Evaluation.value`` or ``.truth``) over the oracle, noting each index read."""
+    queried: set[int] = set()
+
+    def read(index: int) -> int:
+        value = oracle.query(index)
+        queried.add(index)
         return value
-    raise TypeError(f"not a term: {term!r}")
 
-
-def _qf_truth(formula: Formula, oracle: SequenceOracle, s: Assignment, sig: Signature,
-              memo: EllipsisMemo | None = None) -> bool:
-    if isinstance(formula, Eq):
-        left = _term_value(formula.left, oracle, s, sig, memo)
-        right = _term_value(formula.right, oracle, s, sig, memo)
-        return left == right
-    if isinstance(formula, Pred):
-        arity, host = sig.predicate(formula.symbol)
-        if len(formula.args) != arity:
-            raise ValueError(f"{formula.symbol!r} expects {arity} arguments, got {len(formula.args)}")
-        values = [_term_value(a, oracle, s, sig, memo) for a in formula.args]
-        return bool(host(*values))
-    if isinstance(formula, Not):
-        return not _qf_truth(formula.body, oracle, s, sig, memo)
-    if isinstance(formula, And):
-        left = _qf_truth(formula.left, oracle, s, sig, memo)
-        right = _qf_truth(formula.right, oracle, s, sig, memo)
-        return left and right
-    if isinstance(formula, Or):
-        left = _qf_truth(formula.left, oracle, s, sig, memo)
-        right = _qf_truth(formula.right, oracle, s, sig, memo)
-        return left or right
-    if isinstance(formula, Implies):
-        left = _qf_truth(formula.left, oracle, s, sig, memo)
-        right = _qf_truth(formula.right, oracle, s, sig, memo)
-        return (not left) or right
-    if isinstance(formula, (Forall, Exists)):
-        raise MisplacedQuantifierError(
-            "quantifiers have no exact evaluation here; use eval_bounded or attempt-based machinery")
-    raise TypeError(f"not a formula: {formula!r}")
+    value = evaluate(_Evaluation(read, sig), node, s if s is not None else EMPTY_ASSIGNMENT)
+    return EvalResult(value=value, queried=frozenset(queried))
 
 
 def eval_term(term: Term, oracle: SequenceOracle, s: Assignment | None = None,
               sig: Signature | None = None) -> EvalResult:
-    """Value of a term, with a fresh query log for this evaluation."""
-    s = s if s is not None else EMPTY_ASSIGNMENT
-    sig = sig if sig is not None else default_signature()
-    log = oracle.begin_session()
-    value = _term_value(term, oracle, s, sig)
-    return EvalResult(value=value, queried=log.snapshot())
+    """Value of a term, with the oracle indices this evaluation read."""
+    return _recorded(_Evaluation.value, term, oracle, s, sig)
 
 
 def eval_qf(formula: Formula, oracle: SequenceOracle, s: Assignment | None = None,
             sig: Signature | None = None) -> EvalResult:
-    """Truth of a quantifier-free formula; every subterm is evaluated."""
-    s = s if s is not None else EMPTY_ASSIGNMENT
-    sig = sig if sig is not None else default_signature()
-    log = oracle.begin_session()
-    value = _qf_truth(formula, oracle, s, sig)
-    return EvalResult(value=value, queried=log.snapshot())
+    """Truth of a quantifier-free formula, with the oracle indices this evaluation read."""
+    return _recorded(_Evaluation.truth, formula, oracle, s, sig)
 
 
 def attempt(formula: Formula, prefix: FinitePrefix, sig: Signature | None = None,
@@ -216,29 +253,27 @@ def attempt(formula: Formula, prefix: FinitePrefix, sig: Signature | None = None
     """Check a quantifier-free formula under an assignment over the zero-padded prefix.
 
     With no assignment the formula is read as a closed sentence.  Fails the
-    moment any query goes past the prefix's last index; an empty prefix
-    fails on the first query.  A memo must only ever see this formula over
-    prefixes that extend one another; an ellipsis value found in it is not
-    evaluated again, and one that evaluates without raising is stored.
+    moment any query goes past the prefix's last index, so the padding is
+    never read; an empty prefix fails on the first query.  A memo must only
+    ever see this formula over prefixes that extend one another; an ellipsis
+    value found in it is not evaluated again, and one that evaluates without
+    raising is stored.
     """
-    s = s if s is not None else EMPTY_ASSIGNMENT
-    sig = sig if sig is not None else default_signature()
-    oracle = zero_pad(prefix)
-    oracle.begin_session(limit=prefix.last_index)
+    entries, last = prefix.entries, prefix.last_index
+
+    def read(index: int) -> int:
+        if index < 0:
+            raise ValueError(f"oracle index must be a natural, got {index}")
+        if index > last:
+            raise QueryBeyondLimit(index, last)
+        return entries[index]
+
+    evaluation = _Evaluation(read, sig, memo)
     try:
-        truth = _qf_truth(formula, oracle, s, sig, memo)
+        truth = evaluation.truth(formula, s if s is not None else EMPTY_ASSIGNMENT)
     except QueryBeyondLimit as exc:
         return AttemptOutcome.failure(exc.index)
     return AttemptOutcome.success(truth)
-
-
-# Quantifier instances one bounded evaluation may visit: k nested quantifiers
-# under a bound B visit up to (B+1)^k of them.
-MAX_BOUNDED_INSTANCES = 100_000
-
-
-class EvaluationBudgetExhausted(Exception):
-    """A bounded evaluation visited more than MAX_BOUNDED_INSTANCES quantifier instances."""
 
 
 def eval_bounded(formula: Formula, oracle: SequenceOracle, s: Assignment | None = None,
@@ -246,41 +281,7 @@ def eval_bounded(formula: Formula, oracle: SequenceOracle, s: Assignment | None 
     """Truth with quantifiers restricted to 0..bound.
 
     A test-harness approximation only; never used inside the overguesser or
-    guesser constructions.  Raises EvaluationBudgetExhausted past
-    MAX_BOUNDED_INSTANCES quantifier instances.
+    guesser constructions.
     """
-    s = s if s is not None else EMPTY_ASSIGNMENT
-    sig = sig if sig is not None else default_signature()
-    return _bounded_truth(formula, oracle, s, sig, bound, iter(range(MAX_BOUNDED_INSTANCES)))
-
-
-def _instances(formula: Forall | Exists, s: Assignment, bound: int,
-               budget: Iterator[int]) -> Iterator[Assignment]:
-    """The assignments for the quantifier's variable at 0..bound, each spending one unit."""
-    for n in range(bound + 1):
-        if next(budget, None) is None:
-            raise EvaluationBudgetExhausted(
-                f"bounded evaluation visited more than {MAX_BOUNDED_INSTANCES} quantifier instances")
-        yield s.set(formula.var, n)
-
-
-def _bounded_truth(formula: Formula, oracle: SequenceOracle, s: Assignment,
-                   sig: Signature, bound: int, budget: Iterator[int]) -> bool:
-    if isinstance(formula, Forall):
-        return all(_bounded_truth(formula.body, oracle, t, sig, bound, budget)
-                   for t in _instances(formula, s, bound, budget))
-    if isinstance(formula, Exists):
-        return any(_bounded_truth(formula.body, oracle, t, sig, bound, budget)
-                   for t in _instances(formula, s, bound, budget))
-    if isinstance(formula, Not):
-        return not _bounded_truth(formula.body, oracle, s, sig, bound, budget)
-    if isinstance(formula, And):
-        return (_bounded_truth(formula.left, oracle, s, sig, bound, budget)
-                and _bounded_truth(formula.right, oracle, s, sig, bound, budget))
-    if isinstance(formula, Or):
-        return (_bounded_truth(formula.left, oracle, s, sig, bound, budget)
-                or _bounded_truth(formula.right, oracle, s, sig, bound, budget))
-    if isinstance(formula, Implies):
-        return ((not _bounded_truth(formula.left, oracle, s, sig, bound, budget))
-                or _bounded_truth(formula.right, oracle, s, sig, bound, budget))
-    return _qf_truth(formula, oracle, s, sig)
+    evaluation = _Evaluation(oracle.query, sig, bound=bound)
+    return evaluation.truth(formula, s if s is not None else EMPTY_ASSIGNMENT)

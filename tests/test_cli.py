@@ -141,6 +141,39 @@ def test_eval_bounded_work_is_budgeted(capsys, tmp_path):
     assert "budget exhausted" in err
 
 
+@pytest.fixture
+def huge_sum_files(tmp_path):
+    """(signature, sentence, sigma2) files whose ellipsis has 10^11 + 1 entries."""
+    sig = tmp_path / "sum.sig"
+    sig.write_text("seqfn sum sum\n")
+    sentence, sigma2 = tmp_path / "sum.lg", tmp_path / "sum.sigma2.lg"
+    sentence.write_text("sum[ x : x .. 100000000000 ] = 0")
+    sigma2.write_text("exists a. forall b. sum[ x : x .. 100000000000 ] = a")
+    return str(sig), str(sentence), str(sigma2)
+
+
+@pytest.mark.parametrize("command", ["eval", "mu"])
+def test_huge_ellipsis_bound_is_budgeted(capsys, huge_sum_files, command):
+    sig, sentence, sigma2 = huge_sum_files
+    argv = (["eval", sentence, "--seq", "id", "--sig", sig] if command == "eval"
+            else ["mu", sigma2, "--seq", "id", "--horizon", "3", "--sig", sig])
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert out == ""
+    assert "budget exhausted" in err
+
+
+def test_eval_assignment_takes_decimal_digits_only(capsys, tmp_path):
+    path = tmp_path / "x.lg"
+    path.write_text("f(x) = 0")
+    code, out, err = run(capsys, "eval", str(path), "--seq", "id", "--assign", "x=\u00b2")
+    assert code == 2
+    assert out == ""
+    assert "bad assignment entry" in err
+
+
 def test_eval_bad_sequence_spec(capsys, qf_file):
     code, _, _ = run(capsys, "eval", qf_file, "--seq", "nope:1")
     assert code == 2
@@ -489,6 +522,16 @@ def test_play_reprompts_on_garbage_and_traces(capsys, monkeypatch):
     assert out.count("enter a natural number") == 2
     assert "trace=0" in out
     assert "sequence so far: prefix:[4]:pad0" in out
+
+
+def test_play_takes_decimal_digits_only(capsys, monkeypatch):
+    feed_lines(monkeypatch, ["3", "\u00b2", ":quit"])
+    code = cli.main(["play"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("enter a natural number") == 1
+    assert "sequence so far: prefix:[3]:pad0" in out
+    assert "contains-zero: final=0 stable_from=1" in out
 
 
 def test_play_quits_on_eof(capsys, monkeypatch):

@@ -145,6 +145,12 @@ def test_parse_reports_line_and_column(sig):
     assert err.value.column >= 11
 
 
+def test_parse_takes_decimal_digits_only(sig):
+    with pytest.raises(ParseError) as err:
+        parse("f(\u00b2) = 0", sig)
+    assert (err.value.line, err.value.column) == (1, 3)
+
+
 # DSL tokens and a few phrases; runs of 1200 reach past the nesting limit
 _FUZZ_PIECES = ("forall", "exists", "x", "y", "z", "f", "G", "g", "0", "7", "(", ")", "[", "]",
                 ",", ":", ".", "..", "->", "|", "&", "!", "=", "<", ">", "<=", ">=", "\n",

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from guessability.oracle import (
     FinitePrefix,
-    QueryBeyondLimit,
     SequenceOracle,
     SequenceSpecError,
     agrees_through,
@@ -90,32 +89,6 @@ def test_memo_pins_a_misbehaving_rule():
     first = o.query(3)
     assert o.query(3) == first
     assert calls["n"] == 1
-
-
-def test_log_tracks_queried_indices():
-    o = from_spec("id")
-    log = o.begin_session()
-    o.query(4)
-    o.query(1)
-    assert log.queried == {1, 4}
-    assert log.max_queried == 4
-
-
-def test_fresh_session_resets_the_log():
-    o = from_spec("id")
-    o.query(9)
-    log = o.begin_session()
-    assert log.queried == set()
-    assert log.max_queried is None
-
-
-def test_capped_session_raises_past_the_limit():
-    o = zero_pad(FinitePrefix((3, 0, 2)))
-    o.begin_session(limit=2)
-    o.query(2)
-    with pytest.raises(QueryBeyondLimit) as err:
-        o.query(3)
-    assert err.value.index == 3
 
 
 def test_negative_values_rejected():

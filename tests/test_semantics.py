@@ -2,7 +2,17 @@ import random
 
 import pytest
 
-from guessability.lang import Numeral, default_signature, parse, parse_term, substitute
+from guessability.lang import (
+    And,
+    Eq,
+    Exists,
+    Forall,
+    Numeral,
+    default_signature,
+    parse,
+    parse_term,
+    substitute,
+)
 from guessability.oracle import FinitePrefix, from_spec, zero_pad
 from guessability.semantics import (
     Assignment,
@@ -117,6 +127,39 @@ def test_eval_qf_never_short_circuits(sig):
     assert result.queried == frozenset({0, 1})
 
 
+def test_eval_qf_tracks_queried_indices(sig):
+    result = eval_qf(parse("f(4) = f(1)", sig), from_spec("id"), None, sig)
+    assert result.queried == frozenset({1, 4})
+    assert result.max_queried == 4
+
+
+def test_eval_qf_reports_only_its_own_reads(sig):
+    oracle = from_spec("id")
+    oracle.query(9)
+    assert eval_qf(parse("f(2) = 2", sig), oracle, None, sig).queried == frozenset({2})
+    result = eval_qf(parse("0 = 0", sig), oracle, None, sig)
+    assert result.queried == frozenset()
+    assert result.max_queried is None
+
+
+def test_eval_qf_counts_ellipsis_entries(sig):
+    within = parse(f"G[ x : x .. {MAX_BOUNDED_INSTANCES - 1} ] > 0", sig)
+    assert eval_qf(within, from_spec("id"), None, sig).value is True
+    beyond = parse(f"G[ x : x .. {MAX_BOUNDED_INSTANCES} ] > 0", sig)
+    with pytest.raises(EvaluationBudgetExhausted):
+        eval_qf(beyond, from_spec("id"), None, sig)
+
+
+def test_memo_hit_spends_no_budget(sig):
+    # the same ellipsis node twice: MAX_BOUNDED_INSTANCES entries each time
+    ellipsis = parse_term(f"G[ f(x) : x .. {MAX_BOUNDED_INSTANCES - 1} ]", sig)
+    twice = And(Eq(ellipsis, Numeral(0)), Eq(ellipsis, Numeral(0)))
+    prefix = FinitePrefix((0,) * MAX_BOUNDED_INSTANCES)
+    with pytest.raises(EvaluationBudgetExhausted):
+        attempt(twice, prefix, sig)
+    assert attempt(twice, prefix, sig, None, EllipsisMemo()).truth is True
+
+
 def test_eval_qf_rejects_quantifiers(sig):
     with pytest.raises(MisplacedQuantifierError):
         eval_qf(parse("forall x. f(x) = 0", sig), from_spec("id"), None, sig)
@@ -222,6 +265,32 @@ def test_eval_bounded_counts_quantifier_instances(sig):
     assert eval_bounded(formula, from_spec("id"), None, sig, MAX_BOUNDED_INSTANCES - 1)
     with pytest.raises(EvaluationBudgetExhausted):
         eval_bounded(formula, from_spec("id"), None, sig, MAX_BOUNDED_INSTANCES)
+
+
+def test_eval_bounded_never_short_circuits_connectives(sig):
+    # a short-circuiting AND would skip the quantifier after the false left conjunct
+    formula = parse("0 = 1 & (forall x. 0 = 0)", sig)
+    assert not eval_bounded(formula, from_spec("id"), None, sig, MAX_BOUNDED_INSTANCES - 1)
+    with pytest.raises(EvaluationBudgetExhausted):
+        eval_bounded(formula, from_spec("id"), None, sig, MAX_BOUNDED_INSTANCES)
+
+
+@pytest.mark.parametrize("outer", [Forall, Exists])
+@pytest.mark.parametrize("inner", [Forall, Exists])
+def test_eval_bounded_matches_enumeration_of_eval_qf(outer, inner):
+    rnd = random.Random(31)
+    gsig = formula_gen.generator_signature()
+    quantify = {Forall: all, Exists: any}
+    for _ in range(40):
+        matrix = formula_gen.gen_qf(rnd, 3, ("x", "y"))
+        oracle = formula_gen.random_oracle(rnd)
+        bound = rnd.randrange(4)
+        expected = quantify[outer](
+            quantify[inner](eval_qf(matrix, oracle, Assignment({"x": x, "y": y}), gsig).value
+                            for y in range(bound + 1))
+            for x in range(bound + 1))
+        sentence = outer("x", inner("y", matrix))
+        assert eval_bounded(sentence, oracle, None, gsig, bound) == expected, (matrix, bound)
 
 
 # ---------------------------------------------------------------------------
