@@ -11,10 +11,11 @@ arbitrary candidate the search for the next flip may genuinely diverge.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .oracle import FinitePrefix, SequenceOracle, prefix_spec
+from .oracle import FinitePrefix, SequenceOracle, prefix_spec, with_tail
 from .synth import Guesser
 
 COMPLETED = "completed"
@@ -146,32 +147,16 @@ def permutation_adversary(guesser: Guesser, target_flips: int,
     is a gap-free initial segment.
     """
     run = _Run(guesser, target_flips, step_budget)
-    next_fresh = 0
-    gap: int | None = None
+    fresh = itertools.count()
+    gap: list[int] = []  # the value the last even phase skipped, until an odd phase fills it
     for phase in range(1, target_flips + 1):
         if phase % 2 == 1:
-            values = []
-            if gap is not None:
-                values.append(gap)
-                gap = None
-
-            def next_value(index, values=values):
-                nonlocal next_fresh
-                if values:
-                    return values.pop(0)
-                value = next_fresh
-                next_fresh += 1
-                return value
-
+            pending, gap = gap, []
         else:
-            gap = next_fresh
-            next_fresh += 1
+            pending, gap = [], [next(fresh)]
 
-            def next_value(index):
-                nonlocal next_fresh
-                value = next_fresh
-                next_fresh += 1
-                return value
+        def next_value(index: int) -> int:
+            return pending.pop() if pending else next(fresh)
 
         if not run.seek(phase % 2, next_value):
             return run.exhausted(phase)
@@ -198,20 +183,11 @@ def cantor_adversary(guesser: Guesser, target_flips: int,
 # Builtin extension oracles
 
 
-def _tail_oracle(prefix: FinitePrefix, tail: Callable[[int], int], describe: str) -> SequenceOracle:
-    entries = prefix.entries
-
-    def rule(i: int) -> int:
-        return entries[i] if i < len(entries) else tail(i)
-
-    return SequenceOracle(rule, describe=describe)
-
-
 def infinitely_many_zeros_extenders() -> ExtensionOracles:
     """In: append zeros forever.  Out: append ones forever."""
     return ExtensionOracles(
-        in_s=lambda p: _tail_oracle(p, lambda i: 0, "zeros-tail"),
-        out_s=lambda p: _tail_oracle(p, lambda i: 1, "ones-tail"),
+        in_s=lambda p: with_tail(p, lambda i: 0, "zeros-tail"),
+        out_s=lambda p: with_tail(p, lambda i: 1, "ones-tail"),
         provenance="infinitely-many-zeros",
     )
 
@@ -222,10 +198,10 @@ def contains_zero_extenders() -> ExtensionOracles:
     def out_s(p: FinitePrefix) -> SequenceOracle | None:
         if 0 in p.entries:
             return None
-        return _tail_oracle(p, lambda i: 1, "ones-tail")
+        return with_tail(p, lambda i: 1, "ones-tail")
 
     return ExtensionOracles(
-        in_s=lambda p: _tail_oracle(p, lambda i: 0, "zeros-tail"),
+        in_s=lambda p: with_tail(p, lambda i: 0, "zeros-tail"),
         out_s=out_s,
         provenance="contains-zero",
     )
@@ -242,9 +218,7 @@ def permutation_extenders() -> ExtensionOracles:
             return None
         used = frozenset(p.entries)
 
-        def rule(i: int) -> int:
-            if i < len(p):
-                return p[i]
+        def fill(i: int) -> int:
             # the (i - len(p))-th smallest value the prefix has not used
             need = i - len(p)
             value = 0
@@ -255,11 +229,11 @@ def permutation_extenders() -> ExtensionOracles:
                     need -= 1
                 value += 1
 
-        return SequenceOracle(rule, describe="fill-to-permutation")
+        return with_tail(p, fill, "fill-to-permutation")
 
     def out_s(p: FinitePrefix) -> SequenceOracle:
         repeated = p[0] if len(p) else 0
-        return _tail_oracle(p, lambda i: repeated, "repeat-tail")
+        return with_tail(p, lambda i: repeated, "repeat-tail")
 
     return ExtensionOracles(in_s=in_s, out_s=out_s, provenance="permutations")
 
@@ -271,7 +245,7 @@ def cantor_extenders() -> ExtensionOracles:
         def source(p: FinitePrefix) -> SequenceOracle | None:
             if any(v not in (0, 5) for v in p.entries):
                 return None
-            return _tail_oracle(p, lambda i: tail_value, f"{tail_value}s-tail")
+            return with_tail(p, lambda i: tail_value, f"{tail_value}s-tail")
 
         return source
 

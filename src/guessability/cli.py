@@ -71,26 +71,28 @@ def trace_guesser(guesser: synth.Guesser, source: oracle.SequenceOracle,
 # Shared argument helpers
 
 
+def _read(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise CliError(f"cannot read {what}: {exc}")
+
+
 def _load_signature(path: str | None) -> lang.Signature:
     if path is None:
         return lang.default_signature()
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read signature file: {exc}")
-    return lang.load_signature(text)
+    return lang.load_signature(_read(path, "signature file"))
 
 
 def _load_sentence(path: str, sig: lang.Signature) -> lang.Formula:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read sentence file: {exc}")
-    return lang.parse(text, sig)
+    return lang.parse(_read(path, "sentence file"), sig)
 
 
-def _sequence(spec: str) -> oracle.SequenceOracle:
-    return oracle.from_spec(spec)
+def _load_delta2(sigma2_path: str, pi2_path: str, sig: lang.Signature) -> synth.Delta2Spec:
+    return synth.Delta2Spec(
+        sigma2=lang.Sigma2Sentence.from_formula(_load_sentence(sigma2_path, sig)),
+        pi2=lang.Pi2Sentence.from_formula(_load_sentence(pi2_path, sig)),
+    )
 
 
 def _parse_assignment(text: str | None) -> semantics.Assignment:
@@ -106,15 +108,15 @@ def _parse_assignment(text: str | None) -> semantics.Assignment:
 
 
 BUILTIN_GUESSERS = {
-    "contains-zero": lambda sig: synth.contains_zero_guesser(),
-    "parity-of-length": lambda sig: synth.Guesser(
+    "contains-zero": synth.contains_zero_guesser(),
+    "parity-of-length": synth.Guesser(
         evaluate=lambda p: 1 if len(p) % 2 == 0 else 0, provenance="parity-of-length"),
-    "constant-0": lambda sig: synth.Guesser(evaluate=lambda p: 0, provenance="constant-0"),
-    "constant-1": lambda sig: synth.Guesser(evaluate=lambda p: 1, provenance="constant-1"),
-    "initial-segment": lambda sig: synth.Guesser(
+    "constant-0": synth.Guesser(evaluate=lambda p: 0, provenance="constant-0"),
+    "constant-1": synth.Guesser(evaluate=lambda p: 1, provenance="constant-1"),
+    "initial-segment": synth.Guesser(
         evaluate=lambda p: 1 if sorted(p.entries) == list(range(len(p))) else 0,
         provenance="initial-segment"),
-    "last-is-5": lambda sig: synth.Guesser(
+    "last-is-5": synth.Guesser(
         evaluate=lambda p: 1 if p.entries[-1] == 5 else 0, provenance="last-is-5"),
 }
 
@@ -133,16 +135,12 @@ EXTENDER_SETS = {
 def _resolve_guesser(ref: str, sig: lang.Signature) -> synth.Guesser:
     """A builtin name, or delta2:<sigma2-file>:<pi2-file> for synthesized guessers."""
     if ref in BUILTIN_GUESSERS:
-        return BUILTIN_GUESSERS[ref](sig)
+        return BUILTIN_GUESSERS[ref]
     if ref.startswith("delta2:"):
         parts = ref.split(":")
         if len(parts) != 3:
             raise CliError("delta2 guesser ref must be delta2:<sigma2-file>:<pi2-file>")
-        spec = synth.Delta2Spec(
-            sigma2=lang.Sigma2Sentence.from_formula(_load_sentence(parts[1], sig)),
-            pi2=lang.Pi2Sentence.from_formula(_load_sentence(parts[2], sig)),
-        )
-        return synth.guesser_from_delta2(spec, sig)
+        return synth.guesser_from_delta2(_load_delta2(parts[1], parts[2], sig), sig)
     raise CliError(f"unknown guesser {ref!r}; builtins: {', '.join(sorted(BUILTIN_GUESSERS))}")
 
 
@@ -155,7 +153,7 @@ def cmd_eval(args) -> int:
         raise CliError("bound must be at least 0")
     sig = _load_signature(args.sig)
     formula = _load_sentence(args.sentence, sig)
-    source = _sequence(args.seq)
+    source = oracle.from_spec(args.seq)
     assignment = _parse_assignment(args.assign)
     if lang.is_quantifier_free(formula):
         result = semantics.eval_qf(formula, source, assignment, sig)
@@ -188,17 +186,14 @@ def _guess_spec_from_args(args, sig) -> synth.Delta2Spec:
         return BUILTIN_DELTA2[args.spec](sig)
     if args.sigma2 is None or args.pi2 is None:
         raise CliError("pass --spec <builtin> or both --sigma2 FILE and --pi2 FILE")
-    return synth.Delta2Spec(
-        sigma2=lang.Sigma2Sentence.from_formula(_load_sentence(args.sigma2, sig)),
-        pi2=lang.Pi2Sentence.from_formula(_load_sentence(args.pi2, sig)),
-    )
+    return _load_delta2(args.sigma2, args.pi2, sig)
 
 
 def cmd_guess(args) -> int:
     sig = _load_signature(args.sig)
     spec = _guess_spec_from_args(args, sig)
     guesser = synth.guesser_from_delta2(spec, sig)
-    trace = trace_guesser(guesser, _sequence(args.seq), args.horizon)
+    trace = trace_guesser(guesser, oracle.from_spec(args.seq), args.horizon)
     if args.json:
         print(json.dumps({"trace": list(trace.guesses),
                           "stable_from": trace.stable_from,
@@ -215,7 +210,7 @@ def cmd_mu(args) -> int:
         raise CliError("horizon must be at least 1")
     sig = _load_signature(args.sig)
     sentence = lang.Sigma2Sentence.from_formula(_load_sentence(args.sentence, sig))
-    source = _sequence(args.seq)
+    source = oracle.from_spec(args.seq)
     stream = synth.MuStream(sentence, sig)
     rows = [stream.push(source.query(i)).value for i in range(args.horizon)]
     if args.json:
@@ -308,10 +303,7 @@ def cmd_synth(args) -> int:
 
 def _load_topology(path: str) -> synth.TopologySpec:
     """Table file: lines ``<i> <j> <a,b,c|->`` plus an optional ``default <entries|->``."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read topology table: {exc}")
+    text = _read(path, "topology table")
     table: dict[tuple[int, int], oracle.FinitePrefix] = {}
     default = oracle.FinitePrefix(())
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -344,37 +336,39 @@ def cmd_play(args) -> int:
     prefix = oracle.FinitePrefix()
     traces: dict[str, list[int]] = {name: [] for name, _ in guessers}
     print("feed the sequence one natural at a time; :trace shows guesses so far, :quit ends")
-    while True:
-        try:
-            line = input("> ").strip()
-        except EOFError:
-            line = ":quit"
-        if line == ":quit":
-            break
-        if line == ":trace":
-            for name, _ in guessers:
-                trace = traces[name]
-                if trace:
-                    gt = GuessTrace(tuple(trace))
-                    print(f"{name}: trace={' '.join(map(str, trace))} "
-                          f"stable_from={gt.stable_from} final={gt.final}")
-                else:
-                    print(f"{name}: no entries yet")
-            continue
-        if not line.isdecimal():
-            print("enter a natural number, :trace, or :quit")
-            continue
-        prefix = prefix.extended(int(line))
-        for name, guesser in guessers:
-            guess = guesser(prefix)
-            traces[name].append(guess)
-            print(f"{name}: {guess}")
-    print(f"sequence so far: {oracle.prefix_spec(prefix)}")
-    for name, _ in guessers:
-        trace = traces[name]
-        if trace:
-            gt = GuessTrace(tuple(trace))
-            print(f"{name}: final={gt.final} stable_from={gt.stable_from}")
+    try:
+        while True:
+            try:
+                line = input("> ").strip()
+            except EOFError:
+                line = ":quit"
+            if line == ":quit":
+                break
+            if line == ":trace":
+                for name, _ in guessers:
+                    trace = traces[name]
+                    if trace:
+                        gt = GuessTrace(tuple(trace))
+                        print(f"{name}: trace={' '.join(map(str, trace))} "
+                              f"stable_from={gt.stable_from} final={gt.final}")
+                    else:
+                        print(f"{name}: no entries yet")
+                continue
+            if not line.isdecimal():
+                print("enter a natural number, :trace, or :quit")
+                continue
+            prefix = prefix.extended(int(line))
+            for name, guesser in guessers:
+                guess = guesser(prefix)
+                traces[name].append(guess)
+                print(f"{name}: {guess}")
+    finally:
+        print(f"sequence so far: {oracle.prefix_spec(prefix)}")
+        for name, _ in guessers:
+            trace = traces[name]
+            if trace:
+                gt = GuessTrace(tuple(trace))
+                print(f"{name}: final={gt.final} stable_from={gt.stable_from}")
     return EXIT_OK
 
 

@@ -303,22 +303,17 @@ def load_signature(text: str, base: Signature | None = None,
             continue
         parts = line.split()
         try:
-            if parts[0] == "fn" and len(parts) == 4:
-                _, name, arity, key = parts
-                if key not in FN_BUILTINS:
-                    raise SignatureError(f"unknown function builtin {key!r}")
-                builtin_arity, host = FN_BUILTINS[key]
+            if parts[0] in ("fn", "pred") and len(parts) == 4:
+                kind, name, arity, key = parts
+                builtins, register, noun = (
+                    (FN_BUILTINS, sig.register_function, "function") if kind == "fn"
+                    else (PRED_BUILTINS, sig.register_predicate, "predicate"))
+                if key not in builtins:
+                    raise SignatureError(f"unknown {noun} builtin {key!r}")
+                builtin_arity, host = builtins[key]
                 if int(arity) != builtin_arity:
                     raise SignatureError(f"builtin {key!r} has arity {builtin_arity}, not {arity}")
-                sig.register_function(name, builtin_arity, host)
-            elif parts[0] == "pred" and len(parts) == 4:
-                _, name, arity, key = parts
-                if key not in PRED_BUILTINS:
-                    raise SignatureError(f"unknown predicate builtin {key!r}")
-                builtin_arity, host = PRED_BUILTINS[key]
-                if int(arity) != builtin_arity:
-                    raise SignatureError(f"builtin {key!r} has arity {builtin_arity}, not {arity}")
-                sig.register_predicate(name, builtin_arity, host)
+                register(name, builtin_arity, host)
             elif parts[0] == "seqfn" and len(parts) == 3:
                 _, name, key = parts
                 if key in SEQ_BUILTINS:
@@ -795,48 +790,39 @@ def _check_matrix(matrix: Formula, outer: str, inner: str, shape: str) -> None:
 
 
 @dataclass(frozen=True)
-class Sigma2Sentence:
+class _PrenexSentence:
+    """Two quantifiers over a quantifier-free matrix; a subclass fixes which, and its names."""
+
+    outer: str
+    inner: str
+    matrix: Formula
+
+    def __post_init__(self):
+        _check_matrix(self.matrix, self.outer, self.inner, self._shape)
+
+    def formula(self) -> Formula:
+        outer, inner = self._quantifiers
+        return outer(self.outer, inner(self.inner, self.matrix))
+
+    def text(self) -> str:
+        return print_formula(self.formula())
+
+    @classmethod
+    def from_formula(cls, formula: Formula) -> "_PrenexSentence":
+        if classify_sentence(formula) is not cls._class:
+            raise LangError(f"not {cls._kind} sentence: {print_formula(formula)}")
+        return cls(formula.var, formula.body.var, formula.body.body)
+
+
+class Sigma2Sentence(_PrenexSentence):
     """``exists outer. forall inner. matrix`` with quantifier-free matrix."""
 
-    outer: str
-    inner: str
-    matrix: Formula
-
-    def __post_init__(self):
-        _check_matrix(self.matrix, self.outer, self.inner, "sigma2")
-
-    def formula(self) -> Formula:
-        return Exists(self.outer, Forall(self.inner, self.matrix))
-
-    def text(self) -> str:
-        return print_formula(self.formula())
-
-    @classmethod
-    def from_formula(cls, formula: Formula) -> "Sigma2Sentence":
-        if classify_sentence(formula) is not SentenceClass.SIGMA2:
-            raise LangError(f"not an exists-forall sentence: {print_formula(formula)}")
-        return cls(formula.var, formula.body.var, formula.body.body)
+    _shape, _kind, _class = "sigma2", "an exists-forall", SentenceClass.SIGMA2
+    _quantifiers = (Exists, Forall)
 
 
-@dataclass(frozen=True)
-class Pi2Sentence:
+class Pi2Sentence(_PrenexSentence):
     """``forall outer. exists inner. matrix`` with quantifier-free matrix."""
 
-    outer: str
-    inner: str
-    matrix: Formula
-
-    def __post_init__(self):
-        _check_matrix(self.matrix, self.outer, self.inner, "pi2")
-
-    def formula(self) -> Formula:
-        return Forall(self.outer, Exists(self.inner, self.matrix))
-
-    def text(self) -> str:
-        return print_formula(self.formula())
-
-    @classmethod
-    def from_formula(cls, formula: Formula) -> "Pi2Sentence":
-        if classify_sentence(formula) is not SentenceClass.PI2:
-            raise LangError(f"not a forall-exists sentence: {print_formula(formula)}")
-        return cls(formula.var, formula.body.var, formula.body.body)
+    _shape, _kind, _class = "pi2", "a forall-exists", SentenceClass.PI2
+    _quantifiers = (Forall, Exists)

@@ -21,13 +21,11 @@ from . import pairing
 from .lang import (
     LangError,
     Not,
-    Numeral,
     Pi2Sentence,
     Signature,
     Sigma2Sentence,
     default_signature,
     parse,
-    substitute,
 )
 from .oracle import FinitePrefix
 from .semantics import Assignment, EllipsisMemo, attempt
@@ -154,9 +152,9 @@ def mu_from_sigma2(sentence: Sigma2Sentence, prefix: FinitePrefix,
                    sig: Signature | None = None) -> ExtendedNat:
     """Least unrefuted outer witness for the sentence, searched up to len(prefix).
 
-    A pair (a, b) counts as nice when the attempt over the zero-padded
-    prefix fails or holds; a is very nice when (a, b) is nice for every
-    b <= len(prefix).  A witness past the prefix's last index cannot be
+    A pair (a, b) counts as nice when the attempt over the prefix under
+    outer=a, inner=b fails or holds; a is very nice when (a, b) is nice for
+    every b <= len(prefix).  A witness past the prefix's last index cannot be
     refuted by what has been observed, so the search never looks beyond it:
     the value is the least genuinely very nice a within the prefix, else
     len(prefix).  The value is therefore always finite.
@@ -167,25 +165,13 @@ def mu_from_sigma2(sentence: Sigma2Sentence, prefix: FinitePrefix,
     if len(prefix) == 0:
         raise ValueError("mu needs at least one observed entry")
     sig = sig if sig is not None else default_signature()
-    search_bound = len(prefix)
-    last_index = prefix.last_index
-    for a in range(search_bound + 1):
-        if a > last_index:
-            # unrefutable beyond the observed horizon; least such a wins
+    for a in range(len(prefix)):
+        outcomes = (attempt(sentence.matrix, prefix, sig,
+                            Assignment({sentence.outer: a, sentence.inner: b}))
+                    for b in range(len(prefix) + 1))
+        if not any(outcome.succeeded and not outcome.truth for outcome in outcomes):
             return ExtendedNat.finite(a)
-        if _very_nice(sentence, a, prefix, search_bound, sig):
-            return ExtendedNat.finite(a)
-
-
-def _very_nice(sentence: Sigma2Sentence, a: int, prefix: FinitePrefix,
-               search_bound: int, sig: Signature | None) -> bool:
-    outer_closed = substitute(sentence.matrix, sentence.outer, Numeral(a))
-    for b in range(search_bound + 1):
-        closed = substitute(outer_closed, sentence.inner, Numeral(b))
-        outcome = attempt(closed, prefix, sig)
-        if outcome.succeeded and not outcome.truth:
-            return False
-    return True
+    return ExtendedNat.finite(len(prefix))
 
 
 class MuStream:
@@ -205,11 +191,25 @@ class MuStream:
     def __init__(self, sentence: Sigma2Sentence, sig: Signature | None = None):
         self.sentence = sentence
         self.sig = sig if sig is not None else default_signature()
+        self._restart()
+
+    def _restart(self) -> None:
         self.prefix = FinitePrefix(())
         self._a = 0
         self._next_b = 0
         self._failed: dict[int, int] = {}  # b -> offending index
         self._memo = EllipsisMemo()
+
+    def __call__(self, prefix: FinitePrefix) -> ExtendedNat:
+        """mu for a nonempty prefix: pushed if it extends the last by one entry, else replayed.
+
+        A replay restarts the stream, with an empty memo, from the first entry.
+        """
+        if prefix.entries[:-1] != self.prefix.entries:
+            self._restart()
+            for value in prefix.entries[:-1]:
+                self.push(value)
+        return self.push(prefix.entries[-1])
 
     def push(self, value: int) -> ExtendedNat:
         """Observe the next entry and return mu for the prefix seen so far."""
@@ -237,31 +237,10 @@ class MuStream:
         return True
 
 
-def _streamed_mu(sentence: Sigma2Sentence,
-                 sig: Signature | None) -> Callable[[FinitePrefix], ExtendedNat]:
-    """mu for each nonempty prefix asked, computed through one MuStream.
-
-    A prefix that extends the previous one by one entry is pushed; any other
-    prefix restarts the stream and replays it from the first entry.
-    """
-    sig = sig if sig is not None else default_signature()
-    stream = MuStream(sentence, sig)
-
-    def evaluate(prefix: FinitePrefix) -> ExtendedNat:
-        nonlocal stream
-        if prefix.entries[:-1] != stream.prefix.entries:
-            stream = MuStream(sentence, sig)
-            for value in prefix.entries[:-1]:
-                stream.push(value)
-        return stream.push(prefix.entries[-1])
-
-    return evaluate
-
-
 def overguesser_from_sigma2(sentence: Sigma2Sentence,
                             sig: Signature | None = None) -> Overguesser:
     """Package mu for a sentence as a prefix-indexed overguesser."""
-    return Overguesser(evaluate=_streamed_mu(sentence, sig), provenance=sentence.text())
+    return Overguesser(evaluate=MuStream(sentence, sig), provenance=sentence.text())
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +254,8 @@ def complement_sigma2(spec: Delta2Spec) -> Sigma2Sentence:
 
 def guesser_from_delta2(spec: Delta2Spec, sig: Signature | None = None) -> Guesser:
     """Guess 1 exactly when mu for the set stays at or below mu for the complement."""
-    mu = _streamed_mu(spec.sigma2, sig)
-    nu = _streamed_mu(complement_sigma2(spec), sig)
+    mu = MuStream(spec.sigma2, sig)
+    nu = MuStream(complement_sigma2(spec), sig)
 
     def evaluate(prefix: FinitePrefix) -> int:
         return 1 if mu(prefix) <= nu(prefix) else 0

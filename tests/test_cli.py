@@ -534,6 +534,20 @@ def test_play_takes_decimal_digits_only(capsys, monkeypatch):
     assert "contains-zero: final=0 stable_from=1" in out
 
 
+def test_play_prints_its_summary_when_an_evaluation_runs_out_of_budget(
+        capsys, monkeypatch, huge_sum_files, tmp_path):
+    sig, _, sigma2 = huge_sum_files
+    pi2 = tmp_path / "sum.pi2.lg"
+    pi2.write_text("forall a. exists b. sum[ x : x .. 100000000000 ] = a")
+    feed_lines(monkeypatch, ["3", "4", ":quit"])
+    code, out, err = run(capsys, "play", "--sig", sig, "--guesser", "contains-zero",
+                         "--guesser", f"delta2:{sigma2}:{pi2}")
+    assert code == 3
+    assert "budget exhausted" in err
+    assert out.splitlines()[1:] == ["contains-zero: 0", "sequence so far: prefix:[3]:pad0",
+                                    "contains-zero: final=0 stable_from=1"]
+
+
 def test_play_quits_on_eof(capsys, monkeypatch):
     def raise_eof(prompt=""):
         raise EOFError

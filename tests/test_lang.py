@@ -281,6 +281,35 @@ def test_classify_rejects_open_formulas(sig):
         classify_sentence(parse("f(x) = 0", sig))
 
 
+@pytest.mark.parametrize("cls, other, quantifiers, shape, wrong_class", [
+    (Sigma2Sentence, Pi2Sentence, (Exists, Forall), "sigma2", "not an exists-forall sentence"),
+    (Pi2Sentence, Sigma2Sentence, (Forall, Exists), "pi2", "not a forall-exists sentence"),
+])
+def test_sentence_classes_keep_texts_repr_and_equality(sig, cls, other, quantifiers, shape,
+                                                       wrong_class):
+    matrix = parse("f(x) = y", sig)
+    sentence = cls("x", "y", matrix)
+    outer, inner = quantifiers
+    assert sentence.formula() == outer("x", inner("y", matrix))
+    assert sentence.text() == print_formula(sentence.formula())
+    again = cls.from_formula(sentence.formula())
+    assert type(again) is cls and again == sentence and hash(again) == hash(sentence)
+    assert repr(sentence) == f"{cls.__name__}(outer='x', inner='y', matrix={matrix!r})"
+    assert sentence != other("x", "y", matrix)
+    foreign = other("x", "y", matrix).formula()
+    with pytest.raises(LangError) as exc:
+        cls.from_formula(foreign)
+    assert str(exc.value) == f"{wrong_class}: {print_formula(foreign)}"
+    for args, message in (
+            (("x", "x", parse("f(x) = 0", sig)),
+             f"{shape} sentence needs distinct quantified variables, got 'x' twice"),
+            (("x", "y", parse("f(z) = 0", sig)), f"{shape} matrix has stray free variables ['z']"),
+            (("x", "y", parse("forall z. f(z) = 0", sig)), f"{shape} matrix must be quantifier-free")):
+        with pytest.raises(LangError) as exc:
+            cls(*args)
+        assert str(exc.value) == message
+
+
 def test_sentence_wrappers_validate_shape(sig):
     sigma = Sigma2Sentence.from_formula(parse("exists x. forall y. f(x) = y", sig))
     assert sigma.outer == "x" and sigma.inner == "y"
@@ -327,6 +356,18 @@ def test_load_signature_registry_keys():
 def test_load_signature_rejects_bad_lines(line):
     with pytest.raises(SignatureError):
         load_signature(line)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("fn g 2 nosuch", "line 1: unknown function builtin 'nosuch'"),
+    ("pred p 2 nosuch", "line 1: unknown predicate builtin 'nosuch'"),
+    ("fn g 3 constfam", "line 1: builtin 'constfam' has arity 2, not 3"),
+    ("pred p 3 <", "line 1: builtin '<' has arity 2, not 3"),
+])
+def test_load_signature_error_texts(line, message):
+    with pytest.raises(SignatureError) as exc:
+        load_signature(line)
+    assert str(exc.value) == message
 
 
 def test_default_signature_builtins():
