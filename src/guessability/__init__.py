@@ -68,21 +68,17 @@ from .semantics import (
     eval_term,
 )
 from .synth import (
-    CountableFamily,
     Delta2Spec,
     ExtendedNat,
     Guesser,
     INFINITY,
     MuStream,
     Overguesser,
-    PairingCodec,
     TopologySpec,
-    constants_family,
     contains_zero_delta2,
     contains_zero_guesser,
     complement_sigma2,
     delta2_from_topology,
-    diagonal_codec,
     guesser_and,
     guesser_from_delta2,
     guesser_not,

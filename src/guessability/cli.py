@@ -268,21 +268,14 @@ def cmd_synth(args) -> int:
         written = [sigma2_path, pi2_path]
     elif args.source == "overguesser":
         name = args.inputs[0]
-        synth.sigma2_from_overguesser(name, synth.diagonal_codec(), sig)
+        synth.sigma2_from_overguesser(name, sig)
         path = out_dir / f"{name}.sigma2.lg"
         _write_sentence(path, synth.overguesser_sentence_text(name), sig)
         written = [path]
     elif args.source == "family":
         name = args.inputs[0]
-        if name not in sig.fixed:
-            raise CliError(f"{name!r} is not a registered binary function symbol")
-        arity, host = sig.function(name)
-        if arity != 2:
-            raise CliError(f"{name!r} has arity {arity}; families are binary")
-        sentence = synth.sigma2_from_countable_family(
-            synth.CountableFamily(g=host), sig, name=name)
         path = out_dir / f"{name}.sigma2.lg"
-        _write_sentence(path, sentence.text(), sig)
+        _write_sentence(path, synth.sigma2_from_countable_family(name, sig).text(), sig)
         written = [path]
     else:  # topology
         if len(args.inputs) != 2:

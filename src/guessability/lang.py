@@ -260,13 +260,6 @@ class Signature:
             return "seq"
         return None
 
-    def copy(self) -> "Signature":
-        out = Signature()
-        out.fixed = dict(self.fixed)
-        out.predicates = dict(self.predicates)
-        out.seq = dict(self.seq)
-        return out
-
 
 def default_signature() -> Signature:
     """Signature with the standing builtins.
@@ -286,16 +279,16 @@ def default_signature() -> Signature:
     return sig
 
 
-def load_signature(text: str, base: Signature | None = None,
+def load_signature(text: str,
                    seq_registry: dict[str, Callable] | None = None) -> Signature:
-    """Extend a signature from file text.
+    """Extend the default signature from file text.
 
     Lines: ``fn <name> <arity> <builtin>``, ``pred <name> <arity> <builtin>``,
     ``seqfn <name> <builtin|registry-key>``.  Blank lines and lines starting
     with ``#`` are skipped.  seq names resolve against SEQ_BUILTINS first and
     then against the supplied registry of session-defined hosts.
     """
-    sig = (base or default_signature()).copy()
+    sig = default_signature()
     registry = seq_registry or {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

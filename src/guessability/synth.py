@@ -98,7 +98,10 @@ class Overguesser:
     def __call__(self, prefix: FinitePrefix) -> ExtendedNat:
         if len(prefix) == 0:
             raise ValueError("overguessers need at least one observed entry")
-        return self.evaluate(prefix)
+        value = self.evaluate(prefix)
+        if not isinstance(value, ExtendedNat):
+            raise ValueError(f"overguesser returned {value!r}; values are ExtendedNat")
+        return value
 
 
 @dataclass(frozen=True)
@@ -111,37 +114,6 @@ class Delta2Spec:
 
     pi2: Pi2Sentence
     sigma2: Sigma2Sentence
-
-
-@dataclass(frozen=True)
-class PairingCodec:
-    """Onto map from naturals to pairs, with its two projections."""
-
-    decode: Callable[[int], tuple[int, int]]
-    encode: Callable[[int, int], int]
-    provenance: str = ""
-
-    def d1(self, n: int) -> int:
-        return self.decode(n)[0]
-
-    def d2(self, n: int) -> int:
-        return self.decode(n)[1]
-
-
-def diagonal_codec() -> PairingCodec:
-    return PairingCodec(decode=pairing.decode, encode=pairing.encode, provenance="diagonal")
-
-
-@dataclass(frozen=True)
-class CountableFamily:
-    """An enumerated family of sequences, presented as g(m, n) = value of member m at n."""
-
-    g: Callable[[int, int], int]
-    provenance: str = ""
-
-
-def constants_family() -> CountableFamily:
-    return CountableFamily(g=lambda m, n: m, provenance="constant sequences")
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +177,8 @@ class MuStream:
 
         A replay restarts the stream, with an empty memo, from the first entry.
         """
+        if len(prefix) == 0:
+            raise ValueError("mu needs at least one observed entry")
         if prefix.entries[:-1] != self.prefix.entries:
             self._restart()
             for value in prefix.entries[:-1]:
@@ -315,26 +289,25 @@ def mu_prime_host(overguesser: Overguesser) -> Callable[[tuple[int, ...]], int]:
     return host
 
 
-def overguesser_sentence_text(mu_symbol: str, d1: str = "d1", d2: str = "d2") -> str:
+def overguesser_sentence_text(mu_symbol: str) -> str:
     call = f"{mu_symbol}[ f(z) : z .. m3 ]"
-    return (f"exists m. forall m3. ((m3 > {d2}(m)) -> "
-            f"(0 < {call} & {call} < {d1}(m)))")
+    return ("exists m. forall m3. ((m3 > d2(m)) -> "
+            f"(0 < {call} & {call} < d1(m)))")
 
 
-def sigma2_from_overguesser(mu_symbol: str, codec: PairingCodec,
-                            sig: Signature) -> Sigma2Sentence:
+def sigma2_from_overguesser(mu_symbol: str, sig: Signature) -> Sigma2Sentence:
     """Defining sentence for the set an overguesser stays bounded on.
 
-    ``mu_symbol`` must be bound to the shifted host (see mu_prime_host); the
-    codec's projections must match the ``d1``/``d2`` functions in the
-    signature, which the default signature provides.
+    ``mu_symbol`` must be bound to the shifted host (see mu_prime_host), and
+    the signature's ``d1``/``d2`` must be the pairing projections, as they
+    are in the default signature.
     """
     if mu_symbol not in sig.seq:
         raise LangError(f"{mu_symbol!r} is not a registered sequence-tuple symbol")
-    for name, proj in (("d1", codec.d1), ("d2", codec.d2)):
+    for name, proj in (("d1", pairing.first), ("d2", pairing.second)):
         _, host = sig.function(name)
         if any(host(n) != proj(n) for n in range(32)):
-            raise LangError(f"signature function {name!r} disagrees with the codec projection")
+            raise LangError(f"signature function {name!r} disagrees with the pairing projection")
     return Sigma2Sentence.from_formula(parse(overguesser_sentence_text(mu_symbol), sig))
 
 
@@ -342,15 +315,17 @@ def sigma2_from_overguesser(mu_symbol: str, codec: PairingCodec,
 # Exists-forall sentence from a countable family
 
 
-def sigma2_from_countable_family(family: CountableFamily, sig: Signature,
-                                 name: str = "g") -> Sigma2Sentence:
+def sigma2_from_countable_family(name: str, sig: Signature) -> Sigma2Sentence:
     """Defining sentence ``exists x. forall y. name(x, y) = f(y)``.
 
-    Registers the family under ``name`` if absent; an existing binding is
-    kept as is.
+    ``name`` must be a registered binary function: the family's member m is
+    the sequence n -> name(m, n).
     """
     if name not in sig.fixed:
-        sig.register_function(name, 2, family.g)
+        raise LangError(f"{name!r} is not a registered binary function symbol")
+    arity, _ = sig.function(name)
+    if arity != 2:
+        raise LangError(f"{name!r} has arity {arity}; families are binary")
     return Sigma2Sentence.from_formula(parse(f"exists x. forall y. {name}(x, y) = f(y)", sig))
 
 

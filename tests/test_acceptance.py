@@ -16,8 +16,10 @@ from guessability.adversary import (
 )
 from guessability.cli import trace_guesser
 from guessability.lang import (
+    FN_BUILTINS,
     Numeral,
     default_signature,
+    load_signature,
     parse,
     print_formula,
     substitute,
@@ -27,11 +29,9 @@ from guessability.semantics import attempt, eval_qf
 from guessability.synth import (
     ExtendedNat,
     Guesser,
-    constants_family,
     contains_zero_delta2,
     contains_zero_guesser,
     delta2_from_topology,
-    diagonal_codec,
     guesser_from_delta2,
     guesser_sentence_texts,
     mu_from_sigma2,
@@ -137,8 +137,8 @@ def test_criterion_3_end_to_end_guesser():
 
 
 def test_criterion_4_bounded_mu_contract():
-    sig = default_signature()
-    sentence = sigma2_from_countable_family(constants_family(), sig)
+    sig = load_signature("fn g 2 constfam\n")
+    sentence = sigma2_from_countable_family("g", sig)
     failures = []
     h3 = from_spec("const:3")
     for k in range(3, 101):
@@ -230,11 +230,11 @@ MEMBER_BOUND = 15
 
 
 def test_criterion_8_overguesser_round_trip():
-    sig = default_signature()
-    family_sentence = sigma2_from_countable_family(constants_family(), sig)
+    sig = load_signature("fn g 2 constfam\n")
+    family_sentence = sigma2_from_countable_family("g", sig)
     over = overguesser_from_sigma2(family_sentence, sig)
     sig.register_seq_function("Mu", mu_prime_host(over))
-    rebuilt_sentence = sigma2_from_overguesser("Mu", diagonal_codec(), sig)
+    rebuilt_sentence = sigma2_from_overguesser("Mu", sig)
     grid = (10, 30, 60, 90, 120, 150)
     failures = []
     members = [("h3", from_spec("const:3")), ("h0", from_spec("const:0"))]
@@ -330,7 +330,8 @@ def test_criterion_10_parser_round_trip():
         TopologySpec(table={(0, m): FinitePrefix((m,)) for m in range(30) if m != 7}),
         sig)
     corpus += [topo.pi2.text(), topo.sigma2.text()]
-    corpus += [sigma2_from_countable_family(constants_family(), sig).text()]
+    sig.register_function("g", *FN_BUILTINS["constfam"])
+    corpus += [sigma2_from_countable_family("g", sig).text()]
 
     failures = []
     for text in corpus:

@@ -458,6 +458,34 @@ def test_synth_family(capsys, tmp_path):
         "exists x. forall y. g(x, y) = f(y)"
 
 
+def test_synth_overguesser(capsys, tmp_path):
+    sig_path = tmp_path / "session.sig"
+    sig_path.write_text("seqfn Mu last\n")
+    code, out, err = run(capsys, "synth", "overguesser", "Mu", "--sig", str(sig_path),
+                         "--out-dir", str(tmp_path))
+    assert (code, out, err) == (0, f"{tmp_path / 'Mu.sigma2.lg'}\n", "")
+    assert (tmp_path / "Mu.sigma2.lg").read_text() == (
+        "exists m. forall m3. ((m3 > d2(m)) -> "
+        "(0 < Mu[ f(z) : z .. m3 ] & Mu[ f(z) : z .. m3 ] < d1(m)))\n")
+
+
+@pytest.mark.parametrize("sig_text, message", [
+    ("", "'g' is not a registered binary function symbol"),
+    ("pred g 2 <\n", "'g' is not a registered binary function symbol"),
+    ("fn g 3 third\n", "'g' has arity 3; families are binary"),
+    ("fn g 1 d1\n", "'g' has arity 1; families are binary"),
+])
+def test_synth_family_needs_a_registered_binary_function(capsys, monkeypatch, tmp_path,
+                                                         sig_text, message):
+    monkeypatch.setitem(lang.FN_BUILTINS, "third", (3, lambda a, b, c: c))
+    sig_path = tmp_path / "session.sig"
+    sig_path.write_text(sig_text)
+    code, out, err = run(capsys, "synth", "family", "g", "--sig", str(sig_path),
+                         "--out-dir", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "g.sigma2.lg").exists()
+
+
 def test_synth_unknown_registry_key(capsys, tmp_path):
     code, _, err = run(capsys, "synth", "guesser", "Gz", "--out-dir", str(tmp_path))
     assert code == 2
@@ -475,6 +503,23 @@ def test_synth_topology(capsys, tmp_path):
     sigma2 = (tmp_path / "topology.sigma2.lg").read_text()
     assert pi2.startswith("forall i. exists j.")
     assert sigma2.startswith("exists i. forall j.")
+
+
+def test_synth_topology_default_lines(capsys, tmp_path):
+    s_table = tmp_path / "s.tbl"
+    s_table.write_text("0 0 7\n1 0 -\ndefault -\n")
+    c_table = tmp_path / "sc.tbl"
+    c_table.write_text("0 0 1\ndefault 5,6\n")
+    assert cli._load_topology(str(s_table)) == synth.TopologySpec(
+        table={(0, 0): oracle.FinitePrefix((7,)), (1, 0): oracle.FinitePrefix(())},
+        default=oracle.FinitePrefix(()))
+    assert cli._load_topology(str(c_table)) == synth.TopologySpec(
+        table={(0, 0): oracle.FinitePrefix((1,))}, default=oracle.FinitePrefix((5, 6)))
+    code, out, _ = run(capsys, "synth", "topology", str(s_table), str(c_table),
+                       "--out-dir", str(tmp_path))
+    assert code == 0
+    assert out.splitlines() == [str(tmp_path / "topology.pi2.lg"),
+                                str(tmp_path / "topology.sigma2.lg")]
 
 
 def test_synth_topology_bad_table(capsys, tmp_path):

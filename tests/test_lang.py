@@ -34,6 +34,9 @@ from guessability.lang import (
     substitute,
 )
 
+from guessability.oracle import from_spec
+from guessability.semantics import Assignment, EvalResult, eval_qf
+
 import formula_gen
 
 
@@ -212,6 +215,22 @@ def test_parse_rejects_trailing_input(sig):
 def test_parse_comparisons(sig):
     assert parse("1 <= 2", sig) == Pred("<=", (Numeral(1), Numeral(2)))
     assert parse("y > x", sig) == Pred(">", (Variable("y"), Variable("x")))
+
+
+def test_predicate_call_atoms_parse_print_and_evaluate():
+    sig = load_signature("pred below 2 <\n")
+    formula = parse("below(x, f(y))", sig)
+    assert formula == Pred("below", (Variable("x"), SeqApp(Variable("y"))))
+    assert print_formula(formula) == "below(x, f(y))"
+    assert parse(print_formula(formula), sig) == formula
+    compound = parse("!below(1, 2) & below(f(0), add(1, 2))", sig)
+    assert print_formula(compound) == "!below(1, 2) & below(f(0), add(1, 2))"
+    source = from_spec("prefix:[3,0,2]:pad0")
+    assert eval_qf(formula, source, Assignment({"x": 1, "y": 2}), sig) == \
+        EvalResult(value=True, queried=frozenset({2}))
+    assert not eval_qf(formula, source, Assignment({"x": 2, "y": 2}), sig).value
+    with pytest.raises(ParseError, match="^predicate 'below' expects 2 arguments, got 1 "):
+        parse("below(x)", sig)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from guessability import pairing
 from guessability.lang import (
     LangError,
     SentenceClass,
+    Signature,
     classify_sentence,
     default_signature,
+    load_signature,
     parse,
     print_formula,
 )
@@ -15,19 +19,17 @@ from guessability.oracle import FinitePrefix, from_spec, prefix_of
 from guessability.semantics import attempt
 from guessability.lang import Numeral, Pi2Sentence, Sigma2Sentence, substitute
 from guessability.synth import (
-    CountableFamily,
     ExtendedNat,
     Delta2Spec,
     Guesser,
     INFINITY,
     MuStream,
+    Overguesser,
     TopologySpec,
     complement_sigma2,
-    constants_family,
     contains_zero_delta2,
     contains_zero_guesser,
     delta2_from_topology,
-    diagonal_codec,
     guesser_and,
     guesser_from_delta2,
     guesser_not,
@@ -72,27 +74,25 @@ def test_extended_nat_rejects_negatives():
 
 
 def test_codec_base_case():
-    assert diagonal_codec().decode(0) == (0, 0)
+    assert pairing.decode(0) == (0, 0)
 
 
 def test_codec_enumeration_order():
-    assert diagonal_codec().decode(5) == (0, 2)
+    assert pairing.decode(5) == (0, 2)
 
 
 def test_codec_round_trip_and_onto_bound():
-    codec = diagonal_codec()
     for a in range(15):
         for b in range(15):
-            n = codec.encode(a, b)
-            assert codec.decode(n) == (a, b)
+            n = pairing.encode(a, b)
+            assert pairing.decode(n) == (a, b)
             assert n <= (a + b + 1) ** 2
 
 
 @given(st.integers(0, 10 ** 6))
 def test_codec_decode_then_encode(n):
-    codec = diagonal_codec()
-    a, b = codec.decode(n)
-    assert codec.encode(a, b) == n
+    a, b = pairing.decode(n)
+    assert pairing.encode(a, b) == n
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +120,15 @@ def test_mu_immediate_witness(cz):
 def test_mu_rejects_empty_prefix(cz):
     with pytest.raises(ValueError):
         mu_from_sigma2(cz.sigma2, FinitePrefix(()))
+
+
+def test_mu_stream_rejects_empty_prefix(cz):
+    stream = MuStream(cz.sigma2)
+    with pytest.raises(ValueError, match="^mu needs at least one observed entry$"):
+        stream(FinitePrefix(()))
+    stream(FinitePrefix((3,)))
+    with pytest.raises(ValueError, match="^mu needs at least one observed entry$"):
+        stream(FinitePrefix(()))
 
 
 def test_overguesser_wrapper_matches_mu(cz):
@@ -201,7 +210,7 @@ def test_sigma2_from_overguesser_shape():
     sig = default_signature()
     over = overguesser_from_sigma2(contains_zero_delta2().sigma2, sig)
     sig.register_seq_function("Mu", mu_prime_host(over))
-    sentence = sigma2_from_overguesser("Mu", diagonal_codec(), sig)
+    sentence = sigma2_from_overguesser("Mu", sig)
     assert classify_sentence(sentence.formula()) is SentenceClass.SIGMA2
     assert sentence.text() == ("exists m. forall m3. m3 > d2(m) -> "
                                "0 < Mu[ f(z) : z .. m3 ] & Mu[ f(z) : z .. m3 ] < d1(m)")
@@ -209,38 +218,57 @@ def test_sigma2_from_overguesser_shape():
 
 def test_sigma2_from_overguesser_requires_registration():
     with pytest.raises(LangError):
-        sigma2_from_overguesser("Mu", diagonal_codec(), default_signature())
+        sigma2_from_overguesser("Mu", default_signature())
+
+
+def test_sigma2_from_overguesser_requires_the_pairing_projections():
+    sig = Signature()
+    sig.register_function("d1", 1, lambda n: n)
+    sig.register_function("d2", 1, pairing.second)
+    sig.register_seq_function("Mu", len)
+    with pytest.raises(LangError, match="^signature function 'd1' disagrees with the pairing"):
+        sigma2_from_overguesser("Mu", sig)
 
 
 def test_mu_prime_host_encoding():
-    from guessability.synth import Overguesser
-
     finite = mu_prime_host(Overguesser(evaluate=lambda p: ExtendedNat.finite(4)))
     assert finite((1, 2)) == 5
     infinite = mu_prime_host(Overguesser(evaluate=lambda p: INFINITY))
     assert infinite((1, 2)) == 0
 
 
+@pytest.mark.parametrize("junk", [3, None, "inf", ExtendedNat])
+def test_overguessers_must_return_extended_naturals(junk):
+    host = mu_prime_host(Overguesser(evaluate=lambda p: junk))
+    with pytest.raises(ValueError, match=f"^overguesser returned {re.escape(repr(junk))}; "):
+        host((1, 2))
+
+
 # ---------------------------------------------------------------------------
 # countable families
 
 
+def constants_family_signature():
+    """The default signature with g bound to the constant family g(m, n) = m."""
+    return load_signature("fn g 2 constfam\n")
+
+
 def test_family_sentence_text():
-    sig = default_signature()
-    sentence = sigma2_from_countable_family(constants_family(), sig)
+    sig = constants_family_signature()
+    sentence = sigma2_from_countable_family("g", sig)
     assert sentence.text() == "exists x. forall y. g(x, y) = f(y)"
     assert sig.function("g")[1](3, 11) == 3
 
 
 def test_family_mu_on_a_member():
-    sig = default_signature()
-    sentence = sigma2_from_countable_family(constants_family(), sig)
+    sig = constants_family_signature()
+    sentence = sigma2_from_countable_family("g", sig)
     assert mu_from_sigma2(sentence, FinitePrefix((3,) * 5), sig) == ExtendedNat.finite(3)
 
 
 def test_family_mu_grows_on_the_identity_sequence():
-    sig = default_signature()
-    sentence = sigma2_from_countable_family(constants_family(), sig)
+    sig = constants_family_signature()
+    sentence = sigma2_from_countable_family("g", sig)
     ident = from_spec("id")
     for k in (1, 2, 7, 20):
         assert mu_from_sigma2(sentence, prefix_of(ident, k), sig) == ExtendedNat.finite(k + 1)
@@ -248,9 +276,20 @@ def test_family_mu_grows_on_the_identity_sequence():
 
 def test_family_custom_name():
     sig = default_signature()
-    fam = CountableFamily(g=lambda m, n: m + n)
-    sentence = sigma2_from_countable_family(fam, sig, name="h")
+    sig.register_function("h", 2, lambda m, n: m + n)
+    sentence = sigma2_from_countable_family("h", sig)
     assert sentence.text() == "exists x. forall y. h(x, y) = f(y)"
+
+
+def test_family_requires_a_registered_binary_function():
+    sig = default_signature()
+    with pytest.raises(LangError, match="^'g' is not a registered binary function symbol$"):
+        sigma2_from_countable_family("g", sig)
+    assert sig.kind_of("g") is None
+    sig.register_function("g", 3, lambda m, n, k: m)
+    with pytest.raises(LangError, match="^'g' has arity 3; families are binary$"):
+        sigma2_from_countable_family("g", sig)
+    assert sig.function("g")[0] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +410,8 @@ def test_mu_matches_first_zero_closed_form(cz):
 
 
 def test_family_mu_matches_constant_run_closed_form():
-    sig = default_signature()
-    sentence = sigma2_from_countable_family(constants_family(), sig)
+    sig = constants_family_signature()
+    sentence = sigma2_from_countable_family("g", sig)
     rnd = random.Random(1122)
     for _ in range(200):
         entries = tuple(rnd.choice((0, 1, 2, 5)) for _ in range(rnd.randrange(1, 10)))
