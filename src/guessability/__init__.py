@@ -18,7 +18,6 @@ from .oracle import (
     from_spec,
     prefix_of,
     prefix_spec,
-    with_tail,
     zero_pad,
 )
 from .lang import (

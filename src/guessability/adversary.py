@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
-from .oracle import FinitePrefix, SequenceOracle, prefix_spec, with_tail
+from .oracle import FinitePrefix, prefix_spec
 from .synth import Guesser
 
 COMPLETED = "completed"
@@ -35,13 +35,13 @@ class ExtensionUnavailable(Exception):
 class ExtensionOracles:
     """Suppliers of an in-set and an out-of-set extension for any prefix.
 
-    Either side may return None to report that no such extension exists; the
-    returned oracle must agree with the prefix on its indices.
+    Each side returns an iterator over the values at indices len(prefix),
+    len(prefix) + 1, ..., or None to report that no such extension exists.
+    An extension holds only what follows the prefix, so it cannot contradict it.
     """
 
-    in_s: Callable[[FinitePrefix], SequenceOracle | None]
-    out_s: Callable[[FinitePrefix], SequenceOracle | None]
-    provenance: str = ""
+    in_s: Callable[[FinitePrefix], Iterator[int] | None]
+    out_s: Callable[[FinitePrefix], Iterator[int] | None]
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,13 @@ class _Run:
         self.flips: list[int] = []
         self.guesses: list[int] = []
 
-    def seek(self, target: int, next_value: Callable[[int], int]) -> bool:
+    def seek(self, target: int, values: Iterator[int]) -> bool:
         """Append values until the guesser outputs target; False when the budget runs out."""
         for _ in range(self.step_budget):
-            self.prefix = self.prefix.extended(next_value(len(self.prefix)))
+            value = next(values, None)
+            if value is None:
+                raise ValueError(f"extension ended after {prefix_spec(self.prefix)}")
+            self.prefix = self.prefix.extended(value)
             if self.guesser(self.prefix) == target:
                 self.flips.append(self.prefix.last_index)
                 self.guesses.append(target)
@@ -124,17 +127,9 @@ def diagonalize(guesser: Guesser, extensions: ExtensionOracles,
         extension = source(run.prefix)
         if extension is None:
             raise ExtensionUnavailable(run.prefix, "in-set" if inside else "out-of-set")
-        _check_agreement(extension, run.prefix)
-        if not run.seek(phase % 2, extension.query):
+        if not run.seek(phase % 2, extension):
             return run.exhausted(phase)
     return run.completed()
-
-
-def _check_agreement(extension: SequenceOracle, prefix: FinitePrefix) -> None:
-    for i in range(len(prefix)):
-        if extension.query(i) != prefix[i]:
-            raise ValueError(
-                f"extension oracle disagrees with the prefix at index {i}")
 
 
 def permutation_adversary(guesser: Guesser, target_flips: int,
@@ -154,11 +149,7 @@ def permutation_adversary(guesser: Guesser, target_flips: int,
             pending, gap = gap, []
         else:
             pending, gap = [], [next(fresh)]
-
-        def next_value(index: int) -> int:
-            return pending.pop() if pending else next(fresh)
-
-        if not run.seek(phase % 2, next_value):
+        if not run.seek(phase % 2, itertools.chain(pending, fresh)):
             return run.exhausted(phase)
     return run.completed()
 
@@ -174,7 +165,7 @@ def cantor_adversary(guesser: Guesser, target_flips: int,
     for phase in range(1, target_flips + 1):
         target = 0 if phase % 2 == 1 else 1
         value = 0 if target == 0 else 5
-        if not run.seek(target, lambda index: value):
+        if not run.seek(target, itertools.repeat(value)):
             return run.exhausted(phase)
     return run.completed()
 
@@ -186,67 +177,46 @@ def cantor_adversary(guesser: Guesser, target_flips: int,
 def infinitely_many_zeros_extenders() -> ExtensionOracles:
     """In: append zeros forever.  Out: append ones forever."""
     return ExtensionOracles(
-        in_s=lambda p: with_tail(p, lambda i: 0, "zeros-tail"),
-        out_s=lambda p: with_tail(p, lambda i: 1, "ones-tail"),
-        provenance="infinitely-many-zeros",
+        in_s=lambda p: itertools.repeat(0),
+        out_s=lambda p: itertools.repeat(1),
     )
 
 
 def contains_zero_extenders() -> ExtensionOracles:
     """In: append zeros.  Out: append ones, unavailable once a zero is present."""
 
-    def out_s(p: FinitePrefix) -> SequenceOracle | None:
+    def out_s(p: FinitePrefix) -> Iterator[int] | None:
         if 0 in p.entries:
             return None
-        return with_tail(p, lambda i: 1, "ones-tail")
+        return itertools.repeat(1)
 
-    return ExtensionOracles(
-        in_s=lambda p: with_tail(p, lambda i: 0, "zeros-tail"),
-        out_s=out_s,
-        provenance="contains-zero",
-    )
+    return ExtensionOracles(in_s=lambda p: itertools.repeat(0), out_s=out_s)
 
 
 def permutation_extenders() -> ExtensionOracles:
-    """In: extend injectively towards a bijection, unavailable on repeated values.
+    """In: append the unused values in ascending order, unavailable on repeated values.
 
     Out: repeat a value forever, so the extension is never injective.
     """
 
-    def in_s(p: FinitePrefix) -> SequenceOracle | None:
-        if len(set(p.entries)) != len(p.entries):
+    def in_s(p: FinitePrefix) -> Iterator[int] | None:
+        used = set(p.entries)
+        if len(used) != len(p):
             return None
-        used = frozenset(p.entries)
+        return (v for v in itertools.count() if v not in used)
 
-        def fill(i: int) -> int:
-            # the (i - len(p))-th smallest value the prefix has not used
-            need = i - len(p)
-            value = 0
-            while True:
-                if value not in used:
-                    if need == 0:
-                        return value
-                    need -= 1
-                value += 1
-
-        return with_tail(p, fill, "fill-to-permutation")
-
-    def out_s(p: FinitePrefix) -> SequenceOracle:
-        repeated = p[0] if len(p) else 0
-        return with_tail(p, lambda i: repeated, "repeat-tail")
-
-    return ExtensionOracles(in_s=in_s, out_s=out_s, provenance="permutations")
+    return ExtensionOracles(in_s=in_s, out_s=lambda p: itertools.repeat(p[0] if len(p) else 0))
 
 
 def cantor_extenders() -> ExtensionOracles:
     """For sequences over {0, 5} with infinitely many 5s; unavailable off that alphabet."""
 
-    def make(tail_value: int) -> Callable[[FinitePrefix], SequenceOracle | None]:
-        def source(p: FinitePrefix) -> SequenceOracle | None:
+    def make(tail_value: int) -> Callable[[FinitePrefix], Iterator[int] | None]:
+        def source(p: FinitePrefix) -> Iterator[int] | None:
             if any(v not in (0, 5) for v in p.entries):
                 return None
-            return with_tail(p, lambda i: tail_value, f"{tail_value}s-tail")
+            return itertools.repeat(tail_value)
 
         return source
 
-    return ExtensionOracles(in_s=make(5), out_s=make(0), provenance="cantor-05")
+    return ExtensionOracles(in_s=make(5), out_s=make(0))

@@ -245,38 +245,27 @@ def cmd_adversary(args) -> int:
     return EXIT_OK if trace.completed else EXIT_BUDGET
 
 
-def _write_sentence(path: Path, text: str, sig: lang.Signature) -> None:
+def _check_round_trip(path: Path, text: str, sig: lang.Signature) -> None:
     reparsed = lang.parse(text, sig)
     if lang.parse(lang.print_formula(reparsed), sig) != reparsed:
         raise CliError(f"{path}: sentence does not survive a print/parse round trip")
-    path.write_text(text + "\n")
 
 
 def cmd_synth(args) -> int:
+    """Build every sentence text first, so a failure leaves no directory or file behind."""
     sig = _load_signature(args.sig)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
     if args.source == "guesser":
         name = args.inputs[0]
         synth.sentences_from_guesser(name, sig)
-        sigma2_path = out_dir / f"{name}.sigma2.lg"
-        pi2_path = out_dir / f"{name}.pi2.lg"
         sigma2_text, pi2_text = synth.guesser_sentence_texts(name)
-        _write_sentence(sigma2_path, sigma2_text, sig)
-        _write_sentence(pi2_path, pi2_text, sig)
-        written = [sigma2_path, pi2_path]
+        texts = {f"{name}.sigma2.lg": sigma2_text, f"{name}.pi2.lg": pi2_text}
     elif args.source == "overguesser":
         name = args.inputs[0]
         synth.sigma2_from_overguesser(name, sig)
-        path = out_dir / f"{name}.sigma2.lg"
-        _write_sentence(path, synth.overguesser_sentence_text(name), sig)
-        written = [path]
+        texts = {f"{name}.sigma2.lg": synth.overguesser_sentence_text(name)}
     elif args.source == "family":
         name = args.inputs[0]
-        path = out_dir / f"{name}.sigma2.lg"
-        _write_sentence(path, synth.sigma2_from_countable_family(name, sig).text(), sig)
-        written = [path]
+        texts = {f"{name}.sigma2.lg": synth.sigma2_from_countable_family(name, sig).text()}
     else:  # topology
         if len(args.inputs) != 2:
             raise CliError("synth topology needs two table files: <set> <complement>")
@@ -284,12 +273,15 @@ def cmd_synth(args) -> int:
         for_complement = _load_topology(args.inputs[1])
         spec = synth.delta2_from_topology(for_set, for_complement, sig,
                                           name_prefix=args.prefix)
-        pi2_path = out_dir / "topology.pi2.lg"
-        sigma2_path = out_dir / "topology.sigma2.lg"
-        _write_sentence(pi2_path, spec.pi2.text(), sig)
-        _write_sentence(sigma2_path, spec.sigma2.text(), sig)
-        written = [pi2_path, sigma2_path]
-    for path in written:
+        texts = {"topology.pi2.lg": spec.pi2.text(), "topology.sigma2.lg": spec.sigma2.text()}
+    out_dir = Path(args.out_dir)
+    files = [(out_dir / file_name, text) for file_name, text in texts.items()]
+    for path, text in files:
+        _check_round_trip(path, text, sig)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path, text in files:
+        path.write_text(text + "\n")
+    for path, _ in files:
         print(path)
     return EXIT_OK
 

@@ -279,17 +279,15 @@ def default_signature() -> Signature:
     return sig
 
 
-def load_signature(text: str,
-                   seq_registry: dict[str, Callable] | None = None) -> Signature:
+def load_signature(text: str) -> Signature:
     """Extend the default signature from file text.
 
     Lines: ``fn <name> <arity> <builtin>``, ``pred <name> <arity> <builtin>``,
-    ``seqfn <name> <builtin|registry-key>``.  Blank lines and lines starting
-    with ``#`` are skipped.  seq names resolve against SEQ_BUILTINS first and
-    then against the supplied registry of session-defined hosts.
+    ``seqfn <name> <builtin>``.  Blank lines and lines starting with ``#`` are
+    skipped.  Builtins are the keys of FN_BUILTINS, PRED_BUILTINS and
+    SEQ_BUILTINS.
     """
     sig = default_signature()
-    registry = seq_registry or {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -304,17 +302,16 @@ def load_signature(text: str,
                 if key not in builtins:
                     raise SignatureError(f"unknown {noun} builtin {key!r}")
                 builtin_arity, host = builtins[key]
+                if not arity.isdecimal():
+                    raise SignatureError(f"arity {arity!r} is not a decimal natural")
                 if int(arity) != builtin_arity:
                     raise SignatureError(f"builtin {key!r} has arity {builtin_arity}, not {arity}")
                 register(name, builtin_arity, host)
             elif parts[0] == "seqfn" and len(parts) == 3:
                 _, name, key = parts
-                if key in SEQ_BUILTINS:
-                    sig.register_seq_function(name, SEQ_BUILTINS[key])
-                elif key in registry:
-                    sig.register_seq_function(name, registry[key])
-                else:
+                if key not in SEQ_BUILTINS:
                     raise SignatureError(f"unknown sequence host {key!r}")
+                sig.register_seq_function(name, SEQ_BUILTINS[key])
             else:
                 raise SignatureError(f"unrecognised signature line: {line!r}")
         except SignatureError as exc:

@@ -90,19 +90,11 @@ class SequenceOracle:
         return f"SequenceOracle({self.describe})"
 
 
-def with_tail(prefix: FinitePrefix, tail: Callable[[int], int], describe: str) -> SequenceOracle:
-    """Oracle agreeing with the prefix on its indices and with tail(i) beyond."""
-    entries = prefix.entries
-
-    def rule(i: int) -> int:
-        return entries[i] if i < len(entries) else tail(i)
-
-    return SequenceOracle(rule, describe=describe)
-
-
 def zero_pad(prefix: FinitePrefix) -> SequenceOracle:
     """Oracle agreeing with the prefix on its indices and 0 beyond."""
-    return with_tail(prefix, lambda i: 0, "zero-padded prefix")
+    entries = prefix.entries
+    return SequenceOracle(lambda i: entries[i] if i < len(entries) else 0,
+                          describe="zero-padded prefix")
 
 
 def prefix_of(oracle: SequenceOracle, k: int) -> FinitePrefix:

@@ -305,7 +305,10 @@ def sigma2_from_overguesser(mu_symbol: str, sig: Signature) -> Sigma2Sentence:
     if mu_symbol not in sig.seq:
         raise LangError(f"{mu_symbol!r} is not a registered sequence-tuple symbol")
     for name, proj in (("d1", pairing.first), ("d2", pairing.second)):
-        _, host = sig.function(name)
+        arity, host = sig.function(name)
+        if arity != 1:
+            raise LangError(f"signature function {name!r} has arity {arity}; "
+                            "the pairing projections are unary")
         if any(host(n) != proj(n) for n in range(32)):
             raise LangError(f"signature function {name!r} disagrees with the pairing projection")
     return Sigma2Sentence.from_formula(parse(overguesser_sentence_text(mu_symbol), sig))

@@ -486,6 +486,15 @@ def test_synth_family_needs_a_registered_binary_function(capsys, monkeypatch, tm
     assert not (tmp_path / "g.sigma2.lg").exists()
 
 
+@pytest.mark.parametrize("argv", [("family", "nope"), ("family", "d1"),
+                                  ("overguesser", "Nope"), ("guesser", "Nope")])
+def test_failed_synth_creates_no_directory(capsys, tmp_path, argv):
+    out_dir = tmp_path / "out"
+    code, out, _ = run(capsys, "synth", *argv, "--out-dir", str(out_dir))
+    assert (code, out) == (2, "")
+    assert not out_dir.exists()
+
+
 def test_synth_unknown_registry_key(capsys, tmp_path):
     code, _, err = run(capsys, "synth", "guesser", "Gz", "--out-dir", str(tmp_path))
     assert code == 2

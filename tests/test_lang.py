@@ -365,11 +365,6 @@ def test_load_signature_lines():
     assert sig.predicate("below")[1](1, 2)
 
 
-def test_load_signature_registry_keys():
-    sig = load_signature("seqfn T mine\n", seq_registry={"mine": lambda t: 42})
-    assert sig.seq_function("T")(()) == 42
-
-
 @pytest.mark.parametrize("line", ["fn g 3 constfam", "fn g 2 nosuch", "seqfn T nosuch",
                                   "pred p 2 nosuch", "wat", "fn g constfam"])
 def test_load_signature_rejects_bad_lines(line):
@@ -382,6 +377,8 @@ def test_load_signature_rejects_bad_lines(line):
     ("pred p 2 nosuch", "line 1: unknown predicate builtin 'nosuch'"),
     ("fn g 3 constfam", "line 1: builtin 'constfam' has arity 2, not 3"),
     ("pred p 3 <", "line 1: builtin '<' has arity 2, not 3"),
+    ("fn g x +", "line 1: arity 'x' is not a decimal natural"),
+    ("# comment\npred p -2 <", "line 2: arity '-2' is not a decimal natural"),
 ])
 def test_load_signature_error_texts(line, message):
     with pytest.raises(SignatureError) as exc:

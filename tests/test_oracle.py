@@ -9,7 +9,6 @@ from guessability.oracle import (
     from_spec,
     prefix_of,
     prefix_spec,
-    with_tail,
     zero_pad,
 )
 
@@ -36,12 +35,6 @@ def test_zero_pad_agrees_then_zero():
 def test_zero_pad_empty_prefix_is_all_zeros():
     o = zero_pad(FinitePrefix(()))
     assert [o.query(i) for i in range(4)] == [0, 0, 0, 0]
-
-
-def test_with_tail_agrees_then_follows_the_tail():
-    o = with_tail(FinitePrefix((3, 0)), lambda i: 10 * i, "tens")
-    assert [o.query(i) for i in range(5)] == [3, 0, 20, 30, 40]
-    assert o.describe == "tens"
 
 
 def test_zero_pad_single_entry():

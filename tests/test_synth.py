@@ -230,6 +230,15 @@ def test_sigma2_from_overguesser_requires_the_pairing_projections():
         sigma2_from_overguesser("Mu", sig)
 
 
+def test_sigma2_from_overguesser_requires_unary_projections():
+    sig = Signature()
+    sig.register_function("d1", 2, lambda a, b: a)
+    sig.register_function("d2", 1, pairing.second)
+    sig.register_seq_function("Mu", len)
+    with pytest.raises(LangError, match="^signature function 'd1' has arity 2; the pairing"):
+        sigma2_from_overguesser("Mu", sig)
+
+
 def test_mu_prime_host_encoding():
     finite = mu_prime_host(Overguesser(evaluate=lambda p: ExtendedNat.finite(4)))
     assert finite((1, 2)) == 5
