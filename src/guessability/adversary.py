@@ -186,7 +186,7 @@ def contains_zero_extenders() -> ExtensionOracles:
     """In: append zeros.  Out: append ones, unavailable once a zero is present."""
 
     def out_s(p: FinitePrefix) -> Iterator[int] | None:
-        if 0 in p.entries:
+        if 0 in p:
             return None
         return itertools.repeat(1)
 
@@ -200,7 +200,7 @@ def permutation_extenders() -> ExtensionOracles:
     """
 
     def in_s(p: FinitePrefix) -> Iterator[int] | None:
-        used = set(p.entries)
+        used = set(p)
         if len(used) != len(p):
             return None
         return (v for v in itertools.count() if v not in used)
@@ -213,7 +213,7 @@ def cantor_extenders() -> ExtensionOracles:
 
     def make(tail_value: int) -> Callable[[FinitePrefix], Iterator[int] | None]:
         def source(p: FinitePrefix) -> Iterator[int] | None:
-            if any(v not in (0, 5) for v in p.entries):
+            if any(v not in (0, 5) for v in p):
                 return None
             return itertools.repeat(tail_value)
 

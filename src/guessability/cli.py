@@ -117,7 +117,7 @@ BUILTIN_GUESSERS = {
         evaluate=lambda p: 1 if sorted(p.entries) == list(range(len(p))) else 0,
         provenance="initial-segment"),
     "last-is-5": synth.Guesser(
-        evaluate=lambda p: 1 if p.entries[-1] == 5 else 0, provenance="last-is-5"),
+        evaluate=lambda p: 1 if p[-1] == 5 else 0, provenance="last-is-5"),
 }
 
 BUILTIN_DELTA2 = {
@@ -278,9 +278,12 @@ def cmd_synth(args) -> int:
     files = [(out_dir / file_name, text) for file_name, text in texts.items()]
     for path, text in files:
         _check_round_trip(path, text, sig)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path, text in files:
-        path.write_text(text + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path, text in files:
+            path.write_text(text + "\n")
+    except OSError as exc:
+        raise CliError(f"cannot write output directory: {exc}")
     for path, _ in files:
         print(path)
     return EXIT_OK

@@ -7,9 +7,10 @@ the evaluation itself (see ``semantics``), not by the oracle.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 
 class QueryBeyondLimit(Exception):
@@ -25,43 +26,111 @@ class SequenceSpecError(ValueError):
     """Malformed sequence spec string."""
 
 
-@dataclass(frozen=True)
 class FinitePrefix:
     """An observed initial segment (f(0), ..., f(k)) of a sequence.
 
-    Equality is element-wise; the empty prefix is allowed.
+    Equality is element-wise; the empty prefix is allowed.  A prefix is a
+    view: the first ``len(self)`` entries of a list that views made by
+    ``extended`` share.  Entries are only ever appended to that list, and
+    only by its longest view, so views of one list agree on their common
+    indices and a view never changes.  ``entries`` and slices copy.  Views of
+    one list must not be extended from more than one thread.
     """
 
-    entries: tuple[int, ...] = ()
+    __slots__ = ("_items", "_n")
+
+    def __init__(self, entries: Iterable[int] = ()):
+        self._items = tuple(entries)
+        self._n = len(self._items)
+        self.__post_init__()
 
     def __post_init__(self):
-        entries = tuple(int(v) for v in self.entries)
-        if any(v < 0 for v in entries):
-            raise ValueError(f"prefix entries must be naturals: {entries}")
-        object.__setattr__(self, "entries", entries)
+        """The public constructor's check: every entry becomes an int and must be a natural."""
+        items = [int(v) for v in self._items]
+        if any(v < 0 for v in items):
+            raise ValueError(f"prefix entries must be naturals: {tuple(items)}")
+        self._items = items
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        """The entries, copied into a new tuple."""
+        return tuple(_copy(self._items, range(self._n)))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._n
 
-    def __getitem__(self, index: int) -> int:
-        return self.entries[index]
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(_copy(self._items, range(*index.indices(self._n))))
+        i = operator.index(index)
+        if i < 0:
+            i += self._n
+        if not 0 <= i < self._n:
+            raise IndexError("prefix index out of range")
+        return self._items[i]
 
-    def __iter__(self):
-        return iter(self.entries)
+    def __iter__(self) -> Iterator[int]:
+        return itertools.islice(self._items, self._n)
+
+    def __eq__(self, other):
+        if not isinstance(other, FinitePrefix):
+            return NotImplemented
+        return self._n == other._n and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"FinitePrefix(entries={self.entries!r})"
 
     @property
     def last_index(self) -> int:
         """Largest readable index, -1 for the empty prefix."""
-        return len(self.entries) - 1
+        return self._n - 1
 
     def extended(self, value: int) -> "FinitePrefix":
-        """This prefix plus one entry; only the new entry is checked."""
-        entries = self.entries + (int(value),)
-        if entries[-1] < 0:
-            raise ValueError(f"prefix entries must be naturals: {entries}")
+        """This prefix plus one entry; only the new entry is checked.
+
+        Appends to the shared list when this is its longest view, and
+        otherwise copies this view's entries into a new list first.
+        """
+        value = int(value)
+        if value < 0:
+            raise ValueError(f"prefix entries must be naturals: {self.entries + (value,)}")
+        items, n = self._items, self._n
+        if n != len(items):
+            items = _copy(items, range(n))
+        items.append(value)
         longer = object.__new__(FinitePrefix)
-        object.__setattr__(longer, "entries", entries)
+        longer._items, longer._n = items, n + 1
         return longer
+
+    def extends(self, other: "FinitePrefix") -> bool:
+        """Whether this prefix is ``other`` plus one entry (O(1) when both share a list)."""
+        n = other._n
+        return self._n == n + 1 and (
+            self._items is other._items
+            or all(map(operator.eq, itertools.islice(self._items, n), other)))
+
+    def reader(self) -> Callable[[int], int]:
+        """Read an index of this prefix: ValueError below 0, QueryBeyondLimit past last_index."""
+        items, last = self._items, self._n - 1
+
+        def read(index: int) -> int:
+            if index < 0:
+                raise ValueError(f"oracle index must be a natural, got {index}")
+            if index > last:
+                raise QueryBeyondLimit(index, last)
+            return items[index]
+
+        return read
+
+
+def _copy(items: list[int], span: range) -> list[int]:
+    """The items at the indices in span, which lie in 0..len(items)-1; every copy goes through here."""
+    if not span:
+        return []
+    return items[span.start:span.stop if span.stop >= 0 else None:span.step]
 
 
 class SequenceOracle:
@@ -148,4 +217,4 @@ def from_spec(text: str) -> SequenceOracle:
 
 def prefix_spec(prefix: FinitePrefix) -> str:
     """Spec string for the zero-padded extension of a prefix."""
-    return "prefix:[" + ",".join(str(v) for v in prefix.entries) + "]:pad0"
+    return "prefix:[" + ",".join(str(v) for v in prefix) + "]:pad0"

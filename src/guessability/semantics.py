@@ -259,16 +259,7 @@ def attempt(formula: Formula, prefix: FinitePrefix, sig: Signature | None = None
     value found in it is not evaluated again, and one that evaluates without
     raising is stored.
     """
-    entries, last = prefix.entries, prefix.last_index
-
-    def read(index: int) -> int:
-        if index < 0:
-            raise ValueError(f"oracle index must be a natural, got {index}")
-        if index > last:
-            raise QueryBeyondLimit(index, last)
-        return entries[index]
-
-    evaluation = _Evaluation(read, sig, memo)
+    evaluation = _Evaluation(prefix.reader(), sig, memo)
     try:
         truth = evaluation.truth(formula, s if s is not None else EMPTY_ASSIGNMENT)
     except QueryBeyondLimit as exc:

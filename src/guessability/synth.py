@@ -179,15 +179,19 @@ class MuStream:
         """
         if len(prefix) == 0:
             raise ValueError("mu needs at least one observed entry")
-        if prefix.entries[:-1] != self.prefix.entries:
+        if not prefix.extends(self.prefix):
             self._restart()
-            for value in prefix.entries[:-1]:
+            for value in itertools.islice(prefix, prefix.last_index):
                 self.push(value)
-        return self.push(prefix.entries[-1])
+        return self._observe(prefix)
 
     def push(self, value: int) -> ExtendedNat:
         """Observe the next entry and return mu for the prefix seen so far."""
-        prefix = self.prefix = self.prefix.extended(value)
+        return self._observe(self.prefix.extended(value))
+
+    def _observe(self, prefix: FinitePrefix) -> ExtendedNat:
+        """Take prefix, which extends the last one by one entry, as the prefix seen so far."""
+        self.prefix = prefix
         while self._a <= prefix.last_index and not self._survives(prefix):
             self._a += 1
             self._next_b = 0
@@ -447,7 +451,7 @@ def guesser_or(g1: Guesser, g2: Guesser) -> Guesser:
 
 def contains_zero_guesser() -> Guesser:
     """Guess no until a 0 shows up, then yes forever."""
-    return Guesser(evaluate=lambda p: 1 if 0 in p.entries else 0,
+    return Guesser(evaluate=lambda p: 1 if 0 in p else 0,
                    provenance="contains-zero")
 
 

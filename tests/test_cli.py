@@ -361,6 +361,43 @@ def test_adversary_validates_each_entry_once(capsys, monkeypatch):
         assert validated <= budget, (budget, validated)
 
 
+def count_copied_entries(monkeypatch) -> list[int]:
+    """Make every copy of prefix entries add its length to the returned counter."""
+    copied = [0]
+    original = oracle._copy
+
+    def counted(items, span):
+        result = original(items, span)
+        copied[0] += len(result)
+        return result
+
+    monkeypatch.setattr(oracle, "_copy", counted)
+    return copied
+
+
+@pytest.mark.parametrize("guesser", ["constant-1", "last-is-5", "contains-zero"])
+def test_adversary_copies_linearly_many_entries(capsys, monkeypatch, guesser):
+    copied = count_copied_entries(monkeypatch)
+    for budget in (5000, 10000):
+        copied[0] = 0
+        code, _, _ = run(capsys, "adversary", "--guesser", guesser, "--kind", "diagonal",
+                         "--set", "inf-zeros", "--flips", "10", "--budget", str(budget))
+        assert code in (0, 3)
+        # copying the prefix on every step copies about budget^2 / 2 entries
+        assert copied[0] <= 2 * budget, (guesser, budget, copied[0])
+
+
+def test_adversary_constant_one_at_a_large_budget_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "adversary", "--guesser", "constant-1", "--kind", "diagonal",
+                         "--set", "inf-zeros", "--flips", "10", "--budget", "40000")
+    assert time.perf_counter() - start < 3
+    entries = ",".join(["0"] + ["1"] * 40000)
+    assert (code, err) == (3, "")
+    assert out == ("flips=[0] guesses=[1] status=budget-exhausted phase=2 steps=40000\n"
+                   f"prefix: prefix:[{entries}]:pad0\n")
+
+
 # ---------------------------------------------------------------------------
 # adversary
 
@@ -493,6 +530,20 @@ def test_failed_synth_creates_no_directory(capsys, tmp_path, argv):
     code, out, _ = run(capsys, "synth", *argv, "--out-dir", str(out_dir))
     assert (code, out) == (2, "")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("sub, error", [("", "FileExistsError"), ("sub", "NotADirectoryError")])
+def test_synth_out_dir_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, sub, error):
+    sig_path = tmp_path / "session.sig"
+    sig_path.write_text("seqfn Gz contains0\n")
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    code, out, err = run(capsys, "synth", "guesser", "Gz", "--sig", str(sig_path),
+                         "--out-dir", str(afile / sub))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output directory: [Errno ") and err.count("\n") == 1
+    assert "Traceback" not in err and error not in err
+    assert afile.read_text() == "kept\n"
 
 
 def test_synth_unknown_registry_key(capsys, tmp_path):

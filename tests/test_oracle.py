@@ -1,8 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from guessability.oracle import (
     FinitePrefix,
+    QueryBeyondLimit,
     SequenceOracle,
     SequenceSpecError,
     agrees_through,
@@ -140,3 +143,58 @@ def test_prefix_spec_round_trip():
 def test_from_spec_rejects_malformed(bad):
     with pytest.raises(SequenceSpecError):
         from_spec(bad)
+
+
+SLICES = [slice(None), slice(1, None), slice(None, -1), slice(-3, None), slice(None, None, 2),
+          slice(None, None, -1), slice(-2, 0, -1), slice(5, 1, -2), slice(2, 100), slice(7, 3)]
+
+
+def assert_matches(view, entries):
+    plain = FinitePrefix(entries)
+    assert view == plain and plain == view
+    assert hash(view) == hash(plain)
+    assert len(view) == len(entries)
+    assert view.last_index == len(entries) - 1
+    for i in range(-len(entries), len(entries)):
+        assert view[i] == entries[i]
+    for i in (len(entries), -len(entries) - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    for s in SLICES:
+        assert view[s] == entries[s]
+    assert list(view) == list(entries)
+    assert view.entries == entries
+    assert prefix_spec(view) == prefix_spec(plain)
+    assert all((v in view) == (v in entries) for v in range(4))
+
+
+@given(st.lists(st.integers(0, 3), max_size=4),
+       st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 3)), max_size=25))
+def test_views_match_tuple_built_prefixes(start, steps):
+    """Extending old and new views in any order, forks included, equals building from tuples."""
+    views, expected = [FinitePrefix(tuple(start))], [tuple(start)]
+    for pick, value in steps:
+        k = pick % len(views)
+        views.append(views[k].extended(value))
+        expected.append(expected[k] + (value,))
+        with pytest.raises(ValueError, match=re.escape(f"naturals: {expected[k] + (-1,)}")):
+            views[k].extended(-1)
+        # every earlier view is unchanged by the growth after it
+        for view, entries in zip(views, expected):
+            assert_matches(view, entries)
+    for longer, entries in zip(views, expected):
+        for shorter, shorter_entries in zip(views, expected):
+            assert longer.extends(shorter) == (entries[:-1] == shorter_entries
+                                               and len(entries) == len(shorter_entries) + 1)
+
+
+def test_reader_checks_bounds_of_its_view():
+    short = FinitePrefix((4, 5))
+    short.extended(6)
+    read = short.reader()
+    assert (read(0), read(1)) == (4, 5)
+    with pytest.raises(QueryBeyondLimit) as err:
+        read(2)
+    assert (err.value.index, err.value.limit) == (2, 1)
+    with pytest.raises(ValueError, match="oracle index must be a natural"):
+        read(-1)

@@ -515,9 +515,20 @@ def test_streamed_guessers_replay_prefixes_that_do_not_extend():
         # jumps between runs and lengths, then one run extended entry by entry
         asked = [rnd.choice(runs)[:rnd.randrange(1, 11)] for _ in range(12)]
         asked += [runs[0][:k] for k in range(1, 11)]
-        for entries in asked:
-            p = FinitePrefix(entries)
+        asked = [FinitePrefix(entries) for entries in asked]
+        # views of one list: in order, then one that skips an entry, then an older one
+        views = [FinitePrefix(runs[1][:1])]
+        for value in runs[1][1:]:
+            views.append(views[-1].extended(value))
+        asked += views[:6] + [views[7], views[6]]
+        # a fork from an older view, one longer than the last prefix but with another history,
+        # then a prefix built from a tuple that does extend the fork
+        fork = views[2].extended(runs[1][3] + 1)
+        for value in runs[1][4:8]:
+            fork = fork.extended(value)
+        asked += [fork, FinitePrefix(fork.entries + (2,))]
+        for p in asked:
             mu = mu_from_sigma2(spec.sigma2, p, gsig)
             nu = mu_from_sigma2(complement_sigma2(spec), p, gsig)
-            assert g(p) == (1 if mu <= nu else 0), (spec, entries)
-            assert over(p) == mu, (spec.sigma2.text(), entries)
+            assert g(p) == (1 if mu <= nu else 0), (spec, p)
+            assert over(p) == mu, (spec.sigma2.text(), p)
