@@ -12,9 +12,9 @@ arbitrary candidate the search for the next flip may genuinely diverge.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
+from .lang import Record
 from .oracle import FinitePrefix, prefix_spec
 from .synth import Guesser
 
@@ -31,8 +31,7 @@ class ExtensionUnavailable(Exception):
         self.side = side
 
 
-@dataclass(frozen=True)
-class ExtensionOracles:
+class ExtensionOracles(Record):
     """Suppliers of an in-set and an out-of-set extension for any prefix.
 
     Each side returns an iterator over the values at indices len(prefix),
@@ -44,8 +43,7 @@ class ExtensionOracles:
     out_s: Callable[[FinitePrefix], Iterator[int] | None]
 
 
-@dataclass(frozen=True)
-class FlipTrace:
+class FlipTrace(Record):
     """Record of the guess flips observed while growing a prefix.
 
     flips are strictly increasing prefix indices; guesses[i] is the

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import adversary as adv
@@ -33,8 +32,7 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class GuessTrace:
+class GuessTrace(lang.Record):
     """Guesses at prefix lengths 1..horizon with the observed settling point.
 
     stable_from is the least length from which the guesses stay constant
@@ -342,10 +340,14 @@ def cmd_play(args) -> int:
                     else:
                         print(f"{name}: no entries yet")
                 continue
-            if not line.isdecimal():
+            try:  # int() alone would also take signs, spaces and underscores
+                value = int(line) if line.isdecimal() else None
+            except ValueError:  # more digits than the interpreter converts
+                value = None
+            if value is None:
                 print("enter a natural number, :trace, or :quit")
                 continue
-            prefix = prefix.extended(int(line))
+            prefix = prefix.extended(value)
             for name, guesser in guessers:
                 guess = guesser(prefix)
                 traces[name].append(guess)

@@ -27,8 +27,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import operator
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from . import pairing
 
@@ -53,23 +52,95 @@ class CaptureError(LangError):
 
 
 # ---------------------------------------------------------------------------
-# AST
+# Records and the AST
 
 
-class Term:
+_set = object.__setattr__
+
+
+class Record:
+    """Immutable value with named fields, compared, hashed and printed by them.
+
+    A subclass declares its fields as annotations in its body, after those of
+    its bases; a class attribute of the same name is that field's default.
+    Instances behave as under ``@dataclass(frozen=True)``, but no code is
+    generated when the class is created.  An instance's ``__dict__`` holds
+    exactly its fields, in order; ``__post_init__`` may replace a value with
+    ``object.__setattr__`` but adds none.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = [name for name in cls.__dict__.get("__annotations__", {}) if name not in cls._fields]
+        cls._fields = (*cls._fields, *own)
+        cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # not through self.__dict__: materialising it makes every later field read
+        # slower; and a counter, not zip, which costs about a fifth of the call
+        i = 0
+        for name in fields:
+            _set(self, name, args[i])
+            i += 1
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """Field values in order from arguments given by name or left to their defaults."""
+        name = type(self).__qualname__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{name}() takes {len(self._fields)} arguments, not {len(args)}")
+        values = list(args)
+        for field in self._fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in self._defaults:
+                values.append(self._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing required argument {field!r}")
+        if kwargs:
+            raise TypeError(f"{name}() got an unknown or repeated argument {next(iter(kwargs))!r}")
+        return values
+
+    def __post_init__(self):
+        """Check or normalise the field values; a subclass overrides this."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Term(Record):
     pass
 
 
-class Formula:
+class Formula(Record):
     pass
 
 
-@dataclass(frozen=True)
 class Variable(Term):
     name: str
 
 
-@dataclass(frozen=True)
 class Numeral(Term):
     value: int
 
@@ -78,7 +149,6 @@ class Numeral(Term):
             raise ValueError("numerals denote naturals")
 
 
-@dataclass(frozen=True)
 class FixedApp(Term):
     """Application of a fixed-arity function symbol."""
 
@@ -89,14 +159,12 @@ class FixedApp(Term):
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True)
 class SeqApp(Term):
     """Application of the reserved unary sequence symbol ``f``."""
 
     arg: Term
 
 
-@dataclass(frozen=True)
 class EllipsisApp(Term):
     """``symbol[ body : binder .. bound ]``.
 
@@ -110,13 +178,11 @@ class EllipsisApp(Term):
     bound: Term
 
 
-@dataclass(frozen=True)
 class Eq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
 class Pred(Formula):
     symbol: str
     args: tuple[Term, ...]
@@ -125,36 +191,30 @@ class Pred(Formula):
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Forall(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
     var: str
     body: Formula
@@ -402,8 +462,7 @@ def _substitute_under_binder(body, binder: str, var: str, replacement: Term):
 # Tokenizer
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str  # 'nat' | 'name' | 'op' | 'eof'
     text: str
     line: int
@@ -595,8 +654,12 @@ class _Parser:
     def parse_term(self) -> Term:
         tok = self.peek()
         if tok.kind == "nat":
+            try:
+                value = int(tok.text)
+            except ValueError:  # more digits than the interpreter converts
+                raise self.fail(f"numeral of {len(tok.text)} digits is too long") from None
             self.advance()
-            return Numeral(int(tok.text))
+            return Numeral(value)
         if tok.kind != "name":
             raise self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
         if tok.text in ("forall", "exists"):
@@ -779,8 +842,7 @@ def _check_matrix(matrix: Formula, outer: str, inner: str, shape: str) -> None:
         raise LangError(f"{shape} matrix has stray free variables {sorted(extra)}")
 
 
-@dataclass(frozen=True)
-class _PrenexSentence:
+class _PrenexSentence(Record):
     """Two quantifiers over a quantifier-free matrix; a subclass fixes which, and its names."""
 
     outer: str

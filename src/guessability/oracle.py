@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from typing import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 
 class QueryBeyondLimit(Exception):

@@ -12,8 +12,7 @@ evaluation has a budget of ``MAX_BOUNDED_INSTANCES`` units of work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
 from .lang import (
     And,
@@ -28,6 +27,7 @@ from .lang import (
     Numeral,
     Or,
     Pred,
+    Record,
     SeqApp,
     Signature,
     Term,
@@ -86,8 +86,7 @@ class EllipsisMemo:
         return (id(term), *(s[name] for name in names))
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(Record):
     """Value of an evaluation together with the oracle indices it read."""
 
     value: int | bool
@@ -98,8 +97,7 @@ class EvalResult:
         return max(self.queried) if self.queried else None
 
 
-@dataclass(frozen=True)
-class AttemptOutcome:
+class AttemptOutcome(Record):
     """Result of checking a sentence against a zero-padded prefix.
 
     ``truth`` is None exactly when the attempt failed, i.e. evaluation tried
@@ -120,12 +118,15 @@ class AttemptOutcome:
 
     @classmethod
     def success(cls, truth: bool) -> "AttemptOutcome":
-        return cls(truth=bool(truth))
+        """The shared outcome for ``truth``: a successful attempt allocates nothing."""
+        return _HOLDS if truth else _DOES_NOT_HOLD
 
     @classmethod
     def failure(cls, offending_index: int) -> "AttemptOutcome":
-        return cls(truth=None, offending_index=offending_index)
+        return cls(None, offending_index)
 
+
+_HOLDS, _DOES_NOT_HOLD = AttemptOutcome(True), AttemptOutcome(False)
 
 # Units of work one evaluation may spend: one per quantifier instance (k nested
 # quantifiers under a bound B visit up to (B+1)^k) and one per ellipsis entry.

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
 
 from . import pairing
 from .lang import (
     LangError,
     Not,
     Pi2Sentence,
+    Record,
     Signature,
     Sigma2Sentence,
     default_signature,
@@ -36,8 +36,7 @@ from .semantics import Assignment, EllipsisMemo, attempt
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class ExtendedNat:
+class ExtendedNat(Record):
     """A natural or the point at infinity, totally ordered."""
 
     value: int | None  # None encodes infinity
@@ -72,8 +71,7 @@ INFINITY = ExtendedNat(None)
 # Guessers and overguessers
 
 
-@dataclass(frozen=True)
-class Guesser:
+class Guesser(Record):
     """Total map from nonempty prefixes to {0, 1}."""
 
     evaluate: Callable[[FinitePrefix], int]
@@ -88,8 +86,7 @@ class Guesser:
         return guess
 
 
-@dataclass(frozen=True)
-class Overguesser:
+class Overguesser(Record):
     """Total map from nonempty prefixes into the extended naturals."""
 
     evaluate: Callable[[FinitePrefix], ExtendedNat]
@@ -104,8 +101,7 @@ class Overguesser:
         return value
 
 
-@dataclass(frozen=True)
-class Delta2Spec:
+class Delta2Spec(Record):
     """A forall-exists and an exists-forall sentence claimed to define one set.
 
     Semantic agreement of the two sentences is an assumption, checked only
@@ -340,8 +336,7 @@ def sigma2_from_countable_family(name: str, sig: Signature) -> Sigma2Sentence:
 # Delta2 pair from finite topology tables
 
 
-@dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(Record):
     """Finite table of basic open sets indexed by (i, j).
 
     ``table[(i, j)]`` is the prefix whose extensions form that basic open
@@ -350,8 +345,12 @@ class TopologySpec:
     hole inside a listed row contributes the empty set.
     """
 
-    table: dict[tuple[int, int], FinitePrefix] = field(default_factory=dict)
-    default: FinitePrefix = FinitePrefix(())
+    table: dict[tuple[int, int], FinitePrefix]
+    default: FinitePrefix
+
+    def __init__(self, table: dict[tuple[int, int], FinitePrefix] | None = None,
+                 default: FinitePrefix = FinitePrefix(())):
+        super().__init__({} if table is None else table, default)
 
     def listed_rows(self) -> frozenset[int]:
         return frozenset(i for i, _ in self.table)

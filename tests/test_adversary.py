@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from guessability import adversary
 from guessability.adversary import (
     BUDGET_EXHAUSTED,
     COMPLETED,
@@ -26,6 +27,8 @@ from guessability.synth import (
     contains_zero_guesser,
     guesser_from_delta2,
 )
+
+import record_twins
 
 
 def parity_guesser():
@@ -245,3 +248,14 @@ def test_format_trace():
     assert format_trace(trace) == "flips=[1, 2] guesses=[1, 0] status=completed"
     _, trace = diagonalize(constant_guesser(1), infinitely_many_zeros_extenders(), 2, 5)
     assert format_trace(trace) == "flips=[0] guesses=[1] status=budget-exhausted phase=2 steps=5"
+
+
+def test_records_match_their_dataclass_twins():
+    samples = {
+        ExtensionOracles: [(len, bool), (bool, len)],
+        adversary.FlipTrace: [((0, 3), (1, 0), COMPLETED), ((0,), (1,), BUDGET_EXHAUSTED, 2, 10),
+                              ((0,), (1,), BUDGET_EXHAUSTED, None, None)],
+    }
+    assert record_twins.defined_in(adversary) == set(samples)
+    for cls, args in samples.items():
+        record_twins.check_against_twin(cls, args)

@@ -7,6 +7,8 @@ from guessability import cli, lang, oracle, synth
 from guessability.lang import load_signature, parse
 from guessability.cli import GuessTrace
 
+import record_twins
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -639,6 +641,22 @@ def test_play_takes_decimal_digits_only(capsys, monkeypatch):
     assert "contains-zero: final=0 stable_from=1" in out
 
 
+def test_play_reprompts_on_a_decimal_too_long_to_convert(capsys, monkeypatch):
+    feed_lines(monkeypatch, ["3", "9" * 5000, "0", ":quit"])
+    code, out, err = run(capsys, "play")
+    assert (code, err) == (0, "")
+    assert out.count("enter a natural number") == 1
+    assert "sequence so far: prefix:[3,0]:pad0" in out
+
+
+def test_eval_numeral_too_long_to_convert_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "long.lg"
+    path.write_text("f(" + "9" * 5000 + ") = 0")
+    code, out, err = run(capsys, "eval", str(path), "--seq", "id")
+    assert (code, out) == (2, "")
+    assert err == "error: numeral of 5000 digits is too long (line 1, column 3)\n"
+
+
 def test_play_prints_its_summary_when_an_evaluation_runs_out_of_budget(
         capsys, monkeypatch, huge_sum_files, tmp_path):
     sig, _, sigma2 = huge_sum_files
@@ -672,3 +690,8 @@ def test_mu_rejects_nonpositive_horizon(capsys, s2_file):
     code, _, err = run(capsys, "mu", s2_file, "--seq", "id", "--horizon", "0")
     assert code == 2
     assert "horizon" in err
+
+
+def test_records_match_their_dataclass_twins():
+    record_twins.check_against_twin(GuessTrace, [((1, 0, 1),), ((0,),), ((1, 0, 1),)])
+    assert record_twins.defined_in(cli) == {GuessTrace}

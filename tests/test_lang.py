@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from guessability import lang
 from guessability.lang import (
     And,
     CaptureError,
@@ -38,6 +40,7 @@ from guessability.oracle import from_spec
 from guessability.semantics import Assignment, EvalResult, eval_qf
 
 import formula_gen
+import record_twins
 
 
 @pytest.fixture
@@ -399,3 +402,41 @@ def test_sentence_wrappers_reject_shadowed_variables(sig):
         Sigma2Sentence.from_formula(parse("exists x. forall x. f(x) = 0", sig))
     with pytest.raises(LangError):
         Pi2Sentence("x", "x", Eq(Variable("x"), Numeral(0)))
+
+
+def test_records_match_their_dataclass_twins(sig):
+    x, one = Variable("x"), Numeral(1)
+    matrix = parse("f(x) = y", sig)
+    samples = {
+        lang.Term: [()],
+        lang.Formula: [()],
+        Variable: [("x",), ("y",)],
+        Numeral: [(0,), (7,)],
+        lang.FixedApp: [("g", (one, x)), ("g", [one, x]), ("h", ())],
+        SeqApp: [(x,), (one,)],
+        EllipsisApp: [("G", x, "x", one), ("G", x, "x", Numeral(2))],
+        Eq: [(x, one), (one, x)],
+        Pred: [("<", (x, one)), ("<", [x, one]), ("p", (one,))],
+        Not: [(Eq(x, one),), (Eq(one, x),)],
+        And: [(Eq(x, one), Eq(one, x)), (Eq(x, one), Eq(x, one))],
+        Or: [(Eq(x, one), Eq(one, x))],
+        Implies: [(Eq(x, one), Eq(one, x))],
+        Forall: [("x", Eq(x, one)), ("y", Eq(x, one))],
+        Exists: [("x", Eq(x, one))],
+        lang._Token: [("nat", "12", 1, 3), ("eof", "", 2, 1)],
+        Sigma2Sentence: [("x", "y", matrix), ("y", "x", matrix)],
+        Pi2Sentence: [("x", "y", matrix)],
+    }
+    # abstract: only a subclass names the shape its __post_init__ checks
+    assert record_twins.defined_in(lang) - set(samples) == {lang._PrenexSentence}
+    for cls, args in samples.items():
+        record_twins.check_against_twin(cls, args)
+    for family in ((And, Or, Implies), (Forall, Exists), (Sigma2Sentence, Pi2Sentence)):
+        args = samples[family[0]][0]
+        nodes = [cls(*args) for cls in family]
+        assert all(a != b for a, b in itertools.combinations(nodes, 2))
+    record_twins.check_rejects_like_twin(Numeral, (-1,), ValueError)
+    record_twins.check_rejects_like_twin(Sigma2Sentence, ("x", "y", parse("f(z) = y", sig)),
+                                         LangError)
+    record_twins.check_rejects_like_twin(Pi2Sentence, ("x", "x", matrix), LangError)
+

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from guessability import semantics
 from guessability.lang import (
     And,
     Eq,
@@ -28,6 +29,7 @@ from guessability.semantics import (
 )
 
 import formula_gen
+import record_twins
 
 
 @pytest.fixture
@@ -329,3 +331,20 @@ def test_weak_substitution_smoke():
         left = eval_qf(substitute(formula, "x", Numeral(c)), oracle, s, gsig)
         right = eval_qf(formula, oracle, s.set("x", c), gsig)
         assert left.value == right.value
+
+
+def test_records_match_their_dataclass_twins():
+    samples = {
+        semantics.EvalResult: [(3, frozenset({0, 2})), (True, frozenset()), (3, frozenset({2, 0}))],
+        semantics.AttemptOutcome: [(True,), (False, None), (None, 5), (True, 0)],
+    }
+    assert record_twins.defined_in(semantics) == set(samples)
+    for cls, args in samples.items():
+        record_twins.check_against_twin(cls, args)
+
+
+def test_successful_attempts_share_their_outcomes():
+    outcome = semantics.AttemptOutcome
+    assert outcome.success(True) is outcome.success(1) is not outcome.success(False)
+    assert outcome.success(0) == outcome(False, None) and outcome.success(0).succeeded
+    assert outcome.failure(4) == outcome(None, 4) and outcome.failure(4).failed

@@ -1,6 +1,7 @@
 """The package's runtime dependencies are the standard library only."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,3 +24,15 @@ def test_sources_import_only_the_standard_library():
     assert PACKAGE / "semantics.py" in sources
     outside = {path.name: absolute_imports(path) - sys.stdlib_module_names for path in sources}
     assert {name: modules for name, modules in outside.items() if modules} == {}
+
+
+def test_starting_the_cli_generates_no_code():
+    """No module the CLI imports pulls in ``dataclasses``, ``inspect`` or ``typing``.
+
+    Run without ``site``, which preloads ``typing`` on some installs.
+    """
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import guessability.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    child = subprocess.run([sys.executable, "-S", "-c", probe, str(PACKAGE.parent)],
+                           capture_output=True, text=True, timeout=60, check=True)
+    assert child.stdout == "[]\n"

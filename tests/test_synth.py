@@ -1,10 +1,12 @@
 import random
 import re
+import dataclasses
 
 import pytest
 from hypothesis import given, strategies as st
 
 from guessability import pairing
+from guessability import synth
 from guessability.lang import (
     LangError,
     SentenceClass,
@@ -45,6 +47,7 @@ from guessability.synth import (
 )
 
 import formula_gen
+import record_twins
 
 
 # ---------------------------------------------------------------------------
@@ -532,3 +535,33 @@ def test_streamed_guessers_replay_prefixes_that_do_not_extend():
             nu = mu_from_sigma2(complement_sigma2(spec), p, gsig)
             assert g(p) == (1 if mu <= nu else 0), (spec, p)
             assert over(p) == mu, (spec.sigma2.text(), p)
+
+
+def test_records_match_their_dataclass_twins():
+    sigma2 = Sigma2Sentence.from_formula(parse("exists x. forall y. f(x) = y"))
+    pi2 = Pi2Sentence.from_formula(parse("forall x. exists y. f(x) = y"))
+    cells = {(0, 0): FinitePrefix((7,)), (0, 1): FinitePrefix(())}
+    samples = {
+        ExtendedNat: [(0,), (5,), (None,)],
+        Guesser: [(len, "length"), (len, ""), (bool, "length")],
+        Overguesser: [(len, "length"), (bool, "")],
+        Delta2Spec: [(pi2, sigma2)],
+        TopologySpec: [(cells, FinitePrefix(())), ({}, FinitePrefix((1,))),
+                       (dict(cells), FinitePrefix(()))],
+    }
+    assert record_twins.defined_in(synth) == set(samples)
+    for cls, args in samples.items():
+        if cls is not TopologySpec:
+            record_twins.check_against_twin(cls, args)
+    # the twin of the table's former declaration, default_factory included
+    twin = dataclasses.make_dataclass("TopologySpec", [
+        ("table", dict, dataclasses.field(default_factory=dict)),
+        ("default", FinitePrefix, dataclasses.field(default=FinitePrefix(())))],
+        bases=(TopologySpec,), frozen=True)
+    record_twins.check_against_twin(TopologySpec, samples[TopologySpec], twin)
+    assert Guesser(len) != Overguesser(len)
+    first, second = TopologySpec(), TopologySpec()
+    assert first == second == TopologySpec(table={}) and first.table is not second.table
+    first.table[(0, 0)] = FinitePrefix((1,))
+    assert second.table == {} and TopologySpec().table == {}
+    record_twins.check_rejects_like_twin(ExtendedNat, (-1,), ValueError)
