@@ -98,10 +98,10 @@ def _parse_assignment(text: str | None) -> semantics.Assignment:
         return semantics.EMPTY_ASSIGNMENT
     bindings = {}
     for part in text.split(","):
-        name, _, value = part.partition("=")
-        if not name or not value.isdecimal():
+        name, eq, value = part.partition("=")
+        if not name or not eq:
             raise CliError(f"bad assignment entry {part!r}; use name=nat")
-        bindings[name.strip()] = int(value)
+        bindings[name.strip()] = lang.natural(value, f"bad assignment entry: {name.strip()}", CliError)
     return semantics.Assignment(bindings)
 
 
@@ -301,7 +301,7 @@ def _load_topology(path: str) -> synth.TopologySpec:
             if parts[0] == "default" and len(parts) == 2:
                 default = _parse_entries(parts[1])
             elif len(parts) == 3:
-                table[(int(parts[0]), int(parts[1]))] = _parse_entries(parts[2])
+                table[tuple(map(lang.natural, parts[:2], ("row", "column")))] = _parse_entries(parts[2])
             else:
                 raise ValueError("expected '<i> <j> <entries>' or 'default <entries>'")
         except ValueError as exc:
@@ -312,7 +312,7 @@ def _load_topology(path: str) -> synth.TopologySpec:
 def _parse_entries(text: str) -> oracle.FinitePrefix:
     if text == "-":
         return oracle.FinitePrefix(())
-    return oracle.FinitePrefix(tuple(int(v) for v in text.split(",")))
+    return oracle.FinitePrefix(tuple(lang.natural(v, "entry") for v in text.split(",")))
 
 
 def cmd_play(args) -> int:
@@ -340,12 +340,10 @@ def cmd_play(args) -> int:
                     else:
                         print(f"{name}: no entries yet")
                 continue
-            try:  # int() alone would also take signs, spaces and underscores
-                value = int(line) if line.isdecimal() else None
-            except ValueError:  # more digits than the interpreter converts
-                value = None
-            if value is None:
-                print("enter a natural number, :trace, or :quit")
+            try:
+                value = lang.natural(line, "entry")
+            except lang.LangError as exc:
+                print(f"{exc}; enter a natural number, :trace, or :quit")
                 continue
             prefix = prefix.extended(value)
             for name, guesser in guessers:
@@ -440,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     except semantics.EvaluationBudgetExhausted as exc:
         print(f"error: budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (lang.LangError, oracle.SequenceSpecError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -51,6 +51,20 @@ class CaptureError(LangError):
     """An open replacement would be captured by a binder."""
 
 
+def natural(text: str, what: str, error: Callable[[str], Exception] = LangError) -> int:
+    """Read a natural the user wrote, or raise ``error(message)`` naming ``what``.
+
+    Takes exactly the text ``str.isdecimal`` takes (no sign, underscore or
+    space) with no more digits than the interpreter converts (4,300 by default).
+    """
+    if not text.isdecimal():
+        raise error(f"{what} {text!r} is not a decimal natural")
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise error(f"{what} of {len(text)} digits is too long") from None
+
+
 # ---------------------------------------------------------------------------
 # Records and the AST
 
@@ -362,9 +376,7 @@ def load_signature(text: str) -> Signature:
                 if key not in builtins:
                     raise SignatureError(f"unknown {noun} builtin {key!r}")
                 builtin_arity, host = builtins[key]
-                if not arity.isdecimal():
-                    raise SignatureError(f"arity {arity!r} is not a decimal natural")
-                if int(arity) != builtin_arity:
+                if natural(arity, "arity", SignatureError) != builtin_arity:
                     raise SignatureError(f"builtin {key!r} has arity {builtin_arity}, not {arity}")
                 register(name, builtin_arity, host)
             elif parts[0] == "seqfn" and len(parts) == 3:
@@ -654,10 +666,7 @@ class _Parser:
     def parse_term(self) -> Term:
         tok = self.peek()
         if tok.kind == "nat":
-            try:
-                value = int(tok.text)
-            except ValueError:  # more digits than the interpreter converts
-                raise self.fail(f"numeral of {len(tok.text)} digits is too long") from None
+            value = natural(tok.text, "numeral", self.fail)
             self.advance()
             return Numeral(value)
         if tok.kind != "name":

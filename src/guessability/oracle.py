@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-import re
 from collections.abc import Callable, Iterable, Iterator
+
+from .lang import natural
 
 
 class QueryBeyondLimit(Exception):
@@ -178,12 +179,6 @@ def agrees_through(o1: SequenceOracle, o2: SequenceOracle, k: int) -> bool:
     return all(o1.query(i) == o2.query(i) for i in range(k + 1))
 
 
-_CONST_RE = re.compile(r"const:(\d+)$")
-_PLANTZERO_RE = re.compile(r"plantzero:(\d+)$")
-_PREFIX_RE = re.compile(r"prefix:\[((?:\d+(?:,\d+)*)?)\]:pad0$")
-_CYCLE_RE = re.compile(r"cycle:\[(\d+(?:,\d+)*)\]$")
-
-
 def from_spec(text: str) -> SequenceOracle:
     """Build an oracle from a sequence spec string.
 
@@ -193,24 +188,22 @@ def from_spec(text: str) -> SequenceOracle:
     text = text.strip()
     if text == "id":
         return SequenceOracle(lambda i: i, describe="id")
-    m = _CONST_RE.match(text)
-    if m:
-        n = int(m.group(1))
+    kind, _, arg = text.partition(":")
+    if kind == "const":
+        n = natural(arg, "const value", SequenceSpecError)
         return SequenceOracle(lambda i: n, describe=text)
-    m = _PLANTZERO_RE.match(text)
-    if m:
-        p = int(m.group(1))
+    if kind == "plantzero":
+        p = natural(arg, "plantzero index", SequenceSpecError)
         return SequenceOracle(lambda i: 0 if i == p else 1, describe=text)
-    m = _PREFIX_RE.match(text)
-    if m:
-        body = m.group(1)
-        values = tuple(int(v) for v in body.split(",")) if body else ()
+    if kind == "prefix" and arg.startswith("[") and arg.endswith("]:pad0"):
+        body = arg[1:-len("]:pad0")]
+        values = tuple(natural(v, "prefix entry", SequenceSpecError)
+                       for v in body.split(",")) if body else ()
         source = zero_pad(FinitePrefix(values))
         source.describe = text
         return source
-    m = _CYCLE_RE.match(text)
-    if m:
-        values = tuple(int(v) for v in m.group(1).split(","))
+    if kind == "cycle" and arg.startswith("[") and arg.endswith("]"):
+        values = tuple(natural(v, "cycle entry", SequenceSpecError) for v in arg[1:-1].split(","))
         return SequenceOracle(lambda i: values[i % len(values)], describe=text)
     raise SequenceSpecError(f"unrecognised sequence spec: {text!r}")
 

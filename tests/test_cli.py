@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from guessability import cli, lang, oracle, synth
 from guessability.lang import load_signature, parse
@@ -174,6 +177,66 @@ def test_eval_assignment_takes_decimal_digits_only(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "bad assignment entry" in err
+
+
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--seq", f"prefix:[{NINES}]:pad0"], "prefix entry of 5000 digits is too long"),
+    (["--seq", f"const:{NINES}"], "const value of 5000 digits is too long"),
+    (["--seq", f"plantzero:{NINES}"], "plantzero index of 5000 digits is too long"),
+    (["--seq", f"cycle:[1,{NINES}]"], "cycle entry of 5000 digits is too long"),
+    (["--seq", "id", "--assign", f"x={NINES}"],
+     "bad assignment entry: x of 5000 digits is too long"),
+])
+def test_eval_names_a_natural_too_long_to_convert(capsys, qf_file, argv, message):
+    code, out, err = run(capsys, "eval", qf_file, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# hostile spellings of a natural: empty, signed, underscored, with an inner space, with a
+# superscript, or with more digits than the interpreter converts (a leading space would
+# only separate fields in a signature file)
+_HOSTILE_NATURALS = st.one_of(
+    st.just(""),
+    st.builds(str.__mul__, st.sampled_from("123456789"), st.integers(4301, 6000)),
+    st.builds("{}{}{}".format, st.text("0123456789", max_size=4),
+              st.sampled_from(["-", "+", "_", " ", "\u00b2", "\u00b3", "\u00b9"]),
+              st.text("0123456789", min_size=1, max_size=4)).filter(lambda t: t[0] != " "),
+)
+
+
+@pytest.fixture(scope="module")
+def sentence_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("hostile")
+    (path / "qf.lg").write_text("f(1) = 0")
+    return path
+
+
+@pytest.mark.parametrize("form", [("--seq", "const:{}"), ("--seq", "plantzero:{}"),
+                                  ("--seq", "prefix:[0,{}]:pad0"), ("--seq", "cycle:[{}]"),
+                                  ("--seq", "id", "--assign", "x={}"),
+                                  ("--seq", "id", "--sig", "{sig}")])
+@settings(max_examples=40, deadline=None)
+@given(text=_HOSTILE_NATURALS)
+def test_eval_rejects_every_hostile_natural_by_name(sentence_dir, form, text):
+    sig = sentence_dir / "hostile.sig"
+    sig.write_text(f"fn g {text} +\n")
+    argv = ["eval", str(sentence_dir / "qf.lg"), *(arg.format(text, sig=sig) for arg in form)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, out.getvalue()) == (2, "")
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "set_int_max_str_digits" not in lines[0]
+    assert text in lines[0] or f"of {len(text)} digits is too long" in lines[0]
+
+
+@given(st.text(st.characters(categories=("Nd",)), min_size=1, max_size=4300))
+def test_natural_reads_every_decimal_as_int_does(text):
+    assert lang.natural(text, "numeral") == int(text)
 
 
 def test_eval_bad_sequence_spec(capsys, qf_file):
@@ -592,6 +655,23 @@ def test_synth_topology_bad_table(capsys, tmp_path):
     code, _, err = run(capsys, "synth", "topology", str(bad), str(other),
                        "--out-dir", str(tmp_path))
     assert code == 2
+
+
+@pytest.mark.parametrize("line, message", [
+    ("-3 0 1", "row '-3' is not a decimal natural"),
+    ("0 +1 1", "column '+1' is not a decimal natural"),
+    ("0 0 1_0", "entry '1_0' is not a decimal natural"),
+])
+def test_synth_topology_names_a_bad_natural(capsys, tmp_path, line, message):
+    bad = tmp_path / "bad.tbl"
+    bad.write_text(line + "\n")
+    other = tmp_path / "ok.tbl"
+    other.write_text("0 0 1\n")
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "synth", "topology", str(bad), str(other),
+                         "--out-dir", str(out_dir))
+    assert (code, out, err) == (2, "", f"error: {bad}:1: {message}\n")
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

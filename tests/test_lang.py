@@ -382,6 +382,8 @@ def test_load_signature_rejects_bad_lines(line):
     ("pred p 3 <", "line 1: builtin '<' has arity 2, not 3"),
     ("fn g x +", "line 1: arity 'x' is not a decimal natural"),
     ("# comment\npred p -2 <", "line 2: arity '-2' is not a decimal natural"),
+    pytest.param("fn g " + "9" * 5000 + " +", "line 1: arity of 5000 digits is too long",
+                 id="arity-too-long"),
 ])
 def test_load_signature_error_texts(line, message):
     with pytest.raises(SignatureError) as exc:
