@@ -93,15 +93,24 @@ def _load_delta2(sigma2_path: str, pi2_path: str, sig: lang.Signature) -> synth.
     )
 
 
-def _parse_assignment(text: str | None) -> semantics.Assignment:
+def _parse_assignment(text: str | None, formula: lang.Formula) -> semantics.Assignment:
+    """``name=nat,...``: each name once, and each free in the formula."""
     if not text:
         return semantics.EMPTY_ASSIGNMENT
-    bindings = {}
+    bindings, parts = {}, {}
     for part in text.split(","):
         name, eq, value = part.partition("=")
+        name = name.strip()
         if not name or not eq:
             raise CliError(f"bad assignment entry {part!r}; use name=nat")
-        bindings[name.strip()] = lang.natural(value, f"bad assignment entry: {name.strip()}", CliError)
+        if name in bindings:
+            raise CliError(f"bad assignment entry {part!r}: {name} is already assigned")
+        bindings[name] = lang.natural(value, f"bad assignment entry: {name}", CliError)
+        parts[name] = part
+    free = lang.free_vars(formula)
+    for name, part in parts.items():
+        if name not in free:
+            raise CliError(f"bad assignment entry {part!r}: {name} is not free in the sentence")
     return semantics.Assignment(bindings)
 
 
@@ -152,7 +161,7 @@ def cmd_eval(args) -> int:
     sig = _load_signature(args.sig)
     formula = _load_sentence(args.sentence, sig)
     source = oracle.from_spec(args.seq)
-    assignment = _parse_assignment(args.assign)
+    assignment = _parse_assignment(args.assign, formula)
     if lang.is_quantifier_free(formula):
         result = semantics.eval_qf(formula, source, assignment, sig)
         shown = "true" if result.value else "false"

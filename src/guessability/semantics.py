@@ -3,8 +3,9 @@
 One evaluator serves every entry point; they differ in how an entry is read.
 ``eval_term`` and ``eval_qf`` read an oracle and report which indices they
 read.  ``attempt`` reads a finite prefix and fails the moment a read would look
-past its last index; given an ``EllipsisMemo`` it evaluates each ellipsis term
-once for each value of its free variables along a growing prefix.
+past its last index; given an ``EllipsisMemo`` it evaluates each entry of an
+ellipsis term once for each value of the body's free variables along a growing
+prefix, whatever the bounds that ask for it.
 ``eval_bounded`` restricts quantifiers to 0..bound.  Connectives are never
 short-circuited, so the query set is determined by the syntax alone, and every
 evaluation has a budget of ``MAX_BOUNDED_INSTANCES`` units of work.
@@ -66,24 +67,34 @@ EMPTY_ASSIGNMENT = Assignment()
 
 
 class EllipsisMemo:
-    """Values of the ellipsis terms of one matrix over one growing prefix.
+    """Values and entries of the ellipsis terms of one matrix over one growing prefix.
 
-    An entry maps an ``EllipsisApp`` node, by identity, and the values of its
-    free variables to the value the node evaluated to.  An evaluation that
-    succeeded read only observed entries, which never change as the prefix
-    grows, so with deterministic host functions the entry holds on every
-    extension.  The owner keeps the matrix alive, so node ids stay unique.
+    ``values`` maps an ``EllipsisApp`` node, by identity, and the values of its
+    free variables to the value the node evaluated to.  ``entries`` maps the
+    node and the values of its body's free variables other than the binder to
+    the body's values at binder = 0, 1, ... evaluated so far: they do not
+    depend on the bound, which only picks how many of them the host sees.  An
+    evaluation that succeeded read only observed entries, which never change
+    as the prefix grows, so with deterministic host functions both tables hold
+    on every extension; an entry list that stopped at a failed read keeps the
+    entries before it.  The owner keeps the matrix alive, so node ids stay
+    unique.
     """
 
     def __init__(self):
-        self._names: dict[int, tuple[str, ...]] = {}
+        self._names: dict[int, tuple[tuple[str, ...], tuple[str, ...]]] = {}
         self.values: dict[tuple[int, ...], int] = {}
+        self.entries: dict[tuple[int, ...], list[int]] = {}
 
-    def key(self, term: EllipsisApp, s: Assignment) -> tuple[int, ...]:
+    def keys(self, term: EllipsisApp, s: Assignment) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The node's key into ``values`` and its key into ``entries`` under ``s``."""
         names = self._names.get(id(term))
         if names is None:
-            names = self._names[id(term)] = tuple(free_vars(term))
-        return (id(term), *(s[name] for name in names))
+            names = self._names[id(term)] = (
+                tuple(free_vars(term)), tuple(free_vars(term.body) - {term.binder}))
+        of_term, of_body = names
+        node = id(term)
+        return (node, *(s[name] for name in of_term)), (node, *(s[name] for name in of_body))
 
 
 class EvalResult(Record):
@@ -143,7 +154,7 @@ class _Evaluation:
     Connectives always evaluate both sides, so the entries read are fixed by
     the syntax and not by evaluation order.  Quantifiers range over 0..bound
     and stop at the first instance that decides them; with no bound they are
-    an error.  A memo hit spends nothing.
+    an error.  A value or an ellipsis entry found in the memo spends nothing.
     """
 
     def __init__(self, read: Callable[[int], int], sig: Signature | None,
@@ -176,16 +187,18 @@ class _Evaluation:
         if isinstance(term, EllipsisApp):
             memo = self.memo
             if memo is not None:
-                key = memo.key(term, s)
+                key, entries_key = memo.keys(term, s)
                 if key in memo.values:
                     return memo.values[key]
             host = self.sig.seq_function(term.symbol)
-            # the bound evaluates first, then the body at binder = 0..bound, ascending
-            entries = []
-            for i in range(self.value(term.bound, s) + 1):
+            # the bound evaluates first, then the body at binder = 0..bound, ascending,
+            # each entry spending one unit unless the memo already holds it
+            size = self.value(term.bound, s) + 1
+            entries = [] if memo is None else memo.entries.setdefault(entries_key, [])
+            for i in range(len(entries), size):
                 self.spend()
                 entries.append(self.value(term.body, s.set(term.binder, i)))
-            value = int(host(tuple(entries)))
+            value = int(host(tuple(entries[:size])))
             if memo is not None:
                 memo.values[key] = value
             return value
@@ -257,8 +270,8 @@ def attempt(formula: Formula, prefix: FinitePrefix, sig: Signature | None = None
     moment any query goes past the prefix's last index, so the padding is
     never read; an empty prefix fails on the first query.  A memo must only
     ever see this formula over prefixes that extend one another; an ellipsis
-    value found in it is not evaluated again, and one that evaluates without
-    raising is stored.
+    value or entry found in it is not evaluated again, and one that evaluates
+    without raising is stored.
     """
     evaluation = _Evaluation(prefix.reader(), sig, memo)
     try:
@@ -266,6 +279,16 @@ def attempt(formula: Formula, prefix: FinitePrefix, sig: Signature | None = None
     except QueryBeyondLimit as exc:
         return AttemptOutcome.failure(exc.index)
     return AttemptOutcome.success(truth)
+
+
+def value_over(term: Term, prefix: FinitePrefix, sig: Signature | None = None,
+               s: Assignment | None = None, memo: EllipsisMemo | None = None) -> int:
+    """Value of a term over the prefix, sharing a memo as ``attempt`` does.
+
+    A read past the prefix's last index raises ``QueryBeyondLimit``.
+    """
+    evaluation = _Evaluation(prefix.reader(), sig, memo)
+    return evaluation.value(term, s if s is not None else EMPTY_ASSIGNMENT)
 
 
 def eval_bounded(formula: Formula, oracle: SequenceOracle, s: Assignment | None = None,

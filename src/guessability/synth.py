@@ -13,22 +13,34 @@ boolean operations.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
-from collections.abc import Callable
+import math
+import operator
+from collections.abc import Callable, Iterator
 
 from . import pairing
 from .lang import (
+    And,
+    Eq,
+    Formula,
+    Implies,
     LangError,
     Not,
+    Or,
     Pi2Sentence,
+    Pred,
     Record,
     Signature,
     Sigma2Sentence,
+    Term,
+    Variable,
     default_signature,
+    free_vars,
     parse,
 )
 from .oracle import FinitePrefix
-from .semantics import Assignment, EllipsisMemo, attempt
+from .semantics import Assignment, EllipsisMemo, attempt, value_over
 
 
 # ---------------------------------------------------------------------------
@@ -142,30 +154,84 @@ def mu_from_sigma2(sentence: Sigma2Sentence, prefix: FinitePrefix,
     return ExtendedNat.finite(len(prefix))
 
 
+# (arity, host) of the comparison predicates: ``a op c`` changes truth only at a = c or c + 1
+_COMPARISONS = tuple((2, host) for host in (operator.lt, operator.gt, operator.le, operator.ge))
+
+
+def _thresholds(matrix: Formula, var: str, sig: Signature) -> list[Term] | None:
+    """The terms ``var`` is compared with, if it occurs only as a whole comparison operand.
+
+    That is, as one side of ``=`` or of a binary predicate whose host is
+    ``operator.lt/gt/le/ge``, with the other side not mentioning it; the other
+    sides are returned.  None when ``var`` occurs free anywhere else.
+    """
+    found: list[Term] = []
+
+    def only_compared(node: Formula) -> bool:
+        if isinstance(node, Not):
+            return only_compared(node.body)
+        if isinstance(node, (And, Or, Implies)):
+            return only_compared(node.left) and only_compared(node.right)
+        if var not in free_vars(node):
+            return True
+        if isinstance(node, Eq):
+            operands = (node.left, node.right)
+        elif isinstance(node, Pred) and len(node.args) == 2 \
+                and sig.predicates.get(node.symbol) in _COMPARISONS:
+            operands = node.args
+        else:
+            return False
+        for this, other in (operands, operands[::-1]):
+            if this == Variable(var) and var not in free_vars(other):
+                found.append(other)
+                return True
+        return False
+
+    return found if only_compared(matrix) else None
+
+
 class MuStream:
     """The values of mu_from_sigma2 over a prefix that grows one entry at a time.
 
     Attempts are deterministic and read only the observed entries when they
     succeed, so a decided attempt keeps its result on every extension, and a
     failed one fails again at the same offending index until the prefix
-    reaches that index.  A refuted witness therefore stays refuted, and the
-    stream keeps only the current witness ``a`` (which never decreases), the
-    next inner ``b`` to try for it, and the failed ``b``s with their
-    offending indices.  A trace of H pushes costs O(H^2) attempts.  For the
-    same reason an ellipsis term is evaluated once for each value of its free
-    variables (see EllipsisMemo), which assumes deterministic host functions.
+    reaches that index.  A refuted witness therefore stays refuted, and mu
+    never decreases.  For the same reason each ellipsis entry is evaluated
+    once for each value of the body's free variables (see EllipsisMemo), which
+    assumes deterministic host functions.
+
+    When the outer variable occurs only as a whole operand of a comparison
+    (see _thresholds), which entries an attempt reads, and so whether it fails
+    and where, does not depend on the witness ``a``.  Then each inner ``b`` is
+    tried once at a = 0 when it first appears or falls due.  Once that attempt
+    succeeds, the values c of the compared terms cut the witnesses at 0 and
+    at each c and c + 1 into intervals on which the matrix is constant; one
+    attempt per interval decides it, and the false intervals stay refuted.  mu
+    is the least witness that no interval covers, capped at len(prefix).  A b
+    costs one attempt per interval, at most 2k + 1 for k compared terms, so a
+    trace of H pushes costs O(H) attempts.
+
+    Otherwise the stream keeps the current witness ``a``, the next inner ``b``
+    to try for it, and the failed ``b``s with their offending indices, and a
+    trace costs O(H^2) attempts.
+
+    Either way the stream skips attempts that mu_from_sigma2 makes, so a host
+    that raises only when it is called again shows up there and not here.
     """
 
     def __init__(self, sentence: Sigma2Sentence, sig: Signature | None = None):
         self.sentence = sentence
         self.sig = sig if sig is not None else default_signature()
+        self._thresholds = _thresholds(sentence.matrix, sentence.outer, self.sig)
         self._restart()
 
     def _restart(self) -> None:
         self.prefix = FinitePrefix(())
-        self._a = 0
+        self._a = 0  # on the interval path, math.inf once every witness is refuted
         self._next_b = 0
-        self._failed: dict[int, int] = {}  # b -> offending index
+        self._failed: list[tuple[int, int]] = []  # heap of (offending index, b) for failed b
+        self._refuted: list[tuple[int, float]] = []  # heap of refuted [lo, hi) witness intervals
         self._memo = EllipsisMemo()
 
     def __call__(self, prefix: FinitePrefix) -> ExtendedNat:
@@ -188,27 +254,66 @@ class MuStream:
     def _observe(self, prefix: FinitePrefix) -> ExtendedNat:
         """Take prefix, which extends the last one by one entry, as the prefix seen so far."""
         self.prefix = prefix
+        if self._thresholds is not None:
+            self._refute_intervals(prefix)
+            return ExtendedNat.finite(min(self._a, len(prefix)))
         while self._a <= prefix.last_index and not self._survives(prefix):
             self._a += 1
             self._next_b = 0
-            self._failed = {}
+            self._failed = []
         return ExtendedNat.finite(self._a)
+
+    def _due(self, prefix: FinitePrefix) -> Iterator[int]:
+        """Each failed b whose offending index the prefix reaches, then each b not yet tried.
+
+        A failed b leaves the heap only when the next b is asked for, so one
+        whose attempt raises is tried again on the next push.  An attempt that
+        fails again reads past the prefix, so the entry it adds stays off the top.
+        """
+        failed = self._failed
+        while failed and failed[0][0] <= prefix.last_index:
+            yield failed[0][1]
+            heapq.heappop(failed)
+        yield from range(self._next_b, len(prefix) + 1)
 
     def _survives(self, prefix: FinitePrefix) -> bool:
         """Whether no b <= len(prefix) refutes the current witness on this prefix."""
         sentence = self.sentence
-        due = sorted(b for b, k in self._failed.items() if k <= prefix.last_index)
-        for b in itertools.chain(due, range(self._next_b, len(prefix) + 1)):
+        for b in self._due(prefix):
             s = Assignment({sentence.outer: self._a, sentence.inner: b})
             outcome = attempt(sentence.matrix, prefix, self.sig, s, self._memo)
             if outcome.failed:
-                self._failed[b] = outcome.offending_index
-            else:
-                self._failed.pop(b, None)
-                if not outcome.truth:
-                    return False
+                heapq.heappush(self._failed, (outcome.offending_index, b))
+            elif not outcome.truth:
+                return False
         self._next_b = len(prefix) + 1
         return True
+
+    def _refute_intervals(self, prefix: FinitePrefix) -> None:
+        """Decide every due b at once for all witnesses, then move ``a`` past the refuted ones."""
+        sentence = self.sentence
+        for b in self._due(prefix):
+            s = Assignment({sentence.outer: 0, sentence.inner: b})
+            outcome = attempt(sentence.matrix, prefix, self.sig, s, self._memo)
+            if outcome.failed:
+                heapq.heappush(self._failed, (outcome.offending_index, b))
+                continue
+            cuts = {0}
+            for term in self._thresholds:
+                c = value_over(term, prefix, self.sig, s, self._memo)
+                cuts.update((c, c + 1))
+            cuts = sorted(cuts)
+            for lo, hi in zip(cuts, [*cuts[1:], math.inf]):
+                if hi <= self._a:
+                    continue
+                if lo:
+                    outcome = attempt(sentence.matrix, prefix, self.sig,
+                                      s.set(sentence.outer, lo), self._memo)
+                if not outcome.truth:
+                    heapq.heappush(self._refuted, (lo, hi))
+        self._next_b = len(prefix) + 1
+        while self._refuted and self._refuted[0][0] <= self._a:
+            self._a = max(self._a, heapq.heappop(self._refuted)[1])
 
 
 def overguesser_from_sigma2(sentence: Sigma2Sentence,

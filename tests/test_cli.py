@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from guessability import cli, lang, oracle, synth
+from guessability import cli, lang, oracle, semantics, synth
 from guessability.lang import load_signature, parse
 from guessability.cli import GuessTrace
 
@@ -250,6 +250,18 @@ def test_eval_json_output(capsys, qf_file):
     assert json.loads(out) == {"value": True, "max_queried": 1, "queried": [1]}
 
 
+@pytest.mark.parametrize("assign, message", [
+    (" =1", "bad assignment entry ' =1'; use name=nat"),
+    ("x=1,x=0", "bad assignment entry 'x=0': x is already assigned"),
+    ("x=1,zz=1", "bad assignment entry 'zz=1': zz is not free in the sentence"),
+])
+def test_eval_rejects_an_assignment_that_binds_nothing_useful(capsys, tmp_path, assign, message):
+    path = tmp_path / "open.lg"
+    path.write_text("f(x) = 4")
+    code, out, err = run(capsys, "eval", str(path), "--seq", "id", "--assign", assign)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_eval_with_assignment(capsys, tmp_path):
     path = tmp_path / "open.lg"
     path.write_text("f(x) = 4")
@@ -405,6 +417,88 @@ def test_adversary_delta2_ellipsis_entries_grow_quadratically(capsys, monkeypatc
         counts.append(entries[0])
     # about 7.3 when every attempt rebuilds the tuple
     assert counts[1] / counts[0] <= 4.5, counts
+
+
+def count_attempts(monkeypatch) -> list[int]:
+    """Make every attempt made through synth add one to the returned counter."""
+    calls = [0]
+    original = synth.attempt
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(synth, "attempt", counted)
+    return calls
+
+
+def test_mu_trace_attempts_grow_linearly(capsys, monkeypatch, tmp_path):
+    sentence = tmp_path / "mu.lg"
+    sentence.write_text("exists x. forall y. ((y > x) -> f(y) = 0)")
+    calls = count_attempts(monkeypatch)
+    counts = []
+    for horizon in (100, 200):
+        calls[0] = 0
+        code, out, _ = run(capsys, "mu", str(sentence), "--seq", "cycle:[3,1,4]",
+                           "--horizon", str(horizon))
+        # no entry is 0, so b = a + 1 refutes every witness a below len - 1
+        assert (code, out) == (0, "".join(f"len={n} mu={n - 1}\n" for n in range(1, horizon + 1)))
+        counts.append(calls[0])
+    # deciding each b once for every witness gives a ratio near 2;
+    # trying b = 0..len again for each new witness gives about 4
+    assert counts[1] / counts[0] <= 2.5, counts
+
+
+def test_adversary_delta2_attempts_grow_linearly(capsys, monkeypatch, gz_files):
+    sig, sigma2, pi2 = gz_files
+    calls = count_attempts(monkeypatch)
+    counts = []
+    for budget in (100, 200):
+        calls[0] = 0
+        code, out, _ = run(capsys, "adversary", "--sig", sig, "--guesser",
+                           f"delta2:{sigma2}:{pi2}", "--kind", "diagonal", "--set", "inf-zeros",
+                           "--flips", "10", "--budget", str(budget))
+        ones = ",".join(["1"] * budget)
+        assert (code, out) == (3, f"flips=[0] guesses=[1] status=budget-exhausted phase=2 "
+                                  f"steps={budget}\nprefix: prefix:[0,{ones}]:pad0\n")
+        counts.append(calls[0])
+    assert counts[1] / counts[0] <= 2.5, counts
+
+
+def test_guess_ellipsis_entries_evaluated_grow_linearly(capsys, monkeypatch, gz_files):
+    sig, sigma2, pi2 = gz_files
+    units = [0]
+    spend = semantics._Evaluation.spend
+
+    def counted(evaluation):
+        units[0] += 1
+        spend(evaluation)
+
+    # with no quantifiers in an attempt, every budget unit is one evaluated ellipsis entry
+    monkeypatch.setattr(semantics._Evaluation, "spend", counted)
+    counts = []
+    for horizon in (100, 200):
+        units[0] = 0
+        code, out, _ = run(capsys, "guess", "--sig", sig, "--sigma2", sigma2, "--pi2", pi2,
+                           "--seq", "plantzero:10", "--horizon", str(horizon))
+        assert code == 0
+        assert out.splitlines()[1:] == ["stable_from: 11", "final: 1"]
+        counts.append(units[0])
+    # sharing Gz[ f(z) : z .. y ]'s entries across y gives a ratio near 2;
+    # evaluating them afresh for each y gives about 4
+    assert counts[1] / counts[0] <= 2.5, counts
+
+
+def test_adversary_delta2_runs_to_the_default_budget(capsys, gz_files):
+    sig, sigma2, pi2 = gz_files
+    code, out, err = run(capsys, "adversary", "--sig", sig, "--guesser", f"delta2:{sigma2}:{pi2}",
+                         "--kind", "diagonal", "--set", "inf-zeros", "--flips", "10")
+    # phase 1 steers along zeros and the guesser says 1 at once; phase 2 steers along
+    # ones for the whole per-phase budget of 10,000 steps and the guesser never says 0
+    ones = ",".join(["1"] * 10000)
+    assert (code, err) == (3, "")
+    assert out == ("flips=[0] guesses=[1] status=budget-exhausted phase=2 steps=10000\n"
+                   f"prefix: prefix:[0,{ones}]:pad0\n")
 
 
 def test_adversary_validates_each_entry_once(capsys, monkeypatch):

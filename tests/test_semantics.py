@@ -5,10 +5,17 @@ import pytest
 from guessability import semantics
 from guessability.lang import (
     And,
+    EllipsisApp,
     Eq,
     Exists,
+    FixedApp,
     Forall,
+    Implies,
     Numeral,
+    Or,
+    Pred,
+    SeqApp,
+    Variable,
     default_signature,
     parse,
     parse_term,
@@ -221,12 +228,28 @@ def test_attempt_monotone_in_prefix_length(sig):
     assert checked > 40
 
 
+def _shared_entries_matrix(rnd):
+    """A matrix whose ellipsis body mentions a free variable besides its binder.
+
+    The body reads f at the binder half the time, so a long enough bound fails mid-list.
+    """
+    binder, other = rnd.choice((("z", "x"), ("z", "y"), ("x", "y"), ("y", "x")))
+    left = formula_gen.gen_term(rnd, 1, (binder, other)) if rnd.randrange(2) else SeqApp(Variable(binder))
+    body = FixedApp(rnd.choice(("add", "mul", "monus")), (left, Variable(other)))
+    bound = rnd.choice((Variable("x"), Variable("y"), SeqApp(Variable("y")), Numeral(3)))
+    ellipsis = EllipsisApp(rnd.choice(("S", "M")), body, binder, bound)
+    right = formula_gen.gen_term(rnd, 1, ("x", "y"))
+    atom = Eq(ellipsis, right) if rnd.randrange(2) else Pred("<", (ellipsis, right))
+    return rnd.choice((And, Or, Implies))(atom, formula_gen.gen_qf(rnd, 1, ("x", "y")))
+
+
 def test_attempt_with_memo_matches_plain_attempt():
     rnd = random.Random(8)
     gsig = formula_gen.generator_signature()
-    for _ in range(60):
-        matrix = formula_gen.gen_qf(rnd, 2, ("x", "y"), force_ellipsis=True,
-                                    binder=rnd.choice(("x", "y", "z")))
+    for n in range(90):
+        # every third matrix shares ellipsis entries across the values of a second variable
+        matrix = _shared_entries_matrix(rnd) if n % 3 == 2 else formula_gen.gen_qf(
+            rnd, 2, ("x", "y"), force_ellipsis=True, binder=rnd.choice(("x", "y", "z")))
         oracle = formula_gen.random_oracle(rnd)
         values = tuple(oracle.query(i) for i in range(10))
         memo = EllipsisMemo()
@@ -239,6 +262,51 @@ def test_attempt_with_memo_matches_plain_attempt():
                 s = Assignment({"x": x, "y": y})
                 assert attempt(matrix, prefix, gsig, s, memo) == attempt(matrix, prefix, gsig, s), \
                     (matrix, k, x, y)
+
+
+def test_memo_keeps_the_entries_before_a_failed_read(sig, monkeypatch):
+    spent = [0]
+    spend = semantics._Evaluation.spend
+
+    def counted(self):
+        spent[0] += 1
+        spend(self)
+
+    monkeypatch.setattr(semantics._Evaluation, "spend", counted)
+    matrix = parse("G[ add(f(z), x) : z .. y ] = 20", sig)
+    prefix = FinitePrefix((1, 2, 3, 4, 5))
+    memo = EllipsisMemo()
+
+    def both(y, prefix=prefix):
+        s = Assignment({"x": 1, "y": y})
+        plain = attempt(matrix, prefix, sig, s)
+        spent[0] = 0
+        return plain, attempt(matrix, prefix, sig, s, memo), spent[0]
+
+    # entries 0..4 succeed, entry 5 reads past the prefix: same offending index
+    plain, memoised, units = both(8)
+    assert plain == memoised == semantics.AttemptOutcome.failure(5)
+    assert units == 6
+    # a shorter bound finds its entries in the list and spends nothing
+    plain, memoised, units = both(3)
+    assert plain == memoised and memoised.truth is False
+    assert units == 0
+    assert both(4)[:2] == (semantics.AttemptOutcome.success(True),) * 2
+    # on an extension the longer bound evaluates only the entries past the list
+    plain, memoised, units = both(8, FinitePrefix((1, 2, 3, 4, 5, 6, 7, 8, 9)))
+    assert plain == memoised and memoised.truth is False
+    assert units == 4
+
+
+def test_memo_spends_budget_only_on_new_entries(sig):
+    half = MAX_BOUNDED_INSTANCES // 2 + 1
+    matrix = parse("G[ f(z) : z .. y ] = 0", sig)
+    prefix = FinitePrefix((0,) * (2 * half))
+    memo = EllipsisMemo()
+    for y in (half - 1, 2 * half - 1):
+        assert attempt(matrix, prefix, sig, Assignment({"y": y}), memo).truth is True
+    with pytest.raises(EvaluationBudgetExhausted):
+        attempt(matrix, prefix, sig, Assignment({"y": 2 * half - 1}))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,23 @@
 import random
 import re
 import dataclasses
+import operator
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from guessability import pairing
 from guessability import synth
 from guessability.lang import (
+    And,
+    Eq,
+    Implies,
     LangError,
+    Not,
+    Or,
+    Pred,
+    Variable,
+    print_term,
     SentenceClass,
     Signature,
     classify_sentence,
@@ -503,6 +512,128 @@ def test_mu_stream_matches_one_shot_mu():
         for k in range(1, len(values) + 1):
             assert stream.push(values[k - 1]) == \
                 mu_from_sigma2(sentence, FinitePrefix(values[:k]), gsig), (sentence.text(), k)
+
+
+# ---------------------------------------------------------------------------
+# refuting witnesses by intervals
+
+
+_RELATIONS = ("=", "<", "<=", ">", ">=")
+
+
+def _compared(rnd, relation, outer_left):
+    """An atom comparing x, as a whole operand, with a term in which x is not free."""
+    if rnd.randrange(4):
+        other = formula_gen.gen_term(rnd, 2, ("y",))
+    else:  # an ellipsis whose binder is x, so x is bound inside it
+        other = formula_gen.gen_ellipsis(rnd, 2, ("y",), binder="x")
+    left, right = (Variable("x"), other) if outer_left else (other, Variable("x"))
+    return Eq(left, right) if relation == "=" else Pred(relation, (left, right))
+
+
+def _compared_matrix(rnd, atoms):
+    """A matrix over x, y in which x occurs only in the given (relation, x on the left) atoms."""
+    parts = [_compared(rnd, *atom) for atom in atoms]
+    parts += [formula_gen.gen_qf(rnd, 1, ("y",)) for _ in range(rnd.randrange(3))]
+    rnd.shuffle(parts)
+    matrix = parts[0]
+    for part in parts[1:]:
+        matrix = rnd.choice((And, Or, Implies))(matrix, part)
+    return Not(matrix) if rnd.randrange(2) else matrix
+
+
+@pytest.mark.parametrize("relation", _RELATIONS)
+@pytest.mark.parametrize("outer_left", [True, False])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       more=st.lists(st.tuples(st.sampled_from(_RELATIONS), st.booleans()), max_size=2))
+def test_interval_stream_matches_one_shot_mu(relation, outer_left, seed, more):
+    rnd = random.Random(seed)
+    gsig = formula_gen.generator_signature()
+    sentence = Sigma2Sentence("x", "y", _compared_matrix(rnd, [(relation, outer_left), *more]))
+    stream = MuStream(sentence, gsig)
+    assert stream._thresholds is not None, sentence.text()
+    values = tuple(formula_gen.random_oracle(rnd).query(i) for i in range(12))
+    for k in range(1, len(values) + 1):
+        assert stream.push(values[k - 1]) == \
+            mu_from_sigma2(sentence, FinitePrefix(values[:k]), gsig), (sentence.text(), k)
+    # a replay restarts the intervals too
+    replayed = FinitePrefix(values[:5])
+    assert stream(replayed) == mu_from_sigma2(sentence, replayed, gsig)
+
+
+@pytest.mark.parametrize("text, thresholds", [
+    ("(y > x) -> f(y) = 0", ["y"]),
+    ("x = f(y) | S[ f(x) : x .. y ] <= x", ["f(y)", "S[ f(x) : x .. y ]"]),
+    ("lt(add(y, 1), x)", ["add(y, 1)"]),
+    ("f(y) = 0", []),
+    ("f(x) = 0", None),
+    ("(m3 > d2(x)) -> f(m3) = 0", None),
+    ("x = x", None),
+    ("x < add(x, y)", None),
+    ("add(x, 0) < y", None),
+    ("odd(x, y)", None),
+])
+def test_interval_path_is_chosen_by_the_shape_of_the_matrix(text, thresholds):
+    sig = formula_gen.generator_signature()
+    sig.register_predicate("lt", 2, operator.lt)
+    sig.register_predicate("odd", 2, lambda a, b: (a + b) % 2 == 1)
+    found = synth._thresholds(parse(text, sig), "x", sig)
+    if thresholds is None:
+        assert found is None
+    else:
+        assert [print_term(t) for t in found] == thresholds
+
+
+def test_sentences_that_do_not_qualify_keep_the_witness_by_witness_search(cz, monkeypatch):
+    # contains-zero reads f at the witness; the overguesser sentence passes it to d2
+    sig = default_signature()
+    sig.register_seq_function("Mu", mu_prime_host(overguesser_from_sigma2(cz.sigma2)))
+    assert MuStream(sigma2_from_overguesser("Mu", sig), sig)._thresholds is None
+    witnesses = []
+
+    def recorded(matrix, prefix, sig=None, s=None, memo=None):
+        witnesses.append(s["x"])
+        return attempt(matrix, prefix, sig, s, memo)
+
+    entries = (3, 1, 2, 0, 4)
+    expected = [mu_from_sigma2(cz.sigma2, FinitePrefix(entries[:k]), sig)
+                for k in range(1, len(entries) + 1)]
+    monkeypatch.setattr(synth, "attempt", recorded)
+    stream = MuStream(cz.sigma2, sig)
+    assert stream._thresholds is None
+    assert [stream.push(value) for value in entries] == expected
+    # each witness up to mu = 3 in turn, never going back
+    assert witnesses == sorted(witnesses) and set(witnesses) == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("text", [
+    "exists x. forall y. ((y > x) -> S[ f(z) : z .. add(y, 1) ] = 0)",
+    "exists x. forall y. (S[ f(z) : z .. add(y, 1) ] = 0 | f(x) = 0)",
+])
+def test_a_stream_survives_a_host_that_raises_once(text):
+    # b = 4 and b = 5 fail at index 5 on five entries; on six, deciding b = 4 raises
+    sig = default_signature()
+    raised = []
+
+    def flaky(t):
+        if len(t) == 6 and not raised:
+            raised.append(t)
+            raise RuntimeError("flaky host")
+        return 1 if 0 in t else 0
+
+    sig.register_seq_function("S", flaky)
+    sentence = Sigma2Sentence.from_formula(parse(text, sig))
+    entries = (3, 1, 4, 1, 0, 9, 2, 6, 5, 3)
+    stream = MuStream(sentence, sig)
+    for k in range(1, len(entries) + 1):
+        prefix = FinitePrefix(entries[:k])
+        if k == 6:
+            with pytest.raises(RuntimeError):
+                stream(prefix)
+        else:
+            assert stream(prefix) == mu_from_sigma2(sentence, prefix, sig), k
+    assert raised
 
 
 def test_streamed_guessers_replay_prefixes_that_do_not_extend():
