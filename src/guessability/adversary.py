@@ -72,7 +72,11 @@ def format_trace(trace: FlipTrace) -> str:
 
 
 class _Run:
-    """Shared bookkeeping for one adversary run."""
+    """One adversary run: the growing prefix, the flips so far and the per-phase step budget.
+
+    Every adversary is ``play`` over a function that gives each phase its
+    target guess and the values to append.
+    """
 
     def __init__(self, guesser: Guesser, target_flips: int, step_budget: int):
         if target_flips < 1:
@@ -99,14 +103,14 @@ class _Run:
                 return True
         return False
 
-    def exhausted(self, phase: int) -> tuple[FinitePrefix, FlipTrace]:
-        trace = FlipTrace(tuple(self.flips), tuple(self.guesses),
-                          BUDGET_EXHAUSTED, phase=phase, steps=self.step_budget)
-        return self.prefix, trace
-
-    def completed(self) -> tuple[FinitePrefix, FlipTrace]:
-        trace = FlipTrace(tuple(self.flips), tuple(self.guesses), COMPLETED)
-        return self.prefix, trace
+    def play(self, phases: Callable[[int, FinitePrefix], tuple[int, Iterator[int]]]
+             ) -> tuple[FinitePrefix, FlipTrace]:
+        """Seek through phases 1..target_flips; ``phases(phase, prefix)`` gives (target, values)."""
+        for phase in range(1, self.target_flips + 1):
+            if not self.seek(*phases(phase, self.prefix)):
+                return self.prefix, FlipTrace(tuple(self.flips), tuple(self.guesses),
+                                              BUDGET_EXHAUSTED, phase=phase, steps=self.step_budget)
+        return self.prefix, FlipTrace(tuple(self.flips), tuple(self.guesses), COMPLETED)
 
 
 def diagonalize(guesser: Guesser, extensions: ExtensionOracles,
@@ -118,38 +122,33 @@ def diagonalize(guesser: Guesser, extensions: ExtensionOracles,
     ExtensionUnavailable when the set fails the density requirement at the
     current prefix.
     """
-    run = _Run(guesser, target_flips, step_budget)
-    for phase in range(1, target_flips + 1):
+
+    def phases(phase: int, prefix: FinitePrefix) -> tuple[int, Iterator[int]]:
         inside = phase % 2 == 1
-        source = extensions.in_s if inside else extensions.out_s
-        extension = source(run.prefix)
-        if extension is None:
-            raise ExtensionUnavailable(run.prefix, "in-set" if inside else "out-of-set")
-        if not run.seek(phase % 2, extension):
-            return run.exhausted(phase)
-    return run.completed()
+        values = (extensions.in_s if inside else extensions.out_s)(prefix)
+        if values is None:
+            raise ExtensionUnavailable(prefix, "in-set" if inside else "out-of-set")
+        return phase % 2, values
+
+    return _Run(guesser, target_flips, step_budget).play(phases)
 
 
 def permutation_adversary(guesser: Guesser, target_flips: int,
                           step_budget: int) -> tuple[FinitePrefix, FlipTrace]:
     """Defeat candidates for the set of bijective sequences.
 
-    Emits fresh values in ascending order until the candidate says 1, skips
-    one value until it says 0, then fills the gap and resumes.  The emitted
-    prefix is injective throughout, and after each fill phase its value set
-    is a gap-free initial segment.
+    The diagonalizer over two injective extensions: fill emits the unused
+    values in ascending order, skip does the same without the least of them.
+    After each fill phase the prefix's values are a gap-free initial segment,
+    so a skip phase leaves one gap, which the next fill phase fills first.
     """
-    run = _Run(guesser, target_flips, step_budget)
-    fresh = itertools.count()
-    gap: list[int] = []  # the value the last even phase skipped, until an odd phase fills it
-    for phase in range(1, target_flips + 1):
-        if phase % 2 == 1:
-            pending, gap = gap, []
-        else:
-            pending, gap = [], [next(fresh)]
-        if not run.seek(phase % 2, itertools.chain(pending, fresh)):
-            return run.exhausted(phase)
-    return run.completed()
+    fill = permutation_extenders().in_s
+
+    def skip(prefix: FinitePrefix) -> Iterator[int] | None:
+        values = fill(prefix)
+        return None if values is None else itertools.islice(values, 1, None)
+
+    return diagonalize(guesser, ExtensionOracles(in_s=fill, out_s=skip), target_flips, step_budget)
 
 
 def cantor_adversary(guesser: Guesser, target_flips: int,
@@ -159,13 +158,12 @@ def cantor_adversary(guesser: Guesser, target_flips: int,
     Emits runs of 0s until the candidate says 0, then runs of 5s until it
     says 1, alternating; every emitted value is 0 or 5.
     """
-    run = _Run(guesser, target_flips, step_budget)
-    for phase in range(1, target_flips + 1):
-        target = 0 if phase % 2 == 1 else 1
-        value = 0 if target == 0 else 5
-        if not run.seek(target, itertools.repeat(value)):
-            return run.exhausted(phase)
-    return run.completed()
+
+    def phases(phase: int, prefix: FinitePrefix) -> tuple[int, Iterator[int]]:
+        target = 1 - phase % 2
+        return target, itertools.repeat(5 if target else 0)
+
+    return _Run(guesser, target_flips, step_budget).play(phases)
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +192,27 @@ def contains_zero_extenders() -> ExtensionOracles:
 def permutation_extenders() -> ExtensionOracles:
     """In: append the unused values in ascending order, unavailable on repeated values.
 
-    Out: repeat a value forever, so the extension is never injective.
+    Out: repeat a value forever, so the extension is never injective.  The
+    in-set side keeps the values of the last prefix it was given, so a prefix
+    that extends it over the same list costs only the entries it adds: an
+    adversary run pays O(1) amortised per value, however many phases it has.
+    An iterator it returned reads those values when it is advanced, so one
+    advanced after a later call also skips the values that call added.
     """
+    last, used, least = FinitePrefix(), set(), 0
 
     def in_s(p: FinitePrefix) -> Iterator[int] | None:
-        used = set(p)
+        nonlocal last, used, least
+        added = p.past(last)
+        if added is None:
+            added, used, least = p, set(), 0
+        used.update(added)
+        last = p
         if len(used) != len(p):
             return None
-        return (v for v in itertools.count() if v not in used)
+        while least in used:
+            least += 1
+        return (v for v in itertools.count(least) if v not in used)
 
     return ExtensionOracles(in_s=in_s, out_s=lambda p: itertools.repeat(p[0] if len(p) else 0))
 

@@ -165,7 +165,8 @@ def cmd_eval(args) -> int:
     if lang.is_quantifier_free(formula):
         result = semantics.eval_qf(formula, source, assignment, sig)
         shown = "true" if result.value else "false"
-        max_q = result.max_queried if result.max_queried is not None else "none"
+        max_q = "none" if result.max_queried is None else lang.decimal(
+            result.max_queried, "read index", CliError)
         if args.json:
             print(json.dumps({"value": bool(result.value),
                               "max_queried": result.max_queried,

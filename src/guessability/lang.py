@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import math
 import operator
 from collections.abc import Callable
 
@@ -63,6 +64,17 @@ def natural(text: str, what: str, error: Callable[[str], Exception] = LangError)
         return int(text)
     except ValueError:  # more digits than the interpreter converts
         raise error(f"{what} of {len(text)} digits is too long") from None
+
+
+def decimal(n: int, what: str, error: Callable[[str], Exception] = LangError) -> str:
+    """The converse of ``natural``: ``str(n)``, or ``error`` naming ``what`` and its digit count."""
+    try:
+        return str(n)
+    except ValueError:
+        digits = int(math.log10(n))  # the float may round either way at a power of ten
+        while n >= 10 ** digits:
+            digits += 1
+        raise error(f"{what} of {digits} digits is too long") from None
 
 
 # ---------------------------------------------------------------------------

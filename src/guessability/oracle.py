@@ -18,9 +18,12 @@ class QueryBeyondLimit(Exception):
     """An evaluation tried to read an index past the last one it may read."""
 
     def __init__(self, index: int, limit: int):
-        super().__init__(f"query at index {index} exceeds limit {limit}")
         self.index = index
         self.limit = limit
+
+    def __str__(self) -> str:
+        # built only when shown: an attempt that fails at an index too long to print never is
+        return f"query at index {self.index} exceeds limit {self.limit}"
 
 
 class SequenceSpecError(ValueError):
@@ -112,6 +115,12 @@ class FinitePrefix:
         return self._n == n + 1 and (
             self._items is other._items
             or all(map(operator.eq, itertools.islice(self._items, n), other)))
+
+    def past(self, other: "FinitePrefix") -> list[int] | None:
+        """This prefix's entries past ``other``'s, copying only those, if both view one list; else None."""
+        if self._items is not other._items or self._n < other._n:
+            return None
+        return _copy(self._items, range(other._n, self._n))
 
     def reader(self) -> Callable[[int], int]:
         """Read an index of this prefix: ValueError below 0, QueryBeyondLimit past last_index."""

@@ -13,6 +13,7 @@ evaluation has a budget of ``MAX_BOUNDED_INSTANCES`` units of work.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Callable, Mapping
 
 from .lang import (
@@ -67,34 +68,31 @@ EMPTY_ASSIGNMENT = Assignment()
 
 
 class EllipsisMemo:
-    """Values and entries of the ellipsis terms of one matrix over one growing prefix.
+    """Entries and values of the ellipsis terms of one matrix over one growing prefix.
 
-    ``values`` maps an ``EllipsisApp`` node, by identity, and the values of its
-    free variables to the value the node evaluated to.  ``entries`` maps the
-    node and the values of its body's free variables other than the binder to
-    the body's values at binder = 0, 1, ... evaluated so far: they do not
-    depend on the bound, which only picks how many of them the host sees.  An
-    evaluation that succeeded read only observed entries, which never change
-    as the prefix grows, so with deterministic host functions both tables hold
-    on every extension; an entry list that stopped at a failed read keeps the
-    entries before it.  The owner keeps the matrix alive, so node ids stay
-    unique.
+    ``tables`` maps an ``EllipsisApp`` node, by identity, and the values of its
+    body's free variables other than the binder to the body's values at
+    binder = 0, 1, ... evaluated so far, and to the host's value on each tuple
+    size it was called with.  Neither depends on the bound, which only picks
+    the size.  An evaluation that succeeded read only observed entries, which
+    never change as the prefix grows, so with deterministic host functions the
+    table holds on every extension; an entry list that stopped at a failed
+    read keeps the entries before it.  The owner keeps the matrix alive, so
+    node ids stay unique.
     """
 
     def __init__(self):
-        self._names: dict[int, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-        self.values: dict[tuple[int, ...], int] = {}
-        self.entries: dict[tuple[int, ...], list[int]] = {}
+        self._names: dict[int, tuple[str, ...]] = {}
+        self.tables: dict[tuple[int, ...], tuple[list[int], dict[int, int]]] = defaultdict(
+            lambda: ([], {}))
 
-    def keys(self, term: EllipsisApp, s: Assignment) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The node's key into ``values`` and its key into ``entries`` under ``s``."""
-        names = self._names.get(id(term))
-        if names is None:
-            names = self._names[id(term)] = (
-                tuple(free_vars(term)), tuple(free_vars(term.body) - {term.binder}))
-        of_term, of_body = names
+    def table(self, term: EllipsisApp, s: Assignment) -> tuple[list[int], dict[int, int]]:
+        """The node's entries so far and its host values by tuple size under ``s``."""
         node = id(term)
-        return (node, *(s[name] for name in of_term)), (node, *(s[name] for name in of_body))
+        names = self._names.get(node)
+        if names is None:
+            names = self._names[node] = tuple(free_vars(term.body) - {term.binder})
+        return self.tables[(node, *(s[name] for name in names))]
 
 
 class EvalResult(Record):
@@ -185,22 +183,17 @@ class _Evaluation:
                 raise ValueError(f"{term.symbol!r} expects {arity} arguments, got {len(term.args)}")
             return int(host(*[self.value(a, s) for a in term.args]))
         if isinstance(term, EllipsisApp):
-            memo = self.memo
-            if memo is not None:
-                key, entries_key = memo.keys(term, s)
-                if key in memo.values:
-                    return memo.values[key]
-            host = self.sig.seq_function(term.symbol)
             # the bound evaluates first, then the body at binder = 0..bound, ascending,
             # each entry spending one unit unless the memo already holds it
             size = self.value(term.bound, s) + 1
-            entries = [] if memo is None else memo.entries.setdefault(entries_key, [])
-            for i in range(len(entries), size):
-                self.spend()
-                entries.append(self.value(term.body, s.set(term.binder, i)))
-            value = int(host(tuple(entries[:size])))
-            if memo is not None:
-                memo.values[key] = value
+            entries, values = ([], {}) if self.memo is None else self.memo.table(term, s)
+            value = values.get(size)
+            if value is None:
+                host = self.sig.seq_function(term.symbol)
+                for i in range(len(entries), size):
+                    self.spend()
+                    entries.append(self.value(term.body, s.set(term.binder, i)))
+                value = values[size] = int(host(tuple(entries[:size])))
             return value
         raise TypeError(f"not a term: {term!r}")
 

@@ -2,6 +2,7 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from guessability import adversary
 from guessability.adversary import (
@@ -28,6 +29,7 @@ from guessability.synth import (
     guesser_from_delta2,
 )
 
+import adversary_reference
 import record_twins
 
 
@@ -211,6 +213,30 @@ def test_cantor_adversary_contains_zero_stalls_seeking_a_no():
 
 
 # ---------------------------------------------------------------------------
+# differential: the phase loop against the hand-written loops it replaced
+
+
+def table_guesser(by_length, by_last):
+    """Deterministic candidate: one table read by the prefix length, one by its last value."""
+    return Guesser(evaluate=lambda p: by_length[len(p) % len(by_length)]
+                   ^ by_last[p[-1] % len(by_last)], provenance="table")
+
+
+@pytest.mark.parametrize("ours, reference", [
+    (permutation_adversary, adversary_reference.permutation_adversary),
+    (cantor_adversary, adversary_reference.cantor_adversary),
+], ids=["permutation", "cantor"])
+@settings(max_examples=150, deadline=None)
+@given(by_length=st.lists(st.integers(0, 1), min_size=1, max_size=12),
+       by_last=st.lists(st.integers(0, 1), min_size=1, max_size=12),
+       flips=st.integers(1, 12), budget=st.integers(1, 30))
+def test_adversary_matches_its_hand_written_loop(ours, reference, by_length, by_last,
+                                                 flips, budget):
+    guesser = table_guesser(by_length, by_last)
+    assert ours(guesser, flips, budget) == reference(guesser, flips, budget)
+
+
+# ---------------------------------------------------------------------------
 # builtin extension oracles
 
 
@@ -233,6 +259,37 @@ def test_permutation_extenders_availability():
     assert take(ext.in_s(FinitePrefix((3, 0, 5))), 4) == [1, 2, 4, 6]
     assert take(ext.in_s(FinitePrefix()), 3) == [0, 1, 2]
     assert take(ext.out_s(FinitePrefix((3, 0))), 3) == [3, 3, 3]
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3)), max_size=30))
+def test_permutation_extender_that_remembers_matches_a_fresh_one(steps):
+    """One in-set side asked about extensions, forks and shorter views answers as a new one would."""
+    shared = permutation_extenders().in_s
+    views = [FinitePrefix()]
+    for value, pick in steps:
+        views.append(views[pick % len(views)].extended(value))
+        for view in (views[-1], views[pick % len(views)]):
+            remembered, fresh = shared(view), permutation_extenders().in_s(view)
+            assert (remembered is None) == (fresh is None)
+            if fresh is not None:
+                assert take(remembered, 6) == take(fresh, 6)
+
+
+def test_permutation_adversary_reads_no_entry_twice(monkeypatch):
+    # the in-set side adds only each phase's new entries to the values it
+    # holds, so a run does not iterate the whole prefix once per phase
+    reads = [0]
+    iterate = FinitePrefix.__iter__
+
+    def counted(self):
+        for value in iterate(self):
+            reads[0] += 1
+            yield value
+
+    monkeypatch.setattr(FinitePrefix, "__iter__", counted)
+    prefix, trace = permutation_adversary(parity_guesser(), 2_000, 10)
+    assert trace.status == COMPLETED
+    assert reads[0] <= len(prefix)
 
 
 def test_cantor_extenders_availability():

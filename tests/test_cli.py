@@ -195,6 +195,25 @@ def test_eval_names_a_natural_too_long_to_convert(capsys, qf_file, argv, message
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# a sequence read whose index has 6,000 digits, more than the interpreter converts to text
+FAR_READ = f"f(mul({'9' * 3000}, {'9' * 3000}))"
+
+
+def test_mu_fails_every_attempt_that_reads_an_index_too_long_to_print(capsys, tmp_path):
+    path = tmp_path / "far.lg"
+    path.write_text(f"exists x. forall y. {FAR_READ} = y")
+    code, out, err = run(capsys, "mu", str(path), "--seq", "id", "--horizon", "3")
+    assert (code, out, err) == (0, "len=1 mu=0\nlen=2 mu=0\nlen=3 mu=0\n", "")
+
+
+@pytest.mark.parametrize("form", [(), ("--json",)])
+def test_eval_names_a_read_index_too_long_to_print(capsys, tmp_path, form):
+    path = tmp_path / "far.lg"
+    path.write_text(f"{FAR_READ} = 0")
+    code, out, err = run(capsys, "eval", str(path), "--seq", "id", *form)
+    assert (code, out, err) == (2, "", "error: read index of 6000 digits is too long\n")
+
+
 # hostile spellings of a natural: empty, signed, underscored, with an inner space, with a
 # superscript, or with more digits than the interpreter converts (a leading space would
 # only separate fields in a signature file)
@@ -248,6 +267,13 @@ def test_eval_json_output(capsys, qf_file):
     code, out, _ = run(capsys, "eval", qf_file, "--seq", "prefix:[3,0,2]:pad0", "--json")
     assert code == 0
     assert json.loads(out) == {"value": True, "max_queried": 1, "queried": [1]}
+
+
+def test_eval_bounded_json_output(capsys, s2_file):
+    code, out, err = run(capsys, "eval", s2_file, "--seq", "id", "--bound", "3", "--json")
+    assert code == 0
+    assert json.loads(out) == {"value": True, "bounded": True, "bound": 3}
+    assert "approximation" in err
 
 
 @pytest.mark.parametrize("assign, message", [
@@ -755,6 +781,7 @@ def test_synth_topology_bad_table(capsys, tmp_path):
     ("-3 0 1", "row '-3' is not a decimal natural"),
     ("0 +1 1", "column '+1' is not a decimal natural"),
     ("0 0 1_0", "entry '1_0' is not a decimal natural"),
+    ("0 1", "expected '<i> <j> <entries>' or 'default <entries>'"),
 ])
 def test_synth_topology_names_a_bad_natural(capsys, tmp_path, line, message):
     bad = tmp_path / "bad.tbl"
@@ -805,6 +832,14 @@ def test_play_reprompts_on_garbage_and_traces(capsys, monkeypatch):
     assert "sequence so far: prefix:[4]:pad0" in out
 
 
+def test_play_trace_before_any_entry(capsys, monkeypatch):
+    feed_lines(monkeypatch, [":trace", ":quit"])
+    code = cli.main(["play"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "contains-zero: no entries yet\n" in out
+
+
 def test_play_takes_decimal_digits_only(capsys, monkeypatch):
     feed_lines(monkeypatch, ["3", "\u00b2", ":quit"])
     code = cli.main(["play"])
@@ -851,6 +886,24 @@ def test_play_quits_on_eof(capsys, monkeypatch):
 
     monkeypatch.setattr("builtins.input", raise_eof)
     assert cli.main(["play"]) == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["guess", "--spec", "contains-zero", "--seq", "id", "--horizon", "0"],
+     "horizon must be at least 1"),
+    (["guess", "--sigma2", "{s2}", "--seq", "id", "--horizon", "3"],
+     "pass --spec <builtin> or both --sigma2 FILE and --pi2 FILE"),
+    (["adversary", "--guesser", "delta2:{s2}", "--kind", "diagonal"],
+     "delta2 guesser ref must be delta2:<sigma2-file>:<pi2-file>"),
+    (["synth", "topology", "{s2}"], "synth topology needs two table files: <set> <complement>"),
+    (["eval", "{missing}", "--seq", "id"], "cannot read sentence file: "),
+    (["eval", "{s2}", "--seq", "id", "--sig", "{missing}"], "cannot read signature file: "),
+])
+def test_usage_errors_are_one_error_line(capsys, tmp_path, s2_file, argv, message):
+    paths = {"s2": s2_file, "missing": str(tmp_path / "missing")}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_adversary_rejects_nonpositive_flips(capsys):

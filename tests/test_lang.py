@@ -122,6 +122,11 @@ def test_substitute_shadowed_quantifier_variable(sig):
     assert substitute(formula, "x", Numeral(9)) == formula
 
 
+def test_substitute_passes_under_a_quantifier_over_another_variable(sig):
+    formula = parse("forall y. f(x) = y", sig)
+    assert substitute(formula, "x", Numeral(3)) == parse("forall y. f(3) = y", sig)
+
+
 def test_closed_substitution_removes_exactly_that_variable():
     rnd = random.Random(77)
     for _ in range(200):
@@ -213,6 +218,32 @@ def test_parse_undeclared_ellipsis_symbol(sig):
 def test_parse_rejects_trailing_input(sig):
     with pytest.raises(ParseError):
         parse("0 = 0 )", sig)
+
+
+# 10 ** power + offset; the digit count is exact at either side of a power of ten
+@pytest.mark.parametrize("power, offset, digits", [(4300, 0, 4301), (5000, -1, 5000),
+                                                   (5000, 0, 5001)])
+def test_decimal_names_the_digits_of_a_natural_too_long_to_write(power, offset, digits):
+    with pytest.raises(LangError, match=f"^index of {digits} digits is too long$"):
+        lang.decimal(10 ** power + offset, "index")
+
+
+@pytest.mark.parametrize("power, offset", [(0, -1), (1, -3), (4299, 0), (4300, -1)])
+def test_decimal_writes_what_natural_reads(power, offset):
+    n = 10 ** power + offset
+    assert lang.natural(lang.decimal(n, "index"), "index") == n
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (parse, "f(forall) = 0", "'forall' cannot start a term (line 1, column 3)"),
+    (parse, "add(below(1, 2), 0) = 0",
+     "'below' is a predicate symbol, not a fixed-arity function (line 1, column 16)"),
+    (parse_term, "add(1, 2) 3", "unexpected trailing input '3' (line 1, column 11)"),
+])
+def test_parse_errors_name_the_problem(read, text, message):
+    with pytest.raises(ParseError) as err:
+        read(text, load_signature("pred below 2 <\n"))
+    assert str(err.value) == message
 
 
 def test_parse_comparisons(sig):

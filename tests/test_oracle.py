@@ -188,6 +188,31 @@ def test_views_match_tuple_built_prefixes(start, steps):
                                                and len(entries) == len(shorter_entries) + 1)
 
 
+@given(st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 3)), max_size=25))
+def test_past_is_the_tail_after_a_view_it_extends(steps):
+    views, expected = [FinitePrefix()], [()]
+    for pick, value in steps:
+        k = pick % len(views)
+        views.append(views[k].extended(value))
+        expected.append(expected[k] + (value,))
+    for longer, entries in zip(views, expected):
+        for shorter, shorter_entries in zip(views, expected):
+            tail = longer.past(shorter)
+            if tail is not None:
+                assert entries[:len(shorter_entries)] == shorter_entries
+                assert tail == list(entries[len(shorter_entries):])
+
+
+def test_past_needs_a_shorter_view_of_the_same_list():
+    chain = [FinitePrefix((0,))]
+    for value in range(1, 5):
+        chain.append(chain[-1].extended(value))
+    assert all(chain[j].past(chain[i]) == list(range(i + 1, j + 1))
+               for j in range(5) for i in range(j + 1))
+    assert chain[1].past(chain[3]) is None
+    assert chain[3].past(FinitePrefix((0, 1))) is None
+
+
 def test_reader_checks_bounds_of_its_view():
     short = FinitePrefix((4, 5))
     short.extended(6)

@@ -189,6 +189,13 @@ def test_attempt_fails_past_prefix(sig):
     assert outcome.offending_index == 5
 
 
+def test_attempt_fails_at_an_index_too_long_to_print(sig):
+    nines = "9" * 3000
+    outcome = attempt(parse(f"f(mul({nines}, {nines})) = 0", sig), FinitePrefix((3, 0, 2)), sig)
+    assert outcome.failed
+    assert outcome.offending_index == (10 ** 3000 - 1) ** 2
+
+
 def test_attempt_empty_prefix_no_queries(sig):
     outcome = attempt(parse("0 = 0", sig), FinitePrefix(()), sig)
     assert outcome.succeeded and outcome.truth is True
