@@ -4,7 +4,8 @@ Subcommands: ``eval`` (run a sentence against a sequence), ``guess`` (trace a
 guesser over growing prefixes), ``mu`` (trace an overguesser), ``adversary``
 (run a diagonalizing adversary against a candidate guesser), ``synth``
 (generate defining sentences), and ``play`` (interactive game: you feed the
-sequence, the guessers guess).
+sequence, the guessers guess). ``parse_args`` reads the command line against
+one table, ``COMMANDS``, which also renders ``--help``.
 
 Exit codes: 0 ok, 2 parse or signature error, 3 adversary or evaluation
 budget exhausted, 4 density violation (no suitable extension at some prefix).
@@ -12,10 +13,11 @@ budget exhausted, 4 density violation (no suitable extension at some prefix).
 
 from __future__ import annotations
 
-import argparse
-import json
+import re
 import sys
+from collections.abc import Callable, Sequence
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import adversary as adv
 from . import lang, oracle, semantics, synth
@@ -114,6 +116,12 @@ def _parse_assignment(text: str | None, formula: lang.Formula) -> semantics.Assi
     return semantics.Assignment(bindings)
 
 
+def _json(obj) -> None:
+    """Print ``obj`` as one line of JSON; only ``--json`` runs pay for importing ``json``."""
+    import json
+    print(json.dumps(obj))
+
+
 BUILTIN_GUESSERS = {
     "contains-zero": synth.contains_zero_guesser(),
     "parity-of-length": synth.Guesser(
@@ -168,9 +176,8 @@ def cmd_eval(args) -> int:
         max_q = "none" if result.max_queried is None else lang.decimal(
             result.max_queried, "read index", CliError)
         if args.json:
-            print(json.dumps({"value": bool(result.value),
-                              "max_queried": result.max_queried,
-                              "queried": sorted(result.queried)}))
+            _json({"value": bool(result.value), "max_queried": result.max_queried,
+                   "queried": sorted(result.queried)})
         else:
             print(f"{shown} (max_queried={max_q})")
         return EXIT_OK
@@ -180,7 +187,7 @@ def cmd_eval(args) -> int:
     print(f"note: quantifiers evaluated over 0..{args.bound}; the result is an approximation",
           file=sys.stderr)
     if args.json:
-        print(json.dumps({"value": value, "bounded": True, "bound": args.bound}))
+        _json({"value": value, "bounded": True, "bound": args.bound})
     else:
         print(f"{'true' if value else 'false'} (bounded)")
     return EXIT_OK
@@ -203,9 +210,8 @@ def cmd_guess(args) -> int:
     guesser = synth.guesser_from_delta2(spec, sig)
     trace = trace_guesser(guesser, oracle.from_spec(args.seq), args.horizon)
     if args.json:
-        print(json.dumps({"trace": list(trace.guesses),
-                          "stable_from": trace.stable_from,
-                          "final": trace.final}))
+        _json({"trace": list(trace.guesses), "stable_from": trace.stable_from,
+               "final": trace.final})
     else:
         print("trace: " + " ".join(str(g) for g in trace.guesses))
         print(f"stable_from: {trace.stable_from}")
@@ -222,7 +228,7 @@ def cmd_mu(args) -> int:
     stream = synth.MuStream(sentence, sig)
     rows = [stream.push(source.query(i)).value for i in range(args.horizon)]
     if args.json:
-        print(json.dumps({"mu": rows}))
+        _json({"mu": rows})
     else:
         for length, value in enumerate(rows, start=1):
             print(f"len={length} mu={value}")
@@ -244,9 +250,9 @@ def cmd_adversary(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DENSITY
     if args.json:
-        print(json.dumps({"flips": list(trace.flips), "guesses": list(trace.guesses),
-                          "status": trace.status, "phase": trace.phase,
-                          "steps": trace.steps, "prefix": oracle.prefix_spec(prefix)}))
+        _json({"flips": list(trace.flips), "guesses": list(trace.guesses),
+               "status": trace.status, "phase": trace.phase,
+               "steps": trace.steps, "prefix": oracle.prefix_spec(prefix)})
     else:
         print(adv.format_trace(trace))
         print(f"prefix: {oracle.prefix_spec(prefix)}")
@@ -371,76 +377,192 @@ def cmd_play(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Argument parser
+# Command table and reader
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="guessability",
-        description="evaluate ellipsis-logic sentences, trace guessers, and run adversaries")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _numeral(text: str, flag: str, error: Callable[[str], Exception]) -> int:
+    """A decimal natural after an optional ``-``; each command checks its own range."""
+    value = lang.natural(text.removeprefix("-"), flag, error)
+    return -value if text.startswith("-") else value
 
-    def common(p):
-        p.add_argument("--sig", help="signature file (fn/pred/seqfn lines)")
-        p.add_argument("--json", action="store_true", help="structured output")
 
-    p = sub.add_parser("eval", help="evaluate a sentence file against a sequence")
-    p.add_argument("sentence", help="sentence file in the DSL")
-    p.add_argument("--seq", required=True, help="sequence spec, e.g. prefix:[3,0,2]:pad0")
-    p.add_argument("--assign", help="free-variable values, e.g. x=1,y=2")
-    p.add_argument("--bound", type=int, help="bound for quantifier approximation")
-    common(p)
-    p.set_defaults(handler=cmd_eval)
+REQUIRED = object()
 
-    p = sub.add_parser("guess", help="trace a synthesized guesser over growing prefixes")
-    p.add_argument("--spec", help="builtin spec name, e.g. contains-zero")
-    p.add_argument("--sigma2", help="exists-forall sentence file")
-    p.add_argument("--pi2", help="forall-exists sentence file")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=cmd_guess)
+_COMMON = (
+    ("--sig", str, None, "signature file (fn/pred/seqfn lines)"),
+    ("--json", None, False, "structured output"),
+)
 
-    p = sub.add_parser("mu", help="trace the overguesser of an exists-forall sentence")
-    p.add_argument("sentence", help="exists-forall sentence file")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=cmd_mu)
+# command -> (handler, help, options). An option is (name, reader, default or
+# REQUIRED, help); a name without ``--`` is a positional, and a name ending in
+# ``...`` collects each value it is given into a list. A reader is ``str``,
+# ``_numeral``, a tuple of choices, or None for a flag.
+COMMANDS = {
+    "eval": (cmd_eval, "evaluate a sentence file against a sequence", (
+        ("sentence", str, REQUIRED, "sentence file in the DSL"),
+        ("--seq", str, REQUIRED, "sequence spec, e.g. prefix:[3,0,2]:pad0"),
+        ("--assign", str, None, "free-variable values, e.g. x=1,y=2"),
+        ("--bound", _numeral, None, "bound for quantifier approximation"),
+        *_COMMON)),
+    "guess": (cmd_guess, "trace a synthesized guesser over growing prefixes", (
+        ("--spec", str, None, "builtin spec name, e.g. contains-zero"),
+        ("--sigma2", str, None, "exists-forall sentence file"),
+        ("--pi2", str, None, "forall-exists sentence file"),
+        ("--seq", str, REQUIRED, "sequence spec"),
+        ("--horizon", _numeral, REQUIRED, "longest prefix to guess on"),
+        *_COMMON)),
+    "mu": (cmd_mu, "trace the overguesser of an exists-forall sentence", (
+        ("sentence", str, REQUIRED, "exists-forall sentence file"),
+        ("--seq", str, REQUIRED, "sequence spec"),
+        ("--horizon", _numeral, REQUIRED, "longest prefix to trace"),
+        *_COMMON)),
+    "adversary": (cmd_adversary, "run an adversary against a candidate guesser", (
+        ("--guesser", str, REQUIRED, "builtin name or delta2:<sigma2-file>:<pi2-file>"),
+        ("--kind", ("diagonal", "permutation", "cantor"), REQUIRED, "adversary to run"),
+        ("--set", tuple(sorted(EXTENDER_SETS)), "inf-zeros",
+         "extension oracles for the diagonal adversary"),
+        ("--flips", _numeral, 10, "flips to force"),
+        ("--budget", _numeral, 10_000, "per-phase step budget"),
+        *_COMMON)),
+    "synth": (cmd_synth, "generate defining sentences", (
+        ("source", ("guesser", "overguesser", "family", "topology"), REQUIRED,
+         "what the sentences define"),
+        ("inputs...", str, REQUIRED, "registered symbol name, or two topology table files"),
+        ("--out-dir", str, ".", "directory for the sentence files"),
+        ("--prefix", str, "", "name prefix for topology symbols"),
+        *_COMMON)),
+    "play": (cmd_play, "interactive game: you are the sequence", (
+        ("--guesser...", str, None,
+         "guesser to play against (repeatable); default contains-zero"),
+        *_COMMON)),
+}
 
-    p = sub.add_parser("adversary", help="run an adversary against a candidate guesser")
-    p.add_argument("--guesser", required=True,
-                   help="builtin name or delta2:<sigma2-file>:<pi2-file>")
-    p.add_argument("--kind", choices=("diagonal", "permutation", "cantor"), required=True)
-    p.add_argument("--set", choices=sorted(EXTENDER_SETS), default="inf-zeros",
-                   help="extension oracles for the diagonal adversary")
-    p.add_argument("--flips", type=int, default=10)
-    p.add_argument("--budget", type=int, default=10_000, help="per-phase step budget")
-    common(p)
-    p.set_defaults(handler=cmd_adversary)
+_HELP = ("-h", "--help")
 
-    p = sub.add_parser("synth", help="generate defining sentences")
-    p.add_argument("source", choices=("guesser", "overguesser", "family", "topology"))
-    p.add_argument("inputs", nargs="+",
-                   help="registered symbol name, or two topology table files")
-    p.add_argument("--out-dir", default=".")
-    p.add_argument("--prefix", default="", help="name prefix for topology symbols")
-    common(p)
-    p.set_defaults(handler=cmd_synth)
 
-    p = sub.add_parser("play", help="interactive game: you are the sequence")
-    p.add_argument("--guesser", action="append",
-                   help="guesser to play against (repeatable); default contains-zero")
-    common(p)
-    p.set_defaults(handler=cmd_play)
+def _failure(prog: str) -> Callable[[str], CliError]:
+    return lambda message: CliError(f"{prog}: {message}")
 
-    return parser
+
+def _spelled(arg: str, names: Sequence[str], fail) -> tuple[str, str | None] | None:
+    """The option ``arg`` names and its ``=value``, or None when ``arg`` is a value.
+
+    This is argparse's reading: a long option may be cut to a prefix that no
+    other option shares, and ``-``, ``-5``, ``-.5`` and text with a space are
+    values. ``--`` is the caller's to handle.
+    """
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in names:
+        return arg, None
+    flag, eq, value = arg.partition("=")
+    hits = [flag] if flag in names else [
+        name for name in names if arg.startswith("--") and name.startswith(flag)]
+    if len(hits) > 1:
+        raise fail(f"ambiguous option {flag}: could be {', '.join(hits)}")
+    if hits:
+        return hits[0], value if eq else None
+    # argparse's negative-number pattern, compiled on first use rather than at import
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None
+    raise fail(f"unknown option {arg}")
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """Read ``argv`` against ``COMMANDS`` into the attributes of its command.
+
+    Options and positionals come in any order, a repeated option keeps its
+    last value, and ``--flag value``, ``--flag=value`` and a unique prefix of
+    a long option all work. After ``--`` every argument is a positional, and
+    a ``...`` positional takes one run of consecutive values. ``-h``/``--help``
+    gives the ``cmd_help`` handler; every other fault raises ``CliError``.
+    """
+    args, fail = iter(argv), _failure("guessability")
+    command = next(args, None)
+    if command not in (None, "--") and _spelled(command, _HELP, fail):
+        return SimpleNamespace(command=None, handler=cmd_help)
+    if command not in COMMANDS:
+        raise fail(f"choose a command from {', '.join(COMMANDS)}"
+                   + (f", not {command!r}" if command else ""))
+    handler, _, table = COMMANDS[command]
+    fail = _failure(command)
+    specs = {}  # name without "..." -> (attribute, reader, collects, required)
+    values = {"command": command, "handler": handler}
+    for name, reader, default, _ in table:
+        key = name.removesuffix("...")
+        specs[key] = (key.lstrip("-").replace("-", "_"), reader, key != name, default is REQUIRED)
+        values[specs[key][0]] = None if default is REQUIRED else default
+    flags = [*_HELP, *(key for key in specs if key.startswith("-"))]
+    pending = [key for key in specs if key not in flags]
+
+    def store(key: str, text: str) -> None:
+        dest, reader, collects, _ = specs[key]
+        if isinstance(reader, tuple) and text not in reader:
+            raise fail(f"{key} {text!r} is not one of {', '.join(reader)}")
+        value = _numeral(text, key, fail) if reader is _numeral else text
+        values[dest] = [*(values[dest] or ()), value] if collects else value
+
+    collecting, positionals_only = None, False
+    for arg in args:
+        if arg == "--" and not positionals_only:
+            positionals_only = True
+            continue
+        option = None if positionals_only else _spelled(arg, flags, fail)
+        if option is None:
+            if collecting is None and not pending:
+                raise fail(f"unexpected argument {arg!r}")
+            key = collecting or pending.pop(0)
+            collecting = key if specs[key][2] else None
+            store(key, arg)
+            continue
+        collecting = None
+        key, text = option
+        if key in _HELP:
+            return SimpleNamespace(command=command, handler=cmd_help)
+        if specs[key][1] is None:
+            if text is not None:
+                raise fail(f"{key} takes no value")
+            values[specs[key][0]] = True
+            continue
+        if text is None:
+            text = next(args, "--")
+            if text == "--" or _spelled(text, flags, fail):
+                raise fail(f"{key} needs a value")
+        store(key, text)
+    missing = [key for key, (dest, *_, required) in specs.items()
+               if required and values[dest] is None]
+    if missing:
+        raise fail(f"missing {', '.join(missing)}")
+    return SimpleNamespace(**values)
+
+
+def _usage(command: str | None) -> str:
+    """Help rendered from ``COMMANDS``: the commands, or one command's options."""
+    if command is None:
+        head = ["usage: guessability <command> [options]", "",
+                "evaluate ellipsis-logic sentences, trace guessers, and run adversaries", "",
+                "commands (<command> --help lists its options):"]
+        rows = [(name, about) for name, (_, about, _) in COMMANDS.items()]
+    else:
+        _, about, table = COMMANDS[command]
+        head = [f"usage: guessability {command} [options]", "", about, ""]
+        rows = [("-h, --help", "show this help")] + [
+            (name, text + (f"; one of {', '.join(reader)}" if isinstance(reader, tuple) else "")
+             + (" (required)" if default is REQUIRED else f" (default: {default})" if default
+                else ""))
+            for name, reader, default, text in table]
+    width = max(len(name) for name, _ in rows)
+    return "\n".join(head + [f"  {name:<{width}}  {text}" for name, text in rows])
+
+
+def cmd_help(args) -> int:
+    print(_usage(args.command))
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -193,7 +193,10 @@ class _Evaluation:
                 for i in range(len(entries), size):
                     self.spend()
                     entries.append(self.value(term.body, s.set(term.binder, i)))
-                value = values[size] = int(host(tuple(entries[:size])))
+                # only a bound below the memo's longest list needs the slice;
+                # at the list's length one tuple copy does
+                value = values[size] = int(host(
+                    tuple(entries) if size == len(entries) else tuple(entries[:size])))
             return value
         raise TypeError(f"not a term: {term!r}")
 

@@ -919,6 +919,18 @@ def test_mu_rejects_nonpositive_horizon(capsys, s2_file):
     assert "horizon" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["guess", "--spec", "contains-zero", "--seq", "id", "--horizon", "1_000"], "--horizon"),
+    (["adversary", "--guesser", "constant-1", "--kind", "cantor", "--budget", "+5"], "--budget"),
+    (["adversary", "--guesser", "constant-1", "--kind", "cantor", "--flips", " 7"], "--flips"),
+    (["eval", "{qf}", "--seq", "id", "--bound", "9" * 5000], "--bound"),
+])
+def test_option_numerals_are_decimal_naturals(capsys, qf_file, argv, flag):
+    code, out, err = run(capsys, *(arg.format(qf=qf_file) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {argv[0]}: {flag} ") and err.count("\n") == 1
+
+
 def test_records_match_their_dataclass_twins():
     record_twins.check_against_twin(GuessTrace, [((1, 0, 1),), ((0,),), ((1, 0, 1),)])
     assert record_twins.defined_in(cli) == {GuessTrace}

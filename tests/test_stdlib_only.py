@@ -1,9 +1,12 @@
 """The package's runtime dependencies are the standard library only."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "guessability"
 
@@ -36,3 +39,28 @@ def test_starting_the_cli_generates_no_code():
     child = subprocess.run([sys.executable, "-S", "-c", probe, str(PACKAGE.parent)],
                            capture_output=True, text=True, timeout=60, check=True)
     assert child.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("command", [
+    ["mu", "{sentence}", "--seq", "prefix:[3,1,2]:pad0", "--horizon", "3"],
+    ["adversary", "--guesser", "constant-1", "--kind", "diagonal", "--budget", "5"],
+])
+def test_running_a_command_loads_no_argument_parser(tmp_path, command, json_flag):
+    """A command loads none of ``argparse``, ``json``, ``locale`` or ``gettext``;
+    ``--json`` loads ``json`` alone, and prints one parseable line."""
+    sentence = tmp_path / "s2.lg"
+    sentence.write_text("exists x. forall y. f(x) = 0")
+    probe = ("import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); "
+             "from guessability import cli; out = io.StringIO()\n"
+             "with contextlib.redirect_stdout(out): code = cli.main(sys.argv[2:])\n"
+             "print(code, sorted({'argparse', 'json', 'locale', 'gettext'} & set(sys.modules)))\n"
+             "print(out.getvalue(), end='')")
+    argv = [arg.format(sentence=sentence) for arg in command] + json_flag
+    child = subprocess.run([sys.executable, "-S", "-c", probe, str(PACKAGE.parent), *argv],
+                           capture_output=True, text=True, timeout=60, check=True)
+    status, output = child.stdout.split("\n", 1)
+    code = 0 if command[0] == "mu" else 3
+    assert status == f"{code} {['json'] if json_flag else []}"
+    if json_flag:
+        assert isinstance(json.loads(output), dict)
