@@ -8,11 +8,14 @@ sequence, the guessers guess). ``parse_args`` reads the command line against
 one table, ``COMMANDS``, which also renders ``--help``.
 
 Exit codes: 0 ok, 2 parse or signature error, 3 adversary or evaluation
-budget exhausted, 4 density violation (no suitable extension at some prefix).
+budget exhausted, 4 density violation (no suitable extension at some prefix),
+141 standard output closed early (as by ``| head``).
 """
 
 from __future__ import annotations
 
+import gc
+import os
 import re
 import sys
 from collections.abc import Callable, Sequence
@@ -26,6 +29,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_DENSITY = 4
+EXIT_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
 
 
 class CliError(Exception):
@@ -575,5 +579,24 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """Process entry of ``python -m guessability.cli`` and the console script.
+
+    Exits with ``main``'s code, or with ``EXIT_PIPE`` and nothing on stderr
+    when standard output is closed early.  Freezes the collector first, so
+    the collections at shutdown walk nothing; ``main`` must not freeze.
+    """
+    try:
+        code = main()
+        if sys.stdout is not None:  # None when started with standard output closed (>&-)
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the SIGPIPE recipe of the Python docs: the shutdown flush has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
