@@ -9,7 +9,8 @@ one table, ``COMMANDS``, which also renders ``--help``.
 
 Exit codes: 0 ok, 2 parse or signature error, 3 adversary or evaluation
 budget exhausted, 4 density violation (no suitable extension at some prefix),
-141 standard output closed early (as by ``| head``).
+74 standard output not writable (as on a full disk), 141 standard output
+closed early (as by ``| head``).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_DENSITY = 4
+EXIT_OUTPUT = 74  # EX_IOERR of sysexits.h
 EXIT_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
 
 
@@ -583,8 +585,9 @@ def run() -> None:
     """Process entry of ``python -m guessability.cli`` and the console script.
 
     Exits with ``main``'s code, or with ``EXIT_PIPE`` and nothing on stderr
-    when standard output is closed early.  Freezes the collector first, so
-    the collections at shutdown walk nothing; ``main`` must not freeze.
+    when standard output is closed early, or with ``EXIT_OUTPUT`` and one
+    error line when another write to it fails.  Freezes the collector first,
+    so the collections at shutdown walk nothing; ``main`` must not freeze.
     """
     try:
         code = main()
@@ -594,6 +597,10 @@ def run() -> None:
         # the SIGPIPE recipe of the Python docs: the shutdown flush has nowhere to fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_PIPE
+    except OSError as exc:  # any other failed write, as to a full disk
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OUTPUT
     gc.freeze()
     sys.exit(code)
 

@@ -404,7 +404,25 @@ def load_signature(text: str) -> Signature:
 
 
 # ---------------------------------------------------------------------------
-# Free variables and substitution
+# Subtrees, free variables and substitution
+
+
+def children(node: Term | Formula) -> tuple[Term | Formula, ...]:
+    """The subterms and subformulas of a node, in field order."""
+    if not isinstance(node, (Term, Formula)):
+        raise TypeError(f"not a term or formula: {node!r}")
+    return tuple(child for value in vars(node).values()
+                 for child in (value if isinstance(value, tuple) else (value,))
+                 if isinstance(child, (Term, Formula)))
+
+
+def _rebuilt(node: Term | Formula, change: Callable) -> Term | Formula:
+    """``node`` with ``change`` applied to each of its subtrees."""
+    if not isinstance(node, (Term, Formula)):
+        raise TypeError(f"not a term or formula: {node!r}")
+    return type(node)(*(tuple(map(change, value)) if isinstance(value, tuple)
+                        else change(value) if isinstance(value, (Term, Formula)) else value
+                        for value in vars(node).values()))
 
 
 def free_vars(node: Term | Formula) -> frozenset[str]:
@@ -417,23 +435,11 @@ def free_vars(node: Term | Formula) -> frozenset[str]:
         return frozenset((node.name,))
     if isinstance(node, Numeral):
         return frozenset()
-    if isinstance(node, FixedApp):
-        return frozenset().union(*(free_vars(a) for a in node.args)) if node.args else frozenset()
-    if isinstance(node, SeqApp):
-        return free_vars(node.arg)
     if isinstance(node, EllipsisApp):
         return (free_vars(node.body) - {node.binder}) | free_vars(node.bound)
-    if isinstance(node, Eq):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, Pred):
-        return frozenset().union(*(free_vars(a) for a in node.args)) if node.args else frozenset()
-    if isinstance(node, Not):
-        return free_vars(node.body)
-    if isinstance(node, (And, Or, Implies)):
-        return free_vars(node.left) | free_vars(node.right)
     if isinstance(node, (Forall, Exists)):
         return free_vars(node.body) - {node.var}
-    raise TypeError(f"not a term or formula: {node!r}")
+    return frozenset().union(*map(free_vars, children(node)))
 
 
 def substitute(node, var: str, replacement: Term):
@@ -448,34 +454,18 @@ def substitute(node, var: str, replacement: Term):
         return replacement if node.name == var else node
     if isinstance(node, Numeral):
         return node
-    if isinstance(node, FixedApp):
-        return FixedApp(node.symbol, tuple(substitute(a, var, replacement) for a in node.args))
-    if isinstance(node, SeqApp):
-        return SeqApp(substitute(node.arg, var, replacement))
     if isinstance(node, EllipsisApp):
         new_bound = substitute(node.bound, var, replacement)
-        if var == node.binder:
-            return EllipsisApp(node.symbol, node.body, node.binder, new_bound)
         new_body = _substitute_under_binder(node.body, node.binder, var, replacement)
         return EllipsisApp(node.symbol, new_body, node.binder, new_bound)
-    if isinstance(node, Eq):
-        return Eq(substitute(node.left, var, replacement), substitute(node.right, var, replacement))
-    if isinstance(node, Pred):
-        return Pred(node.symbol, tuple(substitute(a, var, replacement) for a in node.args))
-    if isinstance(node, Not):
-        return Not(substitute(node.body, var, replacement))
-    if isinstance(node, (And, Or, Implies)):
-        return type(node)(substitute(node.left, var, replacement),
-                          substitute(node.right, var, replacement))
     if isinstance(node, (Forall, Exists)):
-        if node.var == var:
-            return node
-        new_body = _substitute_under_binder(node.body, node.var, var, replacement)
-        return type(node)(node.var, new_body)
-    raise TypeError(f"not a term or formula: {node!r}")
+        return type(node)(node.var, _substitute_under_binder(node.body, node.var, var, replacement))
+    return _rebuilt(node, lambda child: substitute(child, var, replacement))
 
 
 def _substitute_under_binder(body, binder: str, var: str, replacement: Term):
+    if var == binder:
+        return body
     if var in free_vars(body) and binder in free_vars(replacement):
         raise CaptureError(
             f"substituting {var!r} under binder {binder!r} would capture the replacement")
@@ -747,9 +737,7 @@ def _height(node: Term | Formula) -> int:
     """Levels below the root of a syntax tree, counted without recursion."""
     height, level = 0, [node]
     while True:
-        level = [child for parent in level for value in vars(parent).values()
-                 for child in (value if isinstance(value, tuple) else (value,))
-                 if isinstance(child, (Term, Formula))]
+        level = [child for parent in level for child in children(parent)]
         if not level:
             return height
         height += 1
@@ -824,13 +812,9 @@ class SentenceClass(enum.Enum):
 def is_quantifier_free(formula: Formula) -> bool:
     if isinstance(formula, (Eq, Pred)):
         return True
-    if isinstance(formula, Not):
-        return is_quantifier_free(formula.body)
-    if isinstance(formula, (And, Or, Implies)):
-        return is_quantifier_free(formula.left) and is_quantifier_free(formula.right)
-    if isinstance(formula, (Forall, Exists)):
-        return False
-    raise TypeError(f"not a formula: {formula!r}")
+    if not isinstance(formula, Formula):
+        raise TypeError(f"not a formula: {formula!r}")
+    return not isinstance(formula, (Forall, Exists)) and all(map(is_quantifier_free, children(formula)))
 
 
 def classify_sentence(formula: Formula) -> SentenceClass:

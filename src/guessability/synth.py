@@ -22,7 +22,6 @@ from collections.abc import Callable, Iterator
 from . import pairing
 from .lang import (
     And,
-    Eq,
     Formula,
     Implies,
     LangError,
@@ -35,6 +34,7 @@ from .lang import (
     Sigma2Sentence,
     Term,
     Variable,
+    children,
     default_signature,
     free_vars,
     parse,
@@ -168,18 +168,13 @@ def _thresholds(matrix: Formula, var: str, sig: Signature) -> list[Term] | None:
     found: list[Term] = []
 
     def only_compared(node: Formula) -> bool:
-        if isinstance(node, Not):
-            return only_compared(node.body)
-        if isinstance(node, (And, Or, Implies)):
-            return only_compared(node.left) and only_compared(node.right)
+        if isinstance(node, (Not, And, Or, Implies)):
+            return all(map(only_compared, children(node)))
         if var not in free_vars(node):
             return True
-        if isinstance(node, Eq):
-            operands = (node.left, node.right)
-        elif isinstance(node, Pred) and len(node.args) == 2 \
-                and sig.predicates.get(node.symbol) in _COMPARISONS:
-            operands = node.args
-        else:
+        operands = children(node)  # the sides of an Eq or the arguments of a Pred
+        if isinstance(node, Pred) and (
+                len(operands) != 2 or sig.predicates.get(node.symbol) not in _COMPARISONS):
             return False
         for this, other in (operands, operands[::-1]):
             if this == Variable(var) and var not in free_vars(other):

@@ -71,6 +71,21 @@ def test_a_closed_pipe_ends_with_exit_141_and_nothing_on_stderr():
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_failed_write_ends_with_exit_74_and_one_error_line(s2_file, unbuffered, monkeypatch):
+    """Buffered, the write fails in the final flush; unbuffered, in the command's ``print``."""
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    with open("/dev/full", "wb") as full:
+        proc = child(["mu", s2_file, "--seq", "prefix:[3,1,2]:pad0", "--horizon", "3"],
+                     stdout=full, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_OUTPUT == 74
+    assert err == b"error: cannot write the output: [Errno 28] No space left on device\n"
+
+
 def test_a_command_started_without_stdout_still_exits_with_its_code(s2_file):
     """Started with file descriptor 1 closed (``>&-``), Python has no
     ``sys.stdout``; the command's output is dropped, as ``print`` drops it."""

@@ -36,8 +36,15 @@ from guessability.lang import (
     substitute,
 )
 
-from guessability.oracle import from_spec
-from guessability.semantics import Assignment, EvalResult, eval_qf
+from guessability.oracle import FinitePrefix, from_spec
+from guessability.semantics import (
+    Assignment,
+    AttemptOutcome,
+    EvalResult,
+    attempt,
+    eval_qf,
+    eval_term,
+)
 
 import formula_gen
 import record_twins
@@ -133,6 +140,63 @@ def test_closed_substitution_removes_exactly_that_variable():
         term = formula_gen.gen_term(rnd, depth=3, vars=("x", "y"))
         closed = Numeral(rnd.randrange(9))
         assert free_vars(substitute(term, "x", closed)) == free_vars(term) - {"x"}
+
+
+# ---------------------------------------------------------------------------
+# subtrees and the walks over them
+
+
+def test_children_are_the_subtrees_in_field_order():
+    x, one, two = Variable("x"), Numeral(1), Numeral(2)
+    eq, lt = Eq(x, one), Pred("<", (one, x))
+    cases = [
+        (x, ()), (one, ()), (lang.FixedApp("add", (x, one)), (x, one)), (SeqApp(two), (two,)),
+        (EllipsisApp("G", x, "x", two), (x, two)), (eq, (x, one)), (lt, (one, x)),
+        (Not(eq), (eq,)), (And(eq, lt), (eq, lt)), (Or(lt, eq), (lt, eq)),
+        (Implies(eq, lt), (eq, lt)), (Forall("x", eq), (eq,)), (Exists("y", lt), (lt,)),
+    ]
+    for node, subtrees in cases:
+        assert lang.children(node) == subtrees
+
+
+@pytest.mark.parametrize("walk, message", [
+    (lang.children, "not a term or formula"),
+    (free_vars, "not a term or formula"),
+    (lambda node: substitute(node, "x", Numeral(0)), "not a term or formula"),
+    (print_term, "not a term"),
+    (print_formula, "not a formula"),
+    (lang.is_quantifier_free, "not a formula"),
+    (lambda node: eval_term(node, from_spec("id")), "not a term"),
+    (lambda node: eval_qf(node, from_spec("id")), "not a formula"),
+], ids=["children", "free_vars", "substitute", "print_term", "print_formula",
+        "is_quantifier_free", "eval_term", "eval_qf"])
+@pytest.mark.parametrize("junk", [3, "x", None], ids=["int", "str", "None"])
+def test_walks_reject_what_is_not_a_node(walk, message, junk):
+    with pytest.raises(TypeError, match=message):
+        walk(junk)
+
+
+@pytest.mark.parametrize("walk", [lang.is_quantifier_free, print_formula,
+                                  lambda node: eval_qf(node, from_spec("id"))],
+                         ids=["is_quantifier_free", "print_formula", "eval_qf"])
+def test_formula_walks_reject_a_bare_term(walk):
+    with pytest.raises(TypeError, match="not a formula"):
+        walk(Variable("x"))
+
+
+def test_walks_finish_at_the_nesting_limit():
+    """98 negations over ``f(x) = 0`` put the leaves MAX_NESTING levels below the root."""
+    open_ = parse("!" * 98 + "f(x) = 0")
+    closed = parse("!" * 98 + "f(0) = 0")
+    assert lang._height(open_) == lang._height(closed) == lang.MAX_NESTING == 100
+    assert parse(print_formula(closed)) == closed
+    assert free_vars(open_) == {"x"}
+    assert substitute(open_, "x", Numeral(0)) == closed
+    assert lang.is_quantifier_free(open_)
+    assert eval_qf(closed, from_spec("const:0")) == EvalResult(value=True, queried=frozenset({0}))
+    assert attempt(closed, FinitePrefix((0,))) == AttemptOutcome.success(True)
+    with pytest.raises(ParseError, match="nesting deeper than 100 levels"):
+        parse("!" * 99 + "f(0) = 0")
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +447,17 @@ def test_reserved_symbol_not_redeclarable():
         sig.register_function("f", 1, lambda a: a)
     with pytest.raises(SignatureError):
         sig.register_seq_function("forall", lambda t: 0)
+
+
+@pytest.mark.parametrize("register, message", [
+    (lambda sig: sig.register_function("g", 0, lambda: 0), "function arity must be positive"),
+    (lambda sig: sig.register_predicate("p", 0, lambda: True), "predicate arity must be positive"),
+    (lambda sig: sig.function("nope"), "unknown function symbol 'nope'"),
+    (lambda sig: sig.predicate("nope"), "unknown predicate symbol 'nope'"),
+], ids=["function-arity-0", "predicate-arity-0", "unknown-function", "unknown-predicate"])
+def test_signature_guards_name_the_problem(register, message):
+    with pytest.raises(SignatureError, match=f"^{message}$"):
+        register(default_signature())
 
 
 def test_names_unique_across_kinds():

@@ -58,6 +58,11 @@ def test_prefix_of_zero_padded():
     assert prefix_of(zero_pad(FinitePrefix((3, 0, 2))), 4) == FinitePrefix((3, 0, 2, 0, 0))
 
 
+def test_prefix_of_rejects_a_negative_length():
+    with pytest.raises(ValueError, match="^prefix_of needs k >= 0$"):
+        prefix_of(from_spec("id"), -1)
+
+
 def test_agrees_through_examples():
     ident = from_spec("id")
     padded = zero_pad(FinitePrefix((0, 1, 2)))

@@ -15,6 +15,7 @@ from guessability.lang import (
     Or,
     Pred,
     SeqApp,
+    SignatureError,
     Variable,
     default_signature,
     parse,
@@ -54,6 +55,25 @@ def test_eval_numeral_ignores_oracle(sig):
     result = eval_term(Numeral(5), from_spec("id"), None, sig)
     assert result.value == 5
     assert result.queried == frozenset()
+
+
+@pytest.mark.parametrize("node, error, message", [
+    (FixedApp("add", (Numeral(1),)), ValueError, "'add' expects 2 arguments, got 1"),
+    (FixedApp("d1", (Numeral(1), Numeral(2))), ValueError, "'d1' expects 1 arguments, got 2"),
+    (Pred("<", (Numeral(1),)), ValueError, "'<' expects 2 arguments, got 1"),
+    (FixedApp("nope", (Numeral(1),)), SignatureError, "unknown function symbol 'nope'"),
+    (Pred("nope", (Numeral(1),)), SignatureError, "unknown predicate symbol 'nope'"),
+], ids=["add-1", "d1-2", "lt-1", "unknown-function", "unknown-predicate"])
+def test_a_hand_built_tree_off_the_signature_is_an_error(node, error, message):
+    """The parser never builds such a tree, but a caller can by hand."""
+    formula = node if isinstance(node, Pred) else Eq(node, Numeral(0))
+    evaluations = [lambda: eval_qf(formula, from_spec("id")),
+                   lambda: attempt(formula, FinitePrefix((0,)))]
+    if not isinstance(node, Pred):
+        evaluations.append(lambda: eval_term(node, from_spec("id")))
+    for evaluate in evaluations:
+        with pytest.raises(error, match=f"^{message}$"):
+            evaluate()
 
 
 def test_eval_ellipsis_sums_prefix(sig):

@@ -107,6 +107,11 @@ def test_codec_decode_then_encode(n):
     assert pairing.encode(a, b) == n
 
 
+def test_decode_rejects_a_negative_code():
+    with pytest.raises(ValueError, match="^pair codes are naturals$"):
+        pairing.decode(-1)
+
+
 # ---------------------------------------------------------------------------
 # mu from an exists-forall sentence
 
@@ -148,6 +153,8 @@ def test_overguesser_wrapper_matches_mu(cz):
     p = FinitePrefix((3, 0, 2))
     assert over(p) == mu_from_sigma2(cz.sigma2, p)
     assert over.provenance == cz.sigma2.text()
+    with pytest.raises(ValueError, match="^overguessers need at least one observed entry$"):
+        over(FinitePrefix(()))
 
 
 # ---------------------------------------------------------------------------
