@@ -10,7 +10,8 @@ one table, ``COMMANDS``, which also renders ``--help``.
 Exit codes: 0 ok, 2 parse or signature error, 3 adversary or evaluation
 budget exhausted, 4 density violation (no suitable extension at some prefix),
 74 standard output not writable (as on a full disk), 141 standard output
-closed early (as by ``| head``).
+closed early (as by ``| head``).  A standard error that cannot be written
+loses its lines but changes no exit code.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ EXIT_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A fault in what the command line asks for; ``main`` prints it and returns ``code``."""
+
+    code = EXIT_USAGE
 
 
 class GuessTrace(lang.Record):
@@ -190,8 +191,7 @@ def cmd_eval(args) -> int:
     if args.bound is None:
         raise CliError("quantified sentence: pass --bound B for a bounded evaluation")
     value = semantics.eval_bounded(formula, source, assignment, sig, args.bound)
-    print(f"note: quantifiers evaluated over 0..{args.bound}; the result is an approximation",
-          file=sys.stderr)
+    _complain(f"note: quantifiers evaluated over 0..{args.bound}; the result is an approximation")
     if args.json:
         _json({"value": value, "bounded": True, "bound": args.bound})
     else:
@@ -244,17 +244,13 @@ def cmd_mu(args) -> int:
 def cmd_adversary(args) -> int:
     sig = _load_signature(args.sig)
     guesser = _resolve_guesser(args.guesser, sig)
-    try:
-        if args.kind == "diagonal":
-            extenders = EXTENDER_SETS[args.set]()
-            prefix, trace = adv.diagonalize(guesser, extenders, args.flips, args.budget)
-        elif args.kind == "permutation":
-            prefix, trace = adv.permutation_adversary(guesser, args.flips, args.budget)
-        else:
-            prefix, trace = adv.cantor_adversary(guesser, args.flips, args.budget)
-    except adv.ExtensionUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DENSITY
+    if args.kind == "diagonal":
+        extenders = EXTENDER_SETS[args.set]()
+        prefix, trace = adv.diagonalize(guesser, extenders, args.flips, args.budget)
+    elif args.kind == "permutation":
+        prefix, trace = adv.permutation_adversary(guesser, args.flips, args.budget)
+    else:
+        prefix, trace = adv.cantor_adversary(guesser, args.flips, args.budget)
     if args.json:
         _json({"flips": list(trace.flips), "guesses": list(trace.guesses),
                "status": trace.status, "phase": trace.phase,
@@ -566,19 +562,34 @@ def cmd_help(args) -> int:
     return EXIT_OK
 
 
+def _complain(line: str) -> None:
+    """Print ``line`` on stderr; if stderr cannot take it, drop it and what stderr still holds."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:  # as to a full disk: the exit code must still tell what happened
+        _to_null(sys.stderr)
+
+
+def _to_null(stream) -> None:
+    """Point ``stream``'s file descriptor at the null device, so no later write or flush fails."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the only place that turns an exception into an ``error:`` line and a code."""
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.handler(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        code, message = exc.code, str(exc)
     except semantics.EvaluationBudgetExhausted as exc:
-        print(f"error: budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        code, message = EXIT_BUDGET, f"budget exhausted: {exc}"
+    except adv.ExtensionUnavailable as exc:
+        code, message = EXIT_DENSITY, str(exc)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, str(exc)
+    _complain(f"error: {message}")
+    return code
 
 
 def run() -> None:
@@ -586,8 +597,9 @@ def run() -> None:
 
     Exits with ``main``'s code, or with ``EXIT_PIPE`` and nothing on stderr
     when standard output is closed early, or with ``EXIT_OUTPUT`` and one
-    error line when another write to it fails.  Freezes the collector first,
-    so the collections at shutdown walk nothing; ``main`` must not freeze.
+    error line when another write to it fails; a failed write to stderr
+    changes none of these.  Freezes the collector first, so the collections
+    at shutdown walk nothing; ``main`` must not freeze.
     """
     try:
         code = main()
@@ -595,11 +607,11 @@ def run() -> None:
             sys.stdout.flush()
     except BrokenPipeError:
         # the SIGPIPE recipe of the Python docs: the shutdown flush has nowhere to fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _to_null(sys.stdout)
         code = EXIT_PIPE
     except OSError as exc:  # any other failed write, as to a full disk
-        print(f"error: cannot write the output: {exc}", file=sys.stderr)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _complain(f"error: cannot write the output: {exc}")
+        _to_null(sys.stdout)
         code = EXIT_OUTPUT
     gc.freeze()
     sys.exit(code)

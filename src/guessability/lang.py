@@ -19,7 +19,9 @@ Concrete grammar (whitespace-insensitive)::
              | IDENT '[' term ':' VAR '..' term ']'
 
 ``NAT`` is a decimal literal; ``VAR``/``IDENT`` match [a-zA-Z_][a-zA-Z0-9_]*
-with ``f``, ``forall`` and ``exists`` reserved.
+with ``f``, ``forall`` and ``exists`` reserved.  The levels ``imp``, ``disj``
+and ``conj`` are the rows of ``BINARY``, which the parser, the printer and
+the evaluator all read.
 """
 
 from __future__ import annotations
@@ -247,6 +249,12 @@ class Exists(Formula):
 
 
 RESERVED = {"f", "forall", "exists"}
+
+#: The binary connectives, loosest first: (node class, symbol, truth function).
+#: ``->`` groups to the right, ``|`` and ``&`` to the left; on bools ``a <= b``
+#: is ``a -> b``.
+BINARY = ((Implies, "->", operator.le), (Or, "|", operator.or_), (And, "&", operator.and_))
+
 _REL_SYMBOLS = ("=", "<=", ">=", "<", ">")
 
 
@@ -288,63 +296,55 @@ class Signature:
     """Finite registry of interpreted symbols.
 
     Holds fixed-arity functions, predicates, and variadic sequence-tuple
-    functions.  Names are unique across all three kinds and the reserved
-    symbol ``f`` can never be declared.
+    functions in one table, ``name -> (kind, entry)``, so a name has exactly
+    one kind; the reserved symbol ``f`` can never be declared.
     """
 
     def __init__(self):
-        self.fixed: dict[str, tuple[int, Callable[..., int]]] = {}
-        self.predicates: dict[str, tuple[int, Callable[..., bool]]] = {}
-        self.seq: dict[str, Callable[[tuple[int, ...]], int]] = {}
+        self._symbols: dict[str, tuple[str, object]] = {}
 
-    def _check_fresh(self, name: str) -> None:
+    def _declare(self, name: str, kind: str, entry: object) -> None:
         if name in RESERVED:
             raise SignatureError(f"{name!r} is reserved")
-        if name in self.fixed or name in self.predicates or name in self.seq:
+        if name in self._symbols:
             raise SignatureError(f"symbol {name!r} already declared")
+        self._symbols[name] = (kind, entry)
 
     def register_function(self, name: str, arity: int, host: Callable[..., int]) -> None:
         if arity <= 0:
             raise SignatureError("function arity must be positive")
-        self._check_fresh(name)
-        self.fixed[name] = (arity, host)
+        self._declare(name, "function", (arity, host))
 
     def register_predicate(self, name: str, arity: int, host: Callable[..., bool]) -> None:
         if arity <= 0:
             raise SignatureError("predicate arity must be positive")
-        self._check_fresh(name)
-        self.predicates[name] = (arity, host)
+        self._declare(name, "predicate", (arity, host))
 
     def register_seq_function(self, name: str, host: Callable[[tuple[int, ...]], int]) -> None:
-        self._check_fresh(name)
-        self.seq[name] = host
+        self._declare(name, "seq", host)
 
+    # one frame per lookup, with no shared helper: the evaluator looks up every application
     def function(self, name: str) -> tuple[int, Callable[..., int]]:
-        try:
-            return self.fixed[name]
-        except KeyError:
-            raise SignatureError(f"unknown function symbol {name!r}") from None
+        kind, entry = self._symbols.get(name, (None, None))
+        if kind != "function":
+            raise SignatureError(f"unknown function symbol {name!r}")
+        return entry
 
     def predicate(self, name: str) -> tuple[int, Callable[..., bool]]:
-        try:
-            return self.predicates[name]
-        except KeyError:
-            raise SignatureError(f"unknown predicate symbol {name!r}") from None
+        kind, entry = self._symbols.get(name, (None, None))
+        if kind != "predicate":
+            raise SignatureError(f"unknown predicate symbol {name!r}")
+        return entry
 
     def seq_function(self, name: str) -> Callable[[tuple[int, ...]], int]:
-        try:
-            return self.seq[name]
-        except KeyError:
-            raise SignatureError(f"unknown sequence symbol {name!r}") from None
+        kind, entry = self._symbols.get(name, (None, None))
+        if kind != "seq":
+            raise SignatureError(f"unknown sequence symbol {name!r}")
+        return entry
 
     def kind_of(self, name: str) -> str | None:
-        if name in self.fixed:
-            return "function"
-        if name in self.predicates:
-            return "predicate"
-        if name in self.seq:
-            return "seq"
-        return None
+        """``"function"``, ``"predicate"`` or ``"seq"``; None for an undeclared name."""
+        return self._symbols.get(name, (None, None))[0]
 
 
 def default_signature() -> Signature:
@@ -595,28 +595,19 @@ class _Parser:
             with self.nested():
                 body = self.parse_formula()
             return Forall(var, body) if tok.text == "forall" else Exists(var, body)
-        return self.parse_imp()
+        return self.parse_binary()
 
-    def parse_imp(self) -> Formula:
-        left = self.parse_disj()
-        if self.at_op("->"):
+    def parse_binary(self, level: int = 0) -> Formula:
+        """A chain of ``BINARY[level]`` over operands of the tighter levels."""
+        if level == len(BINARY):
+            return self.parse_neg()
+        node, (connective, symbol, _) = self.parse_binary(level + 1), BINARY[level]
+        while self.at_op(symbol):
             self.advance()
-            with self.nested():
-                return Implies(left, self.parse_imp())
-        return left
-
-    def parse_disj(self) -> Formula:
-        node = self.parse_conj()
-        while self.at_op("|"):
-            self.advance()
-            node = Or(node, self.parse_conj())
-        return node
-
-    def parse_conj(self) -> Formula:
-        node = self.parse_neg()
-        while self.at_op("&"):
-            self.advance()
-            node = And(node, self.parse_neg())
+            if connective is Implies:  # groups to the right
+                with self.nested():
+                    return Implies(node, self.parse_binary(level))
+            node = connective(node, self.parse_binary(level + 1))
         return node
 
     def parse_neg(self) -> Formula:
@@ -746,11 +737,9 @@ def _height(node: Term | Formula) -> int:
 # ---------------------------------------------------------------------------
 # Printer
 
-_LEVEL_FORMULA = 0
-_LEVEL_IMP = 1
-_LEVEL_OR = 2
-_LEVEL_AND = 3
-_LEVEL_NEG = 4
+# binding levels: 0 a quantifier's, 1.. the binary connectives', len(BINARY) + 1 a negation's
+_BINARY_LEVEL = {connective: (level, symbol)
+                 for level, (connective, symbol, _) in enumerate(BINARY, start=1)}
 
 
 def print_term(term: Term) -> str:
@@ -770,25 +759,23 @@ def print_term(term: Term) -> str:
 
 def print_formula(formula: Formula) -> str:
     """Canonical text; reparsing yields a structurally equal AST."""
-    return _print_at(formula, _LEVEL_FORMULA)
+    return _print_at(formula, 0)
 
 
 def _print_at(node: Formula, level: int) -> str:
+    """``node``'s text, parenthesised when its own level is looser than ``level``."""
     if isinstance(node, (Forall, Exists)):
         kw = "forall" if isinstance(node, Forall) else "exists"
-        text = f"{kw} {node.var}. {_print_at(node.body, _LEVEL_FORMULA)}"
-        return f"({text})" if level > _LEVEL_FORMULA else text
-    if isinstance(node, Implies):
-        text = f"{_print_at(node.left, _LEVEL_OR)} -> {_print_at(node.right, _LEVEL_IMP)}"
-        return f"({text})" if level > _LEVEL_IMP else text
-    if isinstance(node, Or):
-        text = f"{_print_at(node.left, _LEVEL_OR)} | {_print_at(node.right, _LEVEL_AND)}"
-        return f"({text})" if level > _LEVEL_OR else text
-    if isinstance(node, And):
-        text = f"{_print_at(node.left, _LEVEL_AND)} & {_print_at(node.right, _LEVEL_NEG)}"
-        return f"({text})" if level > _LEVEL_AND else text
+        text = f"{kw} {node.var}. {_print_at(node.body, 0)}"
+        return f"({text})" if level > 0 else text
+    if node.__class__ in _BINARY_LEVEL:
+        at, symbol = _BINARY_LEVEL[node.__class__]
+        # the side a connective groups to may hold it again unparenthesised
+        left, right = (at + 1, at) if node.__class__ is Implies else (at, at + 1)
+        text = f"{_print_at(node.left, left)} {symbol} {_print_at(node.right, right)}"
+        return f"({text})" if level > at else text
     if isinstance(node, Not):
-        return f"!{_print_at(node.body, _LEVEL_NEG)}"
+        return f"!{_print_at(node.body, len(BINARY) + 1)}"
     if isinstance(node, Eq):
         return f"{print_term(node.left)} = {print_term(node.right)}"
     if isinstance(node, Pred):

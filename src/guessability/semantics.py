@@ -17,17 +17,15 @@ from collections import defaultdict
 from collections.abc import Callable, Mapping
 
 from .lang import (
-    And,
+    BINARY,
     EllipsisApp,
     Eq,
     Exists,
     FixedApp,
     Forall,
     Formula,
-    Implies,
     Not,
     Numeral,
-    Or,
     Pred,
     Record,
     SeqApp,
@@ -146,6 +144,9 @@ class EvaluationBudgetExhausted(Exception):
     """An evaluation spent more than MAX_BOUNDED_INSTANCES quantifier instances and ellipsis entries."""
 
 
+_CONNECTIVES = {connective: truth for connective, _, truth in BINARY}
+
+
 class _Evaluation:
     """One evaluation: how entries are read, the host symbols, the memo, the bound and the budget.
 
@@ -210,15 +211,9 @@ class _Evaluation:
             return bool(host(*[self.value(a, s) for a in formula.args]))
         if isinstance(formula, Not):
             return not self.truth(formula.body, s)
-        if isinstance(formula, And):
-            left, right = self.truth(formula.left, s), self.truth(formula.right, s)
-            return left and right
-        if isinstance(formula, Or):
-            left, right = self.truth(formula.left, s), self.truth(formula.right, s)
-            return left or right
-        if isinstance(formula, Implies):
-            left, right = self.truth(formula.left, s), self.truth(formula.right, s)
-            return (not left) or right
+        connective = _CONNECTIVES.get(formula.__class__)
+        if connective is not None:
+            return connective(self.truth(formula.left, s), self.truth(formula.right, s))
         if isinstance(formula, (Forall, Exists)):
             if self.bound is None:
                 raise MisplacedQuantifierError(

@@ -21,12 +21,10 @@ from collections.abc import Callable, Iterator
 
 from . import pairing
 from .lang import (
-    And,
+    BINARY,
     Formula,
-    Implies,
     LangError,
     Not,
-    Or,
     Pi2Sentence,
     Pred,
     Record,
@@ -154,6 +152,8 @@ def mu_from_sigma2(sentence: Sigma2Sentence, prefix: FinitePrefix,
     return ExtendedNat.finite(len(prefix))
 
 
+_CONNECTIVES = (Not, *(connective for connective, _, _ in BINARY))
+
 # (arity, host) of the comparison predicates: ``a op c`` changes truth only at a = c or c + 1
 _COMPARISONS = tuple((2, host) for host in (operator.lt, operator.gt, operator.le, operator.ge))
 
@@ -168,13 +168,14 @@ def _thresholds(matrix: Formula, var: str, sig: Signature) -> list[Term] | None:
     found: list[Term] = []
 
     def only_compared(node: Formula) -> bool:
-        if isinstance(node, (Not, And, Or, Implies)):
+        if isinstance(node, _CONNECTIVES):
             return all(map(only_compared, children(node)))
         if var not in free_vars(node):
             return True
         operands = children(node)  # the sides of an Eq or the arguments of a Pred
         if isinstance(node, Pred) and (
-                len(operands) != 2 or sig.predicates.get(node.symbol) not in _COMPARISONS):
+                len(operands) != 2 or sig.kind_of(node.symbol) != "predicate"
+                or sig.predicate(node.symbol) not in _COMPARISONS):
             return False
         for this, other in (operands, operands[::-1]):
             if this == Variable(var) and var not in free_vars(other):
@@ -354,7 +355,7 @@ def guesser_sentence_texts(seq_symbol: str) -> tuple[str, str]:
 
 def sentences_from_guesser(seq_symbol: str, sig: Signature) -> Delta2Spec:
     """Defining sentences for the set guessed by a registered {0,1}-valued symbol."""
-    if seq_symbol not in sig.seq:
+    if sig.kind_of(seq_symbol) != "seq":
         raise LangError(f"{seq_symbol!r} is not a registered sequence-tuple symbol")
     sigma2_text, pi2_text = guesser_sentence_texts(seq_symbol)
     return Delta2Spec(
@@ -402,7 +403,7 @@ def sigma2_from_overguesser(mu_symbol: str, sig: Signature) -> Sigma2Sentence:
     the signature's ``d1``/``d2`` must be the pairing projections, as they
     are in the default signature.
     """
-    if mu_symbol not in sig.seq:
+    if sig.kind_of(mu_symbol) != "seq":
         raise LangError(f"{mu_symbol!r} is not a registered sequence-tuple symbol")
     for name, proj in (("d1", pairing.first), ("d2", pairing.second)):
         arity, host = sig.function(name)
@@ -424,7 +425,7 @@ def sigma2_from_countable_family(name: str, sig: Signature) -> Sigma2Sentence:
     ``name`` must be a registered binary function: the family's member m is
     the sequence n -> name(m, n).
     """
-    if name not in sig.fixed:
+    if sig.kind_of(name) != "function":
         raise LangError(f"{name!r} is not a registered binary function symbol")
     arity, _ = sig.function(name)
     if arity != 2:
@@ -515,7 +516,7 @@ def delta2_from_topology(for_set: TopologySpec, for_complement: TopologySpec,
     sig.register_seq_function(tau_c, _membership_host(for_complement))
     sig.register_function(len_s, 2, _length_host(for_set))
     sig.register_function(len_c, 2, _length_host(for_complement))
-    if "sel" not in sig.fixed:
+    if sig.kind_of("sel") != "function":
         sig.register_function("sel", 4, _select_host)
 
     def tuple_term(tau: str, length: str) -> str:

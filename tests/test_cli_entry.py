@@ -86,6 +86,42 @@ def test_a_failed_write_ends_with_exit_74_and_one_error_line(s2_file, unbuffered
     assert err == b"error: cannot write the output: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, code", [
+    (["mu", "--nope"], 2),
+    (["adversary", "--guesser", "contains-zero", "--kind", "diagonal",
+      "--set", "contains-zero", "--budget", "50"], 4),
+    (["eval", "{s2}", "--seq", "id", "--bound", "2"], 0),
+], ids=["usage", "density", "eval-note"])
+def test_an_unwritable_stderr_changes_neither_the_exit_code_nor_stdout(
+        s2_file, argv, code, unbuffered, monkeypatch):
+    """The ``error:`` and ``note:`` lines are lost; the code and the output are not."""
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    argv = [arg.format(s2=s2_file) for arg in argv]
+    with open("/dev/full", "wb") as full:
+        proc = child(argv, stdout=subprocess.PIPE, stderr=full, text=True)
+        out, _ = proc.communicate(timeout=60)
+    expected_code, expected_out, _ = in_process(argv)
+    assert (proc.returncode, out) == (expected_code, expected_out)
+    assert proc.returncode == code
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_unwritable_stdout_and_stderr_still_end_with_exit_74(s2_file, unbuffered, monkeypatch):
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    with open("/dev/full", "wb") as full:
+        proc = child(["mu", s2_file, "--seq", "prefix:[3,1,2]:pad0", "--horizon", "3"],
+                     stdout=full, stderr=full)
+        proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_OUTPUT == 74
+
+
 def test_a_command_started_without_stdout_still_exits_with_its_code(s2_file):
     """Started with file descriptor 1 closed (``>&-``), Python has no
     ``sys.stdout``; the command's output is dropped, as ``print`` drops it."""
