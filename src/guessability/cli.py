@@ -16,7 +16,7 @@ loses its lines but changes no exit code.
 
 from __future__ import annotations
 
-import gc
+import atexit
 import os
 import re
 import sys
@@ -242,6 +242,10 @@ def cmd_mu(args) -> int:
 
 
 def cmd_adversary(args) -> int:
+    if args.flips < 1:
+        raise CliError("flips must be at least 1")
+    if args.budget < 1:
+        raise CliError("budget must be at least 1")
     sig = _load_signature(args.sig)
     guesser = _resolve_guesser(args.guesser, sig)
     if args.kind == "diagonal":
@@ -563,16 +567,11 @@ def cmd_help(args) -> int:
 
 
 def _complain(line: str) -> None:
-    """Print ``line`` on stderr; if stderr cannot take it, drop it and what stderr still holds."""
+    """Print ``line`` on stderr, or drop it if stderr cannot take it."""
     try:
         print(line, file=sys.stderr)
     except OSError:  # as to a full disk: the exit code must still tell what happened
-        _to_null(sys.stderr)
-
-
-def _to_null(stream) -> None:
-    """Point ``stream``'s file descriptor at the null device, so no later write or flush fails."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        pass
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -595,26 +594,28 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """Process entry of ``python -m guessability.cli`` and the console script.
 
-    Exits with ``main``'s code, or with ``EXIT_PIPE`` and nothing on stderr
-    when standard output is closed early, or with ``EXIT_OUTPUT`` and one
-    error line when another write to it fails; a failed write to stderr
-    changes none of these.  Freezes the collector first, so the collections
-    at shutdown walk nothing; ``main`` must not freeze.
+    Ends the process with ``main``'s code, or with ``EXIT_PIPE`` and nothing
+    on stderr when standard output is closed early, or with ``EXIT_OUTPUT``
+    and one error line when another write to it fails; a failed write to
+    stderr changes none of these.  Then it runs the exit hooks, flushes both
+    streams and calls ``os._exit``, so the interpreter's teardown never runs.
     """
     try:
         code = main()
         if sys.stdout is not None:  # None when started with standard output closed (>&-)
             sys.stdout.flush()
     except BrokenPipeError:
-        # the SIGPIPE recipe of the Python docs: the shutdown flush has nowhere to fail
-        _to_null(sys.stdout)
         code = EXIT_PIPE
     except OSError as exc:  # any other failed write, as to a full disk
         _complain(f"error: cannot write the output: {exc}")
-        _to_null(sys.stdout)
         code = EXIT_OUTPUT
-    gc.freeze()
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None when started closed
+        try:
+            stream.flush()
+        except OSError:  # the code is already decided
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

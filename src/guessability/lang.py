@@ -18,7 +18,9 @@ Concrete grammar (whitespace-insensitive)::
     term    := NAT | VAR | 'f' '(' term ')' | IDENT '(' term {',' term} ')'
              | IDENT '[' term ':' VAR '..' term ']'
 
-``NAT`` is a decimal literal; ``VAR``/``IDENT`` match [a-zA-Z_][a-zA-Z0-9_]*
+``NAT`` is a run of digits as ``str.isdecimal`` reads them (``٣`` is 3);
+``VAR``/``IDENT`` are a letter or ``_`` followed by letters, digits or ``_``,
+as ``str.isalpha``/``str.isalnum`` read them (``é`` and ``x²`` are names),
 with ``f``, ``forall`` and ``exists`` reserved.  The levels ``imp``, ``disj``
 and ``conj`` are the rows of ``BINARY``, which the parser, the printer and
 the evaluator all read.
@@ -483,7 +485,10 @@ class _Token(Record):
     column: int
 
 
-_OPERATORS = ("->", "..", "<=", ">=", "(", ")", "[", "]", ",", ":", ".", "|", "&", "!", "=", "<", ">")
+# longest first, so "<=" is never read as "<" and "="
+_OPERATORS = tuple(sorted({*(symbol for _, symbol, _ in BINARY), *_REL_SYMBOLS,
+                           "..", "(", ")", "[", "]", ",", ":", ".", "!"},
+                          key=lambda op: (-len(op), op)))
 
 
 def _tokenize(text: str) -> list[_Token]:

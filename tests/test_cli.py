@@ -767,6 +767,24 @@ def test_synth_topology_default_lines(capsys, tmp_path):
                                 str(tmp_path / "topology.sigma2.lg")]
 
 
+def test_synth_topology_skips_blank_and_comment_lines(capsys, tmp_path):
+    """The README's table has a ``#`` line; such lines and blank ones change no file."""
+    plain = {"s": "0 0 7\n", "sc": "0 0 1\n0 1 2\ndefault 5,6\n"}
+    commented = {name: "# S = { f : f(0) = 7 }\n\n" + text.replace("\n", "\n  \n  # row\n")
+                 for name, text in plain.items()}
+    written = []
+    for index, tables in enumerate((plain, commented)):
+        paths = []
+        for name, text in tables.items():
+            paths.append(tmp_path / f"{name}{index}.tbl")
+            paths[-1].write_text(text)
+        out_dir = tmp_path / f"out{index}"
+        code, _, _ = run(capsys, "synth", "topology", *map(str, paths), "--out-dir", str(out_dir))
+        assert code == 0
+        written.append({path.name: path.read_text() for path in out_dir.iterdir()})
+    assert written[0] == written[1] and len(written[0]) == 2
+
+
 def test_synth_topology_bad_table(capsys, tmp_path):
     bad = tmp_path / "bad.tbl"
     bad.write_text("0 zero 7\n")
@@ -898,19 +916,16 @@ def test_play_quits_on_eof(capsys, monkeypatch):
     (["synth", "topology", "{s2}"], "synth topology needs two table files: <set> <complement>"),
     (["eval", "{missing}", "--seq", "id"], "cannot read sentence file: "),
     (["eval", "{s2}", "--seq", "id", "--sig", "{missing}"], "cannot read signature file: "),
+    (["adversary", "--guesser", "constant-1", "--kind", "cantor", "--flips", "0"],
+     "flips must be at least 1"),
+    (["adversary", "--guesser", "constant-1", "--kind", "diagonal", "--budget", "0"],
+     "budget must be at least 1"),
 ])
 def test_usage_errors_are_one_error_line(capsys, tmp_path, s2_file, argv, message):
     paths = {"s2": s2_file, "missing": str(tmp_path / "missing")}
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
-
-
-def test_adversary_rejects_nonpositive_flips(capsys):
-    code, _, err = run(capsys, "adversary", "--guesser", "constant-1",
-                       "--kind", "cantor", "--flips", "0")
-    assert code == 2
-    assert "target_flips" in err
 
 
 def test_mu_rejects_nonpositive_horizon(capsys, s2_file):

@@ -1,5 +1,5 @@
 """The process entry ``cli.run``: same results as ``cli.main``, a clean end on a
-closed pipe, and ``gc.freeze`` kept out of the library path."""
+closed pipe, exit hooks that still run, and ``os._exit`` kept out of the library path."""
 
 import ast
 import contextlib
@@ -8,6 +8,7 @@ import io
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -18,12 +19,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
+def child_env() -> dict[str, str]:
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+
+
 def child(argv: list[str], shell: tuple[str, ...] = (), **popen) -> subprocess.Popen:
     """``python -m guessability.cli`` on ``argv`` in a fresh process, run by ``shell`` if given."""
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
     return subprocess.Popen([*shell, sys.executable, "-m", "guessability.cli", *argv],
-                            env=env, stdin=subprocess.DEVNULL, **popen)
+                            env=child_env(), stdin=subprocess.DEVNULL, **popen)
 
 
 def in_process(argv: list[str]) -> tuple[int, str, str]:
@@ -139,18 +143,57 @@ def test_the_console_script_is_the_entry():
     assert 'guessability = "guessability.cli:run"' in scripts
 
 
-def exits_and_freezes(tree: ast.AST) -> list[str]:
-    return sorted(f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and (node.value.id, node.attr) in {("sys", "exit"), ("gc", "freeze")})
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_exit_hooks_still_run(tmp_path, s2_file, unbuffered, monkeypatch):
+    """``run`` ends with ``os._exit``, but after the hooks a caller registered, and
+    what they print is flushed."""
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    marker = tmp_path / "marker"
+    argv = ["mu", s2_file, "--seq", "prefix:[3,1,2]:pad0", "--horizon", "3"]
+    wrapper = textwrap.dedent(f"""
+        import atexit, pathlib, runpy, sys
+        atexit.register(pathlib.Path({str(marker)!r}).write_text, "ran")
+        atexit.register(print, "hook ran")
+        atexit.register(sys.stderr.write, "a line without its end")
+        sys.argv[1:] = {argv!r}
+        runpy.run_module("guessability.cli", run_name="__main__")
+    """)
+    done = subprocess.run([sys.executable, "-c", wrapper], env=child_env(),
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60)
+    code, out, err = in_process(argv)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        code, out + "hook ran\n", err + "a line without its end")
+    assert marker.read_text() == "ran"
 
 
-def test_only_the_entry_exits_and_freezes():
+def test_main_drops_a_line_its_stderr_cannot_take():
+    """In process, ``main`` leaves its caller's streams and descriptors alone."""
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    with contextlib.redirect_stderr(Full()):
+        assert cli.main(["mu", "--nope"]) == cli.EXIT_USAGE
+
+
+# what ends the process, and what ``run`` needed before it ended the process itself
+WATCHED = {"sys.exit", "os._exit", "os.abort", "os.kill", "exit", "quit", "os.dup2", "gc.freeze"}
+
+
+def watched_names(tree: ast.AST) -> list[str]:
+    names = (f"{node.value.id}.{node.attr}"
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             else getattr(node, "id", None) for node in ast.walk(tree))
+    return sorted(name for name in names if name in WATCHED)
+
+
+def test_only_the_entry_ends_the_process():
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted((SRC / "guessability").glob("*.py"))}
-    found = {name: exits_and_freezes(tree) for name, tree in trees.items()}
-    assert {name: calls for name, calls in found.items() if calls} == {
-        "cli.py": ["gc.freeze", "sys.exit"]}
+    found = {name: watched_names(tree) for name, tree in trees.items()}
+    assert {name: calls for name, calls in found.items() if calls} == {"cli.py": ["os._exit"]}
     entry = next(node for node in trees["cli.py"].body
                  if isinstance(node, ast.FunctionDef) and node.name == "run")
-    assert exits_and_freezes(entry) == ["gc.freeze", "sys.exit"]
+    assert watched_names(entry) == ["os._exit"]

@@ -226,6 +226,22 @@ def test_parse_takes_decimal_digits_only(sig):
     assert (err.value.line, err.value.column) == (1, 3)
 
 
+def test_names_and_numerals_are_read_as_the_str_predicates_read_them(sig):
+    assert free_vars(parse("f(é) = 0", sig)) == {"é"}
+    assert free_vars(parse("x² = 0", sig)) == {"x²"}
+    arabic_indic_three = parse("f(\u0663) = 0", sig)
+    assert arabic_indic_three == parse("f(3) = 0", sig)
+    assert eval_qf(arabic_indic_three, from_spec("id")) == EvalResult(
+        value=False, queried=frozenset({3}))
+
+
+@pytest.mark.parametrize("symbol", [symbol for _, symbol, _ in lang.BINARY]
+                         + list(lang._REL_SYMBOLS))
+def test_each_connective_and_relation_scans_as_one_token(symbol):
+    assert [(token.kind, token.text) for token in lang._tokenize(symbol)] == [
+        ("op", symbol), ("eof", "")]
+
+
 # DSL tokens and a few phrases; runs of 1200 reach past the nesting limit
 _FUZZ_PIECES = ("forall", "exists", "x", "y", "z", "f", "G", "g", "0", "7", "(", ")", "[", "]",
                 ",", ":", ".", "..", "->", "|", "&", "!", "=", "<", ">", "<=", ">=", "\n",

@@ -218,6 +218,11 @@ def test_past_needs_a_shorter_view_of_the_same_list():
     assert chain[3].past(FinitePrefix((0, 1))) is None
 
 
+def test_query_beyond_limit_names_the_index_and_the_limit():
+    with pytest.raises(QueryBeyondLimit, match=r"^query at index 7 exceeds limit 3$"):
+        FinitePrefix((0, 1, 2, 3)).reader()(7)
+
+
 def test_reader_checks_bounds_of_its_view():
     short = FinitePrefix((4, 5))
     short.extended(6)
