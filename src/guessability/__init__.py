@@ -14,7 +14,6 @@ from .oracle import (
     FinitePrefix,
     QueryBeyondLimit,
     SequenceOracle,
-    agrees_through,
     from_spec,
     prefix_of,
     prefix_spec,

@@ -183,11 +183,6 @@ def prefix_of(oracle: SequenceOracle, k: int) -> FinitePrefix:
     return FinitePrefix(tuple(oracle.query(i) for i in range(k + 1)))
 
 
-def agrees_through(o1: SequenceOracle, o2: SequenceOracle, k: int) -> bool:
-    """True iff both oracles return equal values at every index <= k."""
-    return all(o1.query(i) == o2.query(i) for i in range(k + 1))
-
-
 def from_spec(text: str) -> SequenceOracle:
     """Build an oracle from a sequence spec string.
 

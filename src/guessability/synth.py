@@ -365,8 +365,18 @@ def sentences_from_guesser(seq_symbol: str, sig: Signature) -> Delta2Spec:
 
 
 def register_guesser(sig: Signature, name: str, guesser: Guesser) -> None:
-    """Expose a guesser as a sequence-tuple symbol (tuples become prefixes)."""
-    sig.register_seq_function(name, lambda t: guesser(FinitePrefix(t)))
+    """Expose a deterministic guesser as a sequence-tuple symbol, memoised per tuple.
+
+    Each tuple's first guess is kept, and a call that raises keeps nothing (see
+    _prefix_host).  Traced over H prefixes, the round trip through
+    sentences_from_guesser and guesser_from_delta2 costs about 4H stream observations.
+    """
+    sig.register_seq_function(name, _prefix_host(guesser))
+
+
+def _prefix_host(construction: Callable[[FinitePrefix], int]) -> Callable[[tuple[int, ...]], int]:
+    """Sequence host for a deterministic prefix-indexed construction, memoised per tuple."""
+    return functools.cache(lambda t: construction(FinitePrefix(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +386,14 @@ def register_guesser(sig: Signature, name: str, guesser: Guesser) -> None:
 def mu_prime_host(overguesser: Overguesser) -> Callable[[tuple[int, ...]], int]:
     """Shifted encoding of an overguesser: finite v maps to v+1, infinity to 0.
 
-    Memoised per prefix tuple; the overguesser is deterministic so the cache
-    is transparent.
+    Memoised per tuple: the first value is kept, so the overguesser must be deterministic,
+    and a call that raises, as on a junk value, keeps nothing (see _prefix_host).
     """
-    cache: dict[tuple[int, ...], int] = {}
+    def shifted(prefix: FinitePrefix) -> int:
+        v = overguesser(prefix)
+        return 0 if v.is_infinite else v.value + 1
 
-    def host(t: tuple[int, ...]) -> int:
-        if t not in cache:
-            v = overguesser(FinitePrefix(t))
-            cache[t] = 0 if v.is_infinite else v.value + 1
-        return cache[t]
-
-    return host
+    return _prefix_host(shifted)
 
 
 def overguesser_sentence_text(mu_symbol: str) -> str:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,14 @@ def child(argv: list[str], shell: tuple[str, ...] = (), **popen) -> subprocess.P
     """``python -m guessability.cli`` on ``argv`` in a fresh process, run by ``shell`` if given."""
     return subprocess.Popen([*shell, sys.executable, "-m", "guessability.cli", *argv],
                             env=child_env(), stdin=subprocess.DEVNULL, **popen)
+
+
+def buffering_modes(monkeypatch) -> Iterator[str]:
+    """Set up the children started next as buffered, then as unbuffered, whatever the caller exported."""
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    yield "buffered"
+    monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    yield "unbuffered"
 
 
 def in_process(argv: list[str]) -> tuple[int, str, str]:
@@ -51,28 +60,30 @@ def s2_file(tmp_path):
     (["adversary", "--guesser", "contains-zero", "--kind", "diagonal",
       "--set", "contains-zero", "--budget", "50"], 4),
 ])
-def test_the_entry_changes_no_result(s2_file, argv, code):
+def test_the_entry_changes_no_result(s2_file, argv, code, monkeypatch):
     argv = [arg.format(s2=s2_file) for arg in argv]
-    proc = child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    out, err = proc.communicate(timeout=60)
-    frozen = gc.get_freeze_count()
-    assert (proc.returncode, out, err) == in_process(argv)
-    assert gc.get_freeze_count() == frozen  # only the process entry freezes, never main
-    assert proc.returncode == code
+    for mode in buffering_modes(monkeypatch):
+        proc = child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=60)
+        frozen = gc.get_freeze_count()
+        assert (proc.returncode, out, err) == in_process(argv), mode
+        assert gc.get_freeze_count() == frozen, mode  # main leaves the collector as it found it
+        assert proc.returncode == code, mode
 
 
-def test_a_closed_pipe_ends_with_exit_141_and_nothing_on_stderr():
+def test_a_closed_pipe_ends_with_exit_141_and_nothing_on_stderr(monkeypatch):
     """The prefix line (about 400 KB) outgrows any pipe buffer, so the child
     writes into a pipe whose reader has gone."""
-    proc = child(["adversary", "--guesser", "constant-1", "--kind", "diagonal",
-                  "--set", "inf-zeros", "--flips", "10", "--budget", "200000"],
-                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline().startswith(b"flips=")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
-    assert err == b""
+    for mode in buffering_modes(monkeypatch):
+        proc = child(["adversary", "--guesser", "constant-1", "--kind", "diagonal",
+                      "--set", "inf-zeros", "--flips", "10", "--budget", "200000"],
+                     stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"flips="), mode
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141, mode
+        assert err == b"", mode
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -126,13 +137,14 @@ def test_unwritable_stdout_and_stderr_still_end_with_exit_74(s2_file, unbuffered
     assert proc.returncode == cli.EXIT_OUTPUT == 74
 
 
-def test_a_command_started_without_stdout_still_exits_with_its_code(s2_file):
+def test_a_command_started_without_stdout_still_exits_with_its_code(s2_file, monkeypatch):
     """Started with file descriptor 1 closed (``>&-``), Python has no
     ``sys.stdout``; the command's output is dropped, as ``print`` drops it."""
-    proc = child(["mu", s2_file, "--seq", "prefix:[3,1,2]:pad0", "--horizon", "3"],
-                 shell=("sh", "-c", 'exec "$@" >&-', "sh"), stderr=subprocess.PIPE)
-    assert proc.communicate(timeout=60) == (None, b"")
-    assert proc.returncode == 0
+    for mode in buffering_modes(monkeypatch):
+        proc = child(["mu", s2_file, "--seq", "prefix:[3,1,2]:pad0", "--horizon", "3"],
+                     shell=("sh", "-c", 'exec "$@" >&-', "sh"), stderr=subprocess.PIPE)
+        assert proc.communicate(timeout=60) == (None, b""), mode
+        assert proc.returncode == 0, mode
 
 
 def test_the_console_script_is_the_entry():

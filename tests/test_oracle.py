@@ -8,7 +8,6 @@ from guessability.oracle import (
     QueryBeyondLimit,
     SequenceOracle,
     SequenceSpecError,
-    agrees_through,
     from_spec,
     prefix_of,
     prefix_spec,
@@ -61,15 +60,6 @@ def test_prefix_of_zero_padded():
 def test_prefix_of_rejects_a_negative_length():
     with pytest.raises(ValueError, match="^prefix_of needs k >= 0$"):
         prefix_of(from_spec("id"), -1)
-
-
-def test_agrees_through_examples():
-    ident = from_spec("id")
-    padded = zero_pad(FinitePrefix((0, 1, 2)))
-    zeros = from_spec("const:0")
-    assert agrees_through(ident, padded, 2)
-    assert agrees_through(from_spec("id"), zeros, 0)
-    assert not agrees_through(from_spec("id"), from_spec("const:0"), 1)
 
 
 @given(entry_lists)
