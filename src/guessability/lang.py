@@ -32,7 +32,7 @@ import contextlib
 import enum
 import math
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from . import pairing
 
@@ -284,7 +284,7 @@ PRED_BUILTINS: dict[str, tuple[int, Callable[..., bool]]] = {
     ">=": (2, operator.ge),
 }
 
-SEQ_BUILTINS: dict[str, Callable[[tuple[int, ...]], int]] = {
+SEQ_BUILTINS: dict[str, Callable[[Sequence[int]], int]] = {
     "sum": lambda t: sum(t),
     "max": lambda t: max(t),
     "min": lambda t: min(t),
@@ -322,7 +322,8 @@ class Signature:
             raise SignatureError("predicate arity must be positive")
         self._declare(name, "predicate", (arity, host))
 
-    def register_seq_function(self, name: str, host: Callable[[tuple[int, ...]], int]) -> None:
+    def register_seq_function(self, name: str, host: Callable[[Sequence[int]], int]) -> None:
+        """Declare a sequence host: it gets a ``FinitePrefix`` view; call ``tuple(t)`` for a tuple."""
         self._declare(name, "seq", host)
 
     # one frame per lookup, with no shared helper: the evaluator looks up every application
@@ -338,7 +339,7 @@ class Signature:
             raise SignatureError(f"unknown predicate symbol {name!r}")
         return entry
 
-    def seq_function(self, name: str) -> Callable[[tuple[int, ...]], int]:
+    def seq_function(self, name: str) -> Callable[[Sequence[int]], int]:
         kind, entry = self._symbols.get(name, (None, None))
         if kind != "seq":
             raise SignatureError(f"unknown sequence symbol {name!r}")

@@ -5,10 +5,11 @@ One evaluator serves every entry point; they differ in how an entry is read.
 read.  ``attempt`` reads a finite prefix and fails the moment a read would look
 past its last index; given an ``EllipsisMemo`` it evaluates each entry of an
 ellipsis term once for each value of the body's free variables along a growing
-prefix, whatever the bounds that ask for it.
-``eval_bounded`` restricts quantifiers to 0..bound.  Connectives are never
-short-circuited, so the query set is determined by the syntax alone, and every
-evaluation has a budget of ``MAX_BOUNDED_INSTANCES`` units of work.
+prefix, whatever the bounds that ask for it.  A sequence host gets the body
+values as a ``FinitePrefix`` view (call ``tuple(t)`` for a tuple), so one below 0
+raises.  ``eval_bounded`` restricts quantifiers to 0..bound.  Connectives are
+never short-circuited, so the query set is determined by the syntax alone, and
+every evaluation has a budget of ``MAX_BOUNDED_INSTANCES`` units of work.
 """
 
 from __future__ import annotations
@@ -69,23 +70,22 @@ class EllipsisMemo:
     """Entries and values of the ellipsis terms of one matrix over one growing prefix.
 
     ``tables`` maps an ``EllipsisApp`` node, by identity, and the values of its
-    body's free variables other than the binder to the body's values at
-    binder = 0, 1, ... evaluated so far, and to the host's value on each tuple
-    size it was called with.  Neither depends on the bound, which only picks
-    the size.  An evaluation that succeeded read only observed entries, which
-    never change as the prefix grows, so with deterministic host functions the
-    table holds on every extension; an entry list that stopped at a failed
-    read keeps the entries before it.  The owner keeps the matrix alive, so
-    node ids stay unique.
+    body's free variables other than the binder to ``[prefix, values]``: the
+    body's values at binder = 0, 1, ... so far, as a ``FinitePrefix`` the host
+    reads as it is, grown only by ``extended`` so that a host extending it forks
+    the list, and the host's value on each size.  Neither depends on the bound.
+    An evaluation that succeeded read only observed entries, which never change
+    as the prefix grows, so with deterministic hosts the table holds on every
+    extension; a prefix that stopped at a failed read keeps the entries before
+    it.  The owner keeps the matrix alive, so node ids stay unique.
     """
 
     def __init__(self):
         self._names: dict[int, tuple[str, ...]] = {}
-        self.tables: dict[tuple[int, ...], tuple[list[int], dict[int, int]]] = defaultdict(
-            lambda: ([], {}))
+        self.tables: dict[tuple[int, ...], list] = defaultdict(lambda: [FinitePrefix(), {}])
 
-    def table(self, term: EllipsisApp, s: Assignment) -> tuple[list[int], dict[int, int]]:
-        """The node's entries so far and its host values by tuple size under ``s``."""
+    def table(self, term: EllipsisApp, s: Assignment) -> list:
+        """``[prefix, values]`` for the node under ``s``: its entries so far, its host values by size."""
         node = id(term)
         names = self._names.get(node)
         if names is None:
@@ -187,17 +187,17 @@ class _Evaluation:
             # the bound evaluates first, then the body at binder = 0..bound, ascending,
             # each entry spending one unit unless the memo already holds it
             size = self.value(term.bound, s) + 1
-            entries, values = ([], {}) if self.memo is None else self.memo.table(term, s)
+            table = [FinitePrefix(), {}] if self.memo is None else self.memo.table(term, s)
+            prefix, values = table
             value = values.get(size)
             if value is None:
                 host = self.sig.seq_function(term.symbol)
-                for i in range(len(entries), size):
+                for i in range(len(prefix), size):
                     self.spend()
-                    entries.append(self.value(term.body, s.set(term.binder, i)))
-                # only a bound below the memo's longest list needs the slice;
-                # at the list's length one tuple copy does
-                value = values[size] = int(host(
-                    tuple(entries) if size == len(entries) else tuple(entries[:size])))
+                    prefix = table[0] = prefix.extended(self.value(term.body, s.set(term.binder, i)))
+                if size < len(prefix):  # the host reads the memo's own view; only a shorter one copies
+                    prefix = FinitePrefix(prefix[:size])
+                value = values[size] = int(host(prefix))
             return value
         raise TypeError(f"not a term: {term!r}")
 

@@ -221,6 +221,7 @@ class MuStream:
         self.sig = sig if sig is not None else default_signature()
         self._thresholds = _thresholds(sentence.matrix, sentence.outer, self.sig)
         self._restart()
+        self._answered = self.prefix, INFINITY  # the last prefix __call__ answered, and mu; none yet
 
     def _restart(self) -> None:
         self.prefix = FinitePrefix(())
@@ -231,17 +232,21 @@ class MuStream:
         self._memo = EllipsisMemo()
 
     def __call__(self, prefix: FinitePrefix) -> ExtendedNat:
-        """mu for a nonempty prefix: pushed if it extends the last by one entry, else replayed.
+        """mu for a nonempty prefix: the last answer if it equals the last prefix
+        answered, pushed if it extends the last observed by one entry, else replayed.
 
         A replay restarts the stream, with an empty memo, from the first entry.
+        A call that raised answered nothing.
         """
         if len(prefix) == 0:
             raise ValueError("mu needs at least one observed entry")
-        if not prefix.extends(self.prefix):
-            self._restart()
-            for value in itertools.islice(prefix, prefix.last_index):
-                self.push(value)
-        return self._observe(prefix)
+        if prefix != self._answered[0]:
+            if not prefix.extends(self.prefix):
+                self._restart()
+                for value in itertools.islice(prefix, prefix.last_index):
+                    self.push(value)
+            self._answered = prefix, self._observe(prefix)
+        return self._answered[1]
 
     def push(self, value: int) -> ExtendedNat:
         """Observe the next entry and return mu for the prefix seen so far."""
@@ -365,35 +370,29 @@ def sentences_from_guesser(seq_symbol: str, sig: Signature) -> Delta2Spec:
 
 
 def register_guesser(sig: Signature, name: str, guesser: Guesser) -> None:
-    """Expose a deterministic guesser as a sequence-tuple symbol, memoised per tuple.
+    """Expose a deterministic guesser as a sequence-tuple symbol: it reads the memo's prefix view.
 
-    Each tuple's first guess is kept, and a call that raises keeps nothing (see
-    _prefix_host).  Traced over H prefixes, the round trip through
-    sentences_from_guesser and guesser_from_delta2 costs about 4H stream observations.
+    Traced over H prefixes, the round trip through sentences_from_guesser and
+    guesser_from_delta2 costs about 4H stream observations (see MuStream.__call__).
     """
-    sig.register_seq_function(name, _prefix_host(guesser))
-
-
-def _prefix_host(construction: Callable[[FinitePrefix], int]) -> Callable[[tuple[int, ...]], int]:
-    """Sequence host for a deterministic prefix-indexed construction, memoised per tuple."""
-    return functools.cache(lambda t: construction(FinitePrefix(t)))
+    sig.register_seq_function(name, guesser)
 
 
 # ---------------------------------------------------------------------------
 # Exists-forall sentence from an overguesser
 
 
-def mu_prime_host(overguesser: Overguesser) -> Callable[[tuple[int, ...]], int]:
+def mu_prime_host(overguesser: Overguesser) -> Callable[[FinitePrefix], int]:
     """Shifted encoding of an overguesser: finite v maps to v+1, infinity to 0.
 
-    Memoised per tuple: the first value is kept, so the overguesser must be deterministic,
-    and a call that raises, as on a junk value, keeps nothing (see _prefix_host).
+    A sequence host: it reads the memo's prefix view, and the memo keeps each
+    size's value, so the overguesser must be deterministic.
     """
     def shifted(prefix: FinitePrefix) -> int:
         v = overguesser(prefix)
         return 0 if v.is_infinite else v.value + 1
 
-    return _prefix_host(shifted)
+    return shifted
 
 
 def overguesser_sentence_text(mu_symbol: str) -> str:
@@ -471,8 +470,8 @@ class TopologySpec(Record):
         return self.default
 
 
-def _membership_host(spec: TopologySpec) -> Callable[[tuple[int, ...]], int]:
-    def host(t: tuple[int, ...]) -> int:
+def _membership_host(spec: TopologySpec) -> Callable[[FinitePrefix], int]:
+    def host(t: FinitePrefix) -> int:
         i, j, observed = t[0], t[1], t[2:]
         cell = spec.lookup(i, j)
         if cell is None:

@@ -1,8 +1,8 @@
-"""The two hand-written tuple-to-prefix adapters ``synth`` had before both went
-through ``synth._prefix_host``: ``register_guesser``, whose host built a prefix
-on every call, and ``mu_prime_host``, with its own cache.  Kept verbatim as the
+"""The two hand-written tuple-to-prefix adapters ``synth`` had while a sequence
+host read a tuple: ``register_guesser``, whose host built a prefix on every
+call, and ``mu_prime_host``, with its own cache.  Kept verbatim as the
 reference the differential test in ``test_synth_reference.py`` checks the
-shared adapter against.
+hosts that read prefix views against.
 """
 
 from __future__ import annotations

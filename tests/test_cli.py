@@ -100,6 +100,17 @@ def test_eval_quantified_needs_bound(capsys, s2_file):
     assert "--bound" in err
 
 
+def test_eval_a_body_value_below_zero_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    # no builtin function goes below 0, so one that does is patched in
+    monkeypatch.setitem(lang.FN_BUILTINS, "less", (1, lambda n: n - 1))
+    sig, sentence = tmp_path / "s.sig", tmp_path / "s.lg"
+    sig.write_text("fn less 1 less\nseqfn S sum\n")
+    sentence.write_text("S[ less(f(z)) : z .. 1 ] = 1")
+    code, out, err = run(capsys, "eval", str(sentence), "--sig", str(sig),
+                         "--seq", "prefix:[2,0]:pad0")
+    assert (code, out, err) == (2, "", "error: prefix entries must be naturals: (1, -1)\n")
+
+
 def test_eval_malformed_file(capsys, tmp_path):
     path = tmp_path / "bad.lg"
     path.write_text("forall x. (")

@@ -1,14 +1,17 @@
 """A construction exposed as a symbol (``register_guesser``, ``mu_prime_host``)
-is memoised per tuple, so the paper's round trip guesser -> Delta2 sentences ->
-guesser pushes its inner streams instead of replaying them, and keeps the
-original guesser's final guess."""
+reads the memo's own prefix view, and the memo asks it once per size, so the
+paper's round trip guesser -> Delta2 sentences -> guesser pushes its inner
+streams instead of replaying them, and keeps the original guesser's final
+guess.  A host that extends its view, or a stream it feeds, leaves the memo's
+entries alone, and a body value below 0 is an error whatever the host."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from guessability.cli import BUILTIN_GUESSERS, trace_guesser
-from guessability.lang import default_signature
+from guessability.lang import SEQ_BUILTINS, default_signature, parse
 from guessability.oracle import FinitePrefix, from_spec
+from guessability.semantics import Assignment, EllipsisMemo, attempt
 from guessability.synth import (
     Guesser,
     MuStream,
@@ -64,10 +67,11 @@ def test_a_host_that_raises_caches_nothing():
 
     sig = default_signature()
     register_guesser(sig, "G", Guesser(evaluate=evaluate))
-    host = sig.seq_function("G")
+    matrix = parse("G[ f(z) : z .. 1 ] = 1", sig)
+    prefix, memo = FinitePrefix((1, 2)), EllipsisMemo()
     with pytest.raises(RuntimeError, match="^not yet$"):
-        host((1, 2))
-    assert [host((1, 2)), host((1, 2))] == [1, 1]
+        attempt(matrix, prefix, sig, memo=memo)
+    assert [attempt(matrix, prefix, sig, memo=memo).truth for _ in range(2)] == [True, True]
     assert calls == [(1, 2), (1, 2)]  # the raise was not kept, the answer was
 
 
@@ -75,7 +79,52 @@ def test_each_registration_keeps_its_own_answers():
     zero, one = default_signature(), default_signature()
     register_guesser(zero, "G", BUILTIN_GUESSERS["constant-0"])
     register_guesser(one, "G", BUILTIN_GUESSERS["constant-1"])
-    assert [zero.seq_function("G")((1, 2)), one.seq_function("G")((1, 2))] == [0, 1]
+    prefix = FinitePrefix((1, 2))
+    assert [zero.seq_function("G")(prefix), one.seq_function("G")(prefix)] == [0, 1]
+
+
+@pytest.mark.parametrize("register", [
+    lambda sig: sig.register_seq_function("G", SEQ_BUILTINS["sum"]),
+    lambda sig: register_guesser(sig, "G", BUILTIN_GUESSERS["contains-zero"]),
+], ids=["builtin", "registered-guesser"])
+def test_a_body_value_below_zero_is_an_error_for_every_host(register):
+    sig = default_signature()
+    sig.register_function("less", 1, lambda n: n - 1)
+    register(sig)
+    matrix = parse("G[ less(f(z)) : z .. 1 ] = 1", sig)
+    for memo in (None, EllipsisMemo()):
+        with pytest.raises(ValueError, match=r"^prefix entries must be naturals: \(1, -1\)$"):
+            attempt(matrix, FinitePrefix((2, 0)), sig, memo=memo)
+
+
+def assert_memo_changes_no_attempt(sig, after_each=lambda: None):
+    """Every memoised attempt of ``G[ f(z) : z .. y ] = x`` equals a memo-less one,
+    with ``after_each`` run after each y."""
+    matrix = parse("G[ f(z) : z .. y ] = x", sig)
+    prefix, memo = FinitePrefix((1, 0, 2, 0, 3, 1, 0)), EllipsisMemo()
+    for y in range(len(prefix)):
+        for x in range(len(prefix) + 2):
+            s = Assignment({"x": x, "y": y})
+            assert attempt(matrix, prefix, sig, s, memo) == attempt(matrix, prefix, sig, s), (x, y)
+        after_each()
+
+
+def test_a_host_that_extends_its_view_leaves_the_memo_alone():
+    def evaluate(prefix):
+        prefix.extended(7)
+        return prefix[-1] % 2
+
+    sig = default_signature()
+    register_guesser(sig, "G", Guesser(evaluate=evaluate))
+    assert_memo_changes_no_attempt(sig)
+
+
+def test_a_stream_pushed_after_reading_a_memo_view_leaves_the_memo_alone():
+    stream = MuStream(contains_zero_delta2().sigma2)
+    sig = default_signature()
+    sig.register_seq_function("G", lambda prefix: stream(prefix).value)
+    # the memoised attempt hands the stream the memo's view first, so the push extends it
+    assert_memo_changes_no_attempt(sig, lambda: stream.push(7))
 
 
 def test_a_round_trip_trace_costs_linear_observations(monkeypatch):

@@ -1,6 +1,6 @@
-"""A construction becomes a sequence host in one place, ``synth._prefix_host``:
-no other function of the package wraps a host's tuple argument in a
-``FinitePrefix``, so every construction exposed as a symbol shares its cache."""
+"""A construction becomes a sequence host as it is: a sequence host reads the
+memo's own ``FinitePrefix`` view, so no function of the package wraps a host's
+argument in a ``FinitePrefix`` again."""
 
 import ast
 import textwrap
@@ -38,11 +38,11 @@ def adapters(path: Path) -> set[str]:
     return found
 
 
-def test_one_function_turns_constructions_into_hosts():
+def test_no_function_turns_constructions_into_hosts():
     sources = sorted(PACKAGE.glob("*.py"))
     assert PACKAGE / "synth.py" in sources
     found = {path.name: adapters(path) for path in sources}
-    assert {name: sites for name, sites in found.items() if sites} == {"synth.py": {"_prefix_host"}}
+    assert {name: sites for name, sites in found.items() if sites} == {}
 
 
 def test_the_scan_finds_a_hand_written_adapter(tmp_path):

@@ -643,6 +643,30 @@ def test_a_stream_survives_a_host_that_raises_once(text):
     assert raised
 
 
+def test_a_prefix_that_raised_is_not_answered_from_the_last_success():
+    sig = default_signature()
+    raised = []
+
+    def flaky(t):
+        if len(t) == 6 and not raised:
+            raised.append(t)
+            raise RuntimeError("flaky host")
+        return 1 if 0 in t else 0
+
+    sig.register_seq_function("S", flaky)
+    sentence = Sigma2Sentence.from_formula(
+        parse("exists x. forall y. ((y > x) -> S[ f(z) : z .. add(y, 1) ] = 0)", sig))
+    stream, prefix = MuStream(sentence, sig), FinitePrefix()
+    for value in (3, 1, 4, 1, 0):
+        prefix = prefix.extended(value)
+        assert stream(prefix) == mu_from_sigma2(sentence, prefix, sig)
+    prefix = prefix.extended(9)
+    with pytest.raises(RuntimeError):
+        stream(prefix)
+    # mu is 3 on five entries and 4 on six
+    assert stream(prefix) == mu_from_sigma2(sentence, prefix, sig) == ExtendedNat(4)
+
+
 def test_streamed_guessers_replay_prefixes_that_do_not_extend():
     rnd = random.Random(4244)
     gsig = formula_gen.generator_signature()

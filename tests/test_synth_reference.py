@@ -1,7 +1,8 @@
-"""``register_guesser`` and ``mu_prime_host``, which share ``synth._prefix_host``,
-against the hand-written hosts in ``synth_reference``: the same values and the
-same exceptions, texts included, on tuples in any order: repeated, shorter than
-the last, or not extending it."""
+"""``register_guesser`` and ``mu_prime_host``, which read prefix views, against the
+hand-written tuple hosts in ``synth_reference``: the same values and the same
+exceptions, texts included, on prefixes in any order: ascending views of one
+list, repeated, shorter than the last, equal but of another list, or not
+extending it.  Each reference host reads ``tuple(view)``."""
 
 import random
 
@@ -12,6 +13,7 @@ import synth_reference
 from guessability import synth
 from guessability.cli import BUILTIN_GUESSERS
 from guessability.lang import Pi2Sentence, Sigma2Sentence, default_signature
+from guessability.oracle import FinitePrefix
 from guessability.synth import (
     INFINITY,
     Delta2Spec,
@@ -27,7 +29,7 @@ from guessability.synth import (
 GEN_SIG = formula_gen.generator_signature()
 
 
-def outcome(host, t: tuple[int, ...]):
+def outcome(host, t):
     try:
         return "value", host(t)
     except Exception as exc:  # the exception's type and text are part of the contract
@@ -83,29 +85,35 @@ _overguessers = st.one_of(
 
 
 @st.composite
-def tuple_orders(draw) -> list[tuple[int, ...]]:
-    """Prefixes of one sequence in any order, mixed with other tuples, some with a negative entry."""
+def prefix_orders(draw) -> list[FinitePrefix]:
+    """Views of one list in any order and in ascending runs, equal prefixes of
+    other lists, and prefixes of other sequences."""
     base = draw(st.lists(st.integers(0, 3), min_size=1, max_size=8))
-    return draw(st.lists(st.one_of(
-        st.integers(0, len(base)).map(lambda k: tuple(base[:k])),
-        st.lists(st.integers(0, 3), min_size=1, max_size=6).map(tuple),
-        st.lists(st.integers(-1, 3), max_size=6).map(tuple),
-    ), max_size=20))
+    views = [FinitePrefix()]
+    for value in base:
+        views.append(views[-1].extended(value))
+    runs = draw(st.lists(st.one_of(
+        st.sampled_from(views).map(lambda view: [view]),
+        st.integers(0, len(base)).map(lambda k: views[k:]),
+        st.sampled_from(views).map(lambda view: [FinitePrefix(view)]),
+        st.lists(st.integers(0, 3), min_size=1, max_size=6).map(lambda other: [FinitePrefix(other)]),
+    ), max_size=8))
+    return [prefix for run in runs for prefix in run]
 
 
 @settings(max_examples=200, deadline=None)
-@given(_guessers, tuple_orders())
+@given(_guessers, prefix_orders())
 def test_register_guesser_matches_the_reference(make, order):
     ours, theirs = default_signature(), default_signature()
     synth.register_guesser(ours, "G", make())
     synth_reference.register_guesser(theirs, "G", make())
-    for t in order:
-        assert outcome(ours.seq_function("G"), t) == outcome(theirs.seq_function("G"), t), t
+    for p in order:
+        assert outcome(ours.seq_function("G"), p) == outcome(theirs.seq_function("G"), tuple(p)), p
 
 
 @settings(max_examples=200, deadline=None)
-@given(_overguessers, tuple_orders())
+@given(_overguessers, prefix_orders())
 def test_mu_prime_host_matches_the_reference(make, order):
     ours, theirs = synth.mu_prime_host(make()), synth_reference.mu_prime_host(make())
-    for t in order:
-        assert outcome(ours, t) == outcome(theirs, t), t
+    for p in order:
+        assert outcome(ours, p) == outcome(theirs, tuple(p)), p
