@@ -33,12 +33,12 @@ class SequenceSpecError(ValueError):
 class FinitePrefix:
     """An observed initial segment (f(0), ..., f(k)) of a sequence.
 
-    Equality is element-wise; the empty prefix is allowed.  A prefix is a
-    view: the first ``len(self)`` entries of a list that views made by
-    ``extended`` share.  Entries are only ever appended to that list, and
-    only by its longest view, so views of one list agree on their common
-    indices and a view never changes.  ``entries`` and slices copy.  Views of
-    one list must not be extended from more than one thread.
+    Equality is element-wise, and O(1) for views of one list; the empty prefix
+    is allowed.  A prefix is a view: the first ``len(self)`` entries of a list
+    that views made by ``extended`` share.  Entries are only ever appended to
+    that list, and only by its longest view, so views of one list agree on
+    their common indices and a view never changes.  ``entries`` and slices
+    copy.  Views of one list must not be extended from more than one thread.
     """
 
     __slots__ = ("_items", "_n")
@@ -79,7 +79,7 @@ class FinitePrefix:
     def __eq__(self, other):
         if not isinstance(other, FinitePrefix):
             return NotImplemented
-        return self._n == other._n and all(map(operator.eq, self, other))
+        return self._n == other._n and (self._items is other._items or all(map(operator.eq, self, other)))
 
     def __hash__(self) -> int:
         return hash(self.entries)

@@ -4,8 +4,8 @@ One evaluator serves every entry point; they differ in how an entry is read.
 ``eval_term`` and ``eval_qf`` read an oracle and report which indices they
 read.  ``attempt`` reads a finite prefix and fails the moment a read would look
 past its last index; given an ``EllipsisMemo`` it evaluates each entry of an
-ellipsis term once for each value of the body's free variables along a growing
-prefix, whatever the bounds that ask for it.  A sequence host gets the body
+ellipsis term, or of any equal one, once for each value of the body's free
+variables along a growing prefix, whatever the bounds that ask for it.  A sequence host gets the body
 values as a ``FinitePrefix`` view (call ``tuple(t)`` for a tuple), so one below 0
 raises.  ``eval_bounded`` restricts quantifiers to 0..bound.  Connectives are
 never short-circuited, so the query set is determined by the syntax alone, and
@@ -67,30 +67,40 @@ EMPTY_ASSIGNMENT = Assignment()
 
 
 class EllipsisMemo:
-    """Entries and values of the ellipsis terms of one matrix over one growing prefix.
+    """Entries and values of the ellipsis terms of the formulas evaluated over one growing prefix.
 
-    ``tables`` maps an ``EllipsisApp`` node, by identity, and the values of its
-    body's free variables other than the binder to ``[prefix, values]``: the
-    body's values at binder = 0, 1, ... so far, as a ``FinitePrefix`` the host
-    reads as it is, grown only by ``extended`` so that a host extending it forks
-    the list, and the host's value on each size.  Neither depends on the bound.
-    An evaluation that succeeded read only observed entries, which never change
-    as the prefix grows, so with deterministic hosts the table holds on every
-    extension; a prefix that stopped at a failed read keeps the entries before
-    it.  The owner keeps the matrix alive, so node ids stay unique.
+    ``tables`` maps an ``EllipsisApp`` term, by the first node equal to it, and
+    the values of its body's free variables other than the binder to
+    ``[prefix, values]``: the body's values at binder = 0, 1, ... so far, as a
+    ``FinitePrefix`` the host reads as it is, grown only by ``extended`` so that
+    a host extending it forks the list, and the host's value on each size.
+    Neither depends on the bound or on where the term occurs.  An evaluation
+    that succeeded read only observed entries, which never change as the prefix
+    grows, so with deterministic hosts the table holds on every extension; a
+    prefix that stopped at a failed read keeps the entries before it.  Nodes
+    are resolved once per id, and their owners keep them alive.
     """
 
     def __init__(self):
-        self._names: dict[int, tuple[str, ...]] = {}
+        self._keys: dict[int, tuple[int, tuple[str, ...]]] = {}  # node id -> first equal node's id, names
+        self._first: dict[EllipsisApp, tuple[int, tuple[str, ...]]] = {}
         self.tables: dict[tuple[int, ...], list] = defaultdict(lambda: [FinitePrefix(), {}])
+        self.prefix: FinitePrefix | None = None  # the last prefix followed
 
     def table(self, term: EllipsisApp, s: Assignment) -> list:
-        """``[prefix, values]`` for the node under ``s``: its entries so far, its host values by size."""
-        node = id(term)
-        names = self._names.get(node)
-        if names is None:
-            names = self._names[node] = tuple(free_vars(term.body) - {term.binder})
+        """``[prefix, values]`` for the term under ``s``: its entries so far, its host values by size."""
+        key = self._keys.get(id(term))
+        if key is None:
+            names = tuple(free_vars(term.body) - {term.binder})
+            key = self._keys[id(term)] = self._first.setdefault(term, (id(term), names))
+        node, names = key
         return self.tables[(node, *(s[name] for name in names))]
+
+    def follow(self, prefix: FinitePrefix) -> None:
+        """Evaluate over ``prefix`` from now on: unless it is or extends the last one, drop every table."""
+        if self.prefix is not None and prefix != self.prefix and not prefix.extends(self.prefix):
+            self.tables.clear()
+        self.prefix = prefix
 
 
 class EvalResult(Record):
@@ -260,9 +270,9 @@ def attempt(formula: Formula, prefix: FinitePrefix, sig: Signature | None = None
     With no assignment the formula is read as a closed sentence.  Fails the
     moment any query goes past the prefix's last index, so the padding is
     never read; an empty prefix fails on the first query.  A memo must only
-    ever see this formula over prefixes that extend one another; an ellipsis
-    value or entry found in it is not evaluated again, and one that evaluates
-    without raising is stored.
+    see the formulas that share it over prefixes that extend one another (see
+    ``EllipsisMemo.follow``); an ellipsis value or entry found in it is not
+    evaluated again, and one that evaluates without raising is stored.
     """
     evaluation = _Evaluation(prefix.reader(), sig, memo)
     try:

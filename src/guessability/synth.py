@@ -195,7 +195,8 @@ class MuStream:
     reaches that index.  A refuted witness therefore stays refuted, and mu
     never decreases.  For the same reason each ellipsis entry is evaluated
     once for each value of the body's free variables (see EllipsisMemo), which
-    assumes deterministic host functions.
+    assumes deterministic hosts; the memo follows each observed prefix, so
+    streams that observe the same prefixes can share it.
 
     When the outer variable occurs only as a whole operand of a comparison
     (see _thresholds), which entries an attempt reads, and so whether it fails
@@ -220,6 +221,7 @@ class MuStream:
         self.sentence = sentence
         self.sig = sig if sig is not None else default_signature()
         self._thresholds = _thresholds(sentence.matrix, sentence.outer, self.sig)
+        self._memo = EllipsisMemo()
         self._restart()
         self._answered = self.prefix, INFINITY  # the last prefix __call__ answered, and mu; none yet
 
@@ -229,13 +231,12 @@ class MuStream:
         self._next_b = 0
         self._failed: list[tuple[int, int]] = []  # heap of (offending index, b) for failed b
         self._refuted: list[tuple[int, float]] = []  # heap of refuted [lo, hi) witness intervals
-        self._memo = EllipsisMemo()
 
     def __call__(self, prefix: FinitePrefix) -> ExtendedNat:
         """mu for a nonempty prefix: the last answer if it equals the last prefix
         answered, pushed if it extends the last observed by one entry, else replayed.
 
-        A replay restarts the stream, with an empty memo, from the first entry.
+        A replay restarts the stream from the first entry, and the memo drops its tables.
         A call that raised answered nothing.
         """
         if len(prefix) == 0:
@@ -255,6 +256,7 @@ class MuStream:
     def _observe(self, prefix: FinitePrefix) -> ExtendedNat:
         """Take prefix, which extends the last one by one entry, as the prefix seen so far."""
         self.prefix = prefix
+        self._memo.follow(prefix)
         if self._thresholds is not None:
             self._refute_intervals(prefix)
             return ExtendedNat.finite(min(self._a, len(prefix)))
@@ -333,9 +335,11 @@ def complement_sigma2(spec: Delta2Spec) -> Sigma2Sentence:
 
 
 def guesser_from_delta2(spec: Delta2Spec, sig: Signature | None = None) -> Guesser:
-    """Guess 1 exactly when mu for the set stays at or below mu for the complement."""
+    """Guess 1 exactly when mu for the set stays at or below mu for the complement; both
+    streams observe each prefix and share one memo, so a term both sentences write is evaluated once."""
     mu = MuStream(spec.sigma2, sig)
     nu = MuStream(complement_sigma2(spec), sig)
+    nu._memo = mu._memo
 
     def evaluate(prefix: FinitePrefix) -> int:
         return 1 if mu(prefix) <= nu(prefix) else 0

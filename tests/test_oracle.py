@@ -1,8 +1,10 @@
+import copy
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from guessability import oracle
 from guessability.oracle import (
     FinitePrefix,
     QueryBeyondLimit,
@@ -206,6 +208,25 @@ def test_past_needs_a_shorter_view_of_the_same_list():
                for j in range(5) for i in range(j + 1))
     assert chain[1].past(chain[3]) is None
     assert chain[3].past(FinitePrefix((0, 1))) is None
+
+
+def test_equal_views_of_one_list_are_equal_without_a_walk(monkeypatch):
+    chain = [FinitePrefix((0,))]
+    for value in range(1, 5):
+        chain.append(chain[-1].extended(value))
+    other = FinitePrefix(chain[3])  # the same entries in another list
+
+    def walked(_):
+        raise AssertionError("compared entry by entry")
+
+    monkeypatch.setattr(oracle, "all", walked, raising=False)
+    for view in chain:
+        assert view == view and view == copy.copy(view) and not view != copy.copy(view)
+        assert view != chain[0] or view is chain[0]  # another length decides without a walk
+    with pytest.raises(AssertionError, match="entry by entry"):
+        assert chain[3] == other
+    monkeypatch.undo()
+    assert chain[3] == other and chain[3] != FinitePrefix((0, 1, 2, 4))
 
 
 def test_query_beyond_limit_names_the_index_and_the_limit():

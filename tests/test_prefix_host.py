@@ -2,14 +2,16 @@
 reads the memo's own prefix view, and the memo asks it once per size, so the
 paper's round trip guesser -> Delta2 sentences -> guesser pushes its inner
 streams instead of replaying them, and keeps the original guesser's final
-guess.  A host that extends its view, or a stream it feeds, leaves the memo's
+guess.  Equal ellipsis terms share a table, and a Delta2 guesser's two streams
+share one memo, so each host is asked once per size, always about views of one
+list.  A host that extends its view, or a stream it feeds, leaves the memo's
 entries alone, and a body value below 0 is an error whatever the host."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from guessability.cli import BUILTIN_GUESSERS, trace_guesser
-from guessability.lang import SEQ_BUILTINS, default_signature, parse
+from guessability.lang import SEQ_BUILTINS, Sigma2Sentence, default_signature, parse
 from guessability.oracle import FinitePrefix, from_spec
 from guessability.semantics import Assignment, EllipsisMemo, attempt
 from guessability.synth import (
@@ -21,8 +23,11 @@ from guessability.synth import (
     guesser_from_delta2,
     guesser_not,
     guesser_or,
+    mu_prime_host,
+    overguesser_from_sigma2,
     register_guesser,
     sentences_from_guesser,
+    sigma2_from_overguesser,
 )
 
 
@@ -144,6 +149,50 @@ def test_a_round_trip_trace_costs_linear_observations(monkeypatch):
         assert trace_guesser(rebuilt, from_spec("plantzero:10"), horizon).final == 1
         cost[horizon] = observations
     assert cost[800] <= 2.2 * cost[400]
+
+
+def recording(host, views):
+    """``host``, noting each view it is handed in ``views``."""
+    def noted(prefix):
+        views.append(prefix)
+        return host(prefix)
+
+    return noted
+
+
+def assert_once_per_size_on_one_list(views, horizon):
+    assert sorted(map(len, views)) == list(range(1, horizon + 1))
+    longest = max(views, key=len)
+    assert all(longest.past(view) is not None for view in views)  # None for a view of another list
+
+
+def test_a_gz_guesser_asks_gz_once_per_size_about_views_of_one_list():
+    sig, views, horizon = default_signature(), [], 300
+    sig.register_seq_function("Gz", recording(SEQ_BUILTINS["contains0"], views))
+    guesser = guesser_from_delta2(sentences_from_guesser("Gz", sig), sig)
+    assert trace_guesser(guesser, from_spec("plantzero:10"), horizon).final == 1
+    # both sentences write Gz[ f(z) : z .. y ]; with a memo per stream it was asked twice per size
+    assert_once_per_size_on_one_list(views, horizon)
+
+
+def test_the_overguesser_sentence_asks_its_host_once_per_size():
+    inner = overguesser_from_sigma2(Sigma2Sentence.from_formula(
+        parse("exists x. forall y. ((y > x) -> f(y) = 0)")))
+    sig, views, horizon = default_signature(), [], 150
+    sig.register_seq_function("Mu", recording(mu_prime_host(inner), views))
+    # the sentence writes Mu[ f(z) : z .. m3 ] twice: equal terms, one table
+    stream, prefix = MuStream(sigma2_from_overguesser("Mu", sig), sig), FinitePrefix()
+    for value in [1, 1, 1] + [0] * (horizon - 3):
+        prefix = prefix.extended(value)
+        stream(prefix)
+    assert_once_per_size_on_one_list(views, horizon)
+
+
+def test_a_round_trip_asks_the_registered_guesser_once_per_size():
+    inner, views, horizon = guesser_from_delta2(contains_zero_delta2()), [], 300
+    rebuilt = round_trip(Guesser(evaluate=recording(inner, views)))
+    assert trace_guesser(rebuilt, from_spec("plantzero:10"), horizon).final == 1
+    assert_once_per_size_on_one_list(views, horizon)
 
 
 def test_a_round_trip_guesses_no_on_a_sequence_without_a_zero():

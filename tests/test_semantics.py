@@ -189,6 +189,15 @@ def test_memo_hit_spends_no_budget(sig):
     assert attempt(twice, prefix, sig, None, EllipsisMemo()).truth is True
 
 
+def test_equal_ellipsis_terms_spend_budget_once(sig):
+    # two equal nodes parsed apart: MAX_BOUNDED_INSTANCES entries for the pair, not each
+    text = f"G[ f(x) : x .. {MAX_BOUNDED_INSTANCES - 1} ] = 0"
+    twice = And(parse(text, sig), parse(text, sig))
+    assert twice.left == twice.right and twice.left is not twice.right
+    prefix = FinitePrefix((0,) * MAX_BOUNDED_INSTANCES)
+    assert attempt(twice, prefix, sig, None, EllipsisMemo()).truth is True
+
+
 def test_eval_qf_rejects_quantifiers(sig):
     with pytest.raises(MisplacedQuantifierError):
         eval_qf(parse("forall x. f(x) = 0", sig), from_spec("id"), None, sig)
@@ -323,6 +332,48 @@ def test_memo_keeps_the_entries_before_a_failed_read(sig, monkeypatch):
     plain, memoised, units = both(8, FinitePrefix((1, 2, 3, 4, 5, 6, 7, 8, 9)))
     assert plain == memoised and memoised.truth is False
     assert units == 4
+
+
+def test_equal_ellipsis_terms_share_a_table_per_value_of_the_other_variables(sig):
+    text = "G[ add(f(z), x) : z .. y ] = 9"
+    first, second = parse(text, sig), parse(text, sig)
+    assert first == second and first is not second
+    prefix, memo = FinitePrefix((1, 0, 2, 5)), EllipsisMemo()
+    for x in range(3):
+        for y in range(5):
+            for matrix in (first, second):
+                s = Assignment({"x": x, "y": y})
+                assert attempt(matrix, prefix, sig, s, memo) == attempt(matrix, prefix, sig, s), (x, y)
+    # one table per value of x, each shared by both formulas; a new value of x needs a new one
+    assert len(memo.tables) == 3
+    s = Assignment({"x": 3, "y": 1})
+    assert attempt(first, prefix, sig, s, memo) == attempt(first, prefix, sig, s)
+    assert len(memo.tables) == 4
+
+
+def test_a_memo_drops_its_tables_when_the_prefix_it_follows_moves_elsewhere(sig):
+    matrix = parse("G[ f(z) : z .. y ] = x", sig)
+    memo = EllipsisMemo()
+
+    def follow(prefix):
+        memo.follow(prefix)
+        for y in range(len(prefix) + 1):
+            for x in range(13):
+                s = Assignment({"x": x, "y": y})
+                assert attempt(matrix, prefix, sig, s, memo) == attempt(matrix, prefix, sig, s), (prefix, s)
+        return len(memo.tables)
+
+    views = [FinitePrefix((1,))]
+    for value in (2, 0, 4):
+        views.append(views[-1].extended(value))
+    # the same prefix, an equal one of another list, and one longer by one entry keep the table
+    assert [follow(p) for p in (*views[:3], views[2], FinitePrefix((1, 2, 0)), views[3])] == [1] * 6
+    assert memo.tables[next(iter(memo.tables))][0] == views[3]
+    # a shorter prefix, or one that differs, drops it: (5, 2) sums to 7 where the old table says 3
+    for elsewhere in (views[1], FinitePrefix((5, 2)), FinitePrefix((5, 2, 9, 9))):
+        memo.follow(elsewhere)
+        assert not memo.tables
+        follow(elsewhere)
 
 
 def test_memo_spends_budget_only_on_new_entries(sig):
