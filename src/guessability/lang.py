@@ -285,10 +285,10 @@ PRED_BUILTINS: dict[str, tuple[int, Callable[..., bool]]] = {
 }
 
 SEQ_BUILTINS: dict[str, Callable[[Sequence[int]], int]] = {
-    "sum": lambda t: sum(t),
-    "max": lambda t: max(t),
-    "min": lambda t: min(t),
-    "len": lambda t: len(t),
+    "sum": sum,
+    "max": max,
+    "min": min,
+    "len": len,
     "last": lambda t: t[-1],
     "contains0": lambda t: 1 if 0 in t else 0,
 }

@@ -78,11 +78,12 @@ class EllipsisMemo:
     that succeeded read only observed entries, which never change as the prefix
     grows, so with deterministic hosts the table holds on every extension; a
     prefix that stopped at a failed read keeps the entries before it.  Nodes
-    are resolved once per id, and their owners keep them alive.
+    are resolved once per id and held, so no later node can take that id.
     """
 
     def __init__(self):
-        self._keys: dict[int, tuple[int, tuple[str, ...]]] = {}  # node id -> first equal node's id, names
+        # node id -> the node, held so that no other node takes its id; the first equal node's id; names
+        self._keys: dict[int, tuple[EllipsisApp, int, tuple[str, ...]]] = {}
         self._first: dict[EllipsisApp, tuple[int, tuple[str, ...]]] = {}
         self.tables: dict[tuple[int, ...], list] = defaultdict(lambda: [FinitePrefix(), {}])
         self.prefix: FinitePrefix | None = None  # the last prefix followed
@@ -92,8 +93,8 @@ class EllipsisMemo:
         key = self._keys.get(id(term))
         if key is None:
             names = tuple(free_vars(term.body) - {term.binder})
-            key = self._keys[id(term)] = self._first.setdefault(term, (id(term), names))
-        node, names = key
+            key = self._keys[id(term)] = (term, *self._first.setdefault(term, (id(term), names)))
+        _, node, names = key
         return self.tables[(node, *(s[name] for name in names))]
 
     def follow(self, prefix: FinitePrefix) -> None:

@@ -198,20 +198,21 @@ class MuStream:
     assumes deterministic hosts; the memo follows each observed prefix, so
     streams that observe the same prefixes can share it.
 
-    When the outer variable occurs only as a whole operand of a comparison
-    (see _thresholds), which entries an attempt reads, and so whether it fails
-    and where, does not depend on the witness ``a``.  Then each inner ``b`` is
-    tried once at a = 0 when it first appears or falls due.  Once that attempt
-    succeeds, the values c of the compared terms cut the witnesses at 0 and
-    at each c and c + 1 into intervals on which the matrix is constant; one
-    attempt per interval decides it, and the false intervals stay refuted.  mu
-    is the least witness that no interval covers, capped at len(prefix).  A b
-    costs one attempt per interval, at most 2k + 1 for k compared terms, so a
-    trace of H pushes costs O(H) attempts.
+    Both searches take their attempts from one loop (_decided), which tries
+    each inner ``b`` when it first appears or, once failed, falls due, and
+    yields the truth of each attempt that succeeds.  When the outer variable
+    occurs only as a whole operand of a comparison (see _thresholds), which
+    entries an attempt reads, and so whether it fails and where, does not
+    depend on the witness ``a``.  Then each b is decided once, at a = 0, and
+    the values c of the compared terms cut the witnesses at 0 and at each c
+    and c + 1 into intervals on which the matrix is constant; one attempt per
+    interval decides it, and the false intervals stay refuted.  mu is the
+    least witness that no interval covers, capped at len(prefix).  A b costs
+    one attempt per interval, at most 2k + 1 for k compared terms, so a trace
+    of H pushes costs O(H) attempts.
 
-    Otherwise the stream keeps the current witness ``a``, the next inner ``b``
-    to try for it, and the failed ``b``s with their offending indices, and a
-    trace costs O(H^2) attempts.
+    Otherwise the stream decides the due bs for the current witness ``a`` until
+    one refutes it, and a trace costs O(H^2) attempts.
 
     Either way the stream skips attempts that mu_from_sigma2 makes, so a host
     that raises only when it is called again shows up there and not here.
@@ -223,7 +224,7 @@ class MuStream:
         self._thresholds = _thresholds(sentence.matrix, sentence.outer, self.sig)
         self._memo = EllipsisMemo()
         self._restart()
-        self._answered = self.prefix, INFINITY  # the last prefix __call__ answered, and mu; none yet
+        self._answered = self.prefix, INFINITY  # the last prefix observed without raising, and mu; none yet
 
     def _restart(self) -> None:
         self.prefix = FinitePrefix(())
@@ -234,43 +235,45 @@ class MuStream:
 
     def __call__(self, prefix: FinitePrefix) -> ExtendedNat:
         """mu for a nonempty prefix: the last answer if it equals the last prefix
-        answered, pushed if it extends the last observed by one entry, else replayed.
+        pushed or answered, pushed if it extends the last observed by one entry, else replayed.
 
         A replay restarts the stream from the first entry, and the memo drops its tables.
         A call that raised answered nothing.
         """
         if len(prefix) == 0:
             raise ValueError("mu needs at least one observed entry")
-        if prefix != self._answered[0]:
-            if not prefix.extends(self.prefix):
-                self._restart()
-                for value in itertools.islice(prefix, prefix.last_index):
-                    self.push(value)
-            self._answered = prefix, self._observe(prefix)
-        return self._answered[1]
+        if prefix == self._answered[0]:
+            return self._answered[1]
+        if not prefix.extends(self.prefix):
+            self._restart()
+            for value in itertools.islice(prefix, prefix.last_index):
+                self.push(value)
+        return self._observe(prefix)
 
     def push(self, value: int) -> ExtendedNat:
-        """Observe the next entry and return mu for the prefix seen so far."""
+        """Observe the next entry and return mu for the prefix seen so far, answering it as __call__ does."""
         return self._observe(self.prefix.extended(value))
 
     def _observe(self, prefix: FinitePrefix) -> ExtendedNat:
-        """Take prefix, which extends the last one by one entry, as the prefix seen so far."""
+        """Take prefix, which extends the last one by one entry, as the prefix seen so far, and answer it."""
         self.prefix = prefix
         self._memo.follow(prefix)
         if self._thresholds is not None:
             self._refute_intervals(prefix)
-            return ExtendedNat.finite(min(self._a, len(prefix)))
-        while self._a <= prefix.last_index and not self._survives(prefix):
-            self._a += 1
-            self._next_b = 0
-            self._failed = []
-        return ExtendedNat.finite(self._a)
+        else:
+            while self._a <= prefix.last_index and not all(
+                    truth for _, truth in self._decided(prefix, self._a)):
+                self._a += 1
+                self._next_b = 0
+                self._failed = []
+        self._answered = prefix, ExtendedNat.finite(min(self._a, len(prefix)))
+        return self._answered[1]
 
     def _due(self, prefix: FinitePrefix) -> Iterator[int]:
         """Each failed b whose offending index the prefix reaches, then each b not yet tried.
 
-        A failed b leaves the heap only when the next b is asked for, so one
-        whose attempt raises is tried again on the next push.  An attempt that
+        A failed b leaves the heap only when the next b is asked for, so one whose
+        attempt or search raises is tried again on the next push.  An attempt that
         fails again reads past the prefix, so the entry it adds stays off the top.
         """
         failed = self._failed
@@ -279,28 +282,23 @@ class MuStream:
             heapq.heappop(failed)
         yield from range(self._next_b, len(prefix) + 1)
 
-    def _survives(self, prefix: FinitePrefix) -> bool:
-        """Whether no b <= len(prefix) refutes the current witness on this prefix."""
+    def _decided(self, prefix: FinitePrefix, a: int) -> Iterator[tuple[Assignment, bool]]:
+        """(assignment, truth) for each due b whose attempt at witness ``a`` succeeds; a failed
+        b waits in the heap, and once every due b is decided none is due until the prefix grows."""
         sentence = self.sentence
         for b in self._due(prefix):
-            s = Assignment({sentence.outer: self._a, sentence.inner: b})
+            s = Assignment({sentence.outer: a, sentence.inner: b})
             outcome = attempt(sentence.matrix, prefix, self.sig, s, self._memo)
             if outcome.failed:
                 heapq.heappush(self._failed, (outcome.offending_index, b))
-            elif not outcome.truth:
-                return False
+            else:
+                yield s, outcome.truth
         self._next_b = len(prefix) + 1
-        return True
 
     def _refute_intervals(self, prefix: FinitePrefix) -> None:
         """Decide every due b at once for all witnesses, then move ``a`` past the refuted ones."""
         sentence = self.sentence
-        for b in self._due(prefix):
-            s = Assignment({sentence.outer: 0, sentence.inner: b})
-            outcome = attempt(sentence.matrix, prefix, self.sig, s, self._memo)
-            if outcome.failed:
-                heapq.heappush(self._failed, (outcome.offending_index, b))
-                continue
+        for s, truth in self._decided(prefix, 0):
             cuts = {0}
             for term in self._thresholds:
                 c = value_over(term, prefix, self.sig, s, self._memo)
@@ -310,11 +308,10 @@ class MuStream:
                 if hi <= self._a:
                     continue
                 if lo:
-                    outcome = attempt(sentence.matrix, prefix, self.sig,
-                                      s.set(sentence.outer, lo), self._memo)
-                if not outcome.truth:
+                    truth = attempt(sentence.matrix, prefix, self.sig,
+                                    s.set(sentence.outer, lo), self._memo).truth
+                if not truth:
                     heapq.heappush(self._refuted, (lo, hi))
-        self._next_b = len(prefix) + 1
         while self._refuted and self._refuted[0][0] <= self._a:
             self._a = max(self._a, heapq.heappop(self._refuted)[1])
 

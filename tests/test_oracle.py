@@ -114,6 +114,16 @@ def test_prefix_indexing():
     assert p == FinitePrefix((4, 5, 6))
 
 
+def test_a_prefix_equals_no_tuple():
+    assert (FinitePrefix((1,)) == (1,)) is False
+    assert FinitePrefix((1,)) != (1,) and (1,) != FinitePrefix((1,))
+
+
+def test_an_oracle_repr_names_its_description():
+    assert repr(from_spec("const:7")) == "SequenceOracle(const:7)"
+    assert repr(SequenceOracle(abs)) == "SequenceOracle(oracle)"
+
+
 def test_from_spec_plantzero():
     o = from_spec("plantzero:5")
     assert [o.query(i) for i in range(7)] == [1, 1, 1, 1, 1, 0, 1]

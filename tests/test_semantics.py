@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -118,6 +120,11 @@ def test_assignment_update_changes_only_that_variable():
     t = s.set("x", 5)
     assert (t["x"], t["y"]) == (5, 2)
     assert (s["x"], s["y"]) == (1, 2)
+
+
+def test_assignment_repr_lists_its_bindings_by_name():
+    assert repr(Assignment({"y": 2, "x": 1}).set("b", 7)) == "Assignment(b=7, x=1, y=2)"
+    assert repr(EMPTY_ASSIGNMENT) == "Assignment()"
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +356,29 @@ def test_equal_ellipsis_terms_share_a_table_per_value_of_the_other_variables(sig
     s = Assignment({"x": 3, "y": 1})
     assert attempt(first, prefix, sig, s, memo) == attempt(first, prefix, sig, s)
     assert len(memo.tables) == 4
+
+
+def test_a_node_freed_after_the_memo_resolved_it_does_not_lend_its_id_to_another_term():
+    # each sum term equals the first, so its id maps to the first one's table; a max term
+    # that took the id of a freed sum term would read a sum of 10 where the max is 4
+    sig = default_signature()
+    sig.register_seq_function("S", sum)
+    sig.register_seq_function("M", max)
+    prefix, memo = FinitePrefix((1, 2, 3, 4)), EllipsisMemo()
+    for _ in range(200):
+        for text in ("S[ f(z) : z .. 3 ] = 10", "M[ f(z) : z .. 3 ] = 4"):
+            matrix = parse(text, sig)
+            assert attempt(matrix, prefix, sig, None, memo) == attempt(matrix, prefix, sig), text
+
+
+def test_a_memo_holds_every_node_it_resolved(sig):
+    first, second = parse("G[ f(z) : z .. 2 ] = 3", sig), parse("G[ f(z) : z .. 2 ] = 3", sig)
+    memo, prefix = EllipsisMemo(), FinitePrefix((1, 2, 0))
+    assert [attempt(matrix, prefix, sig, None, memo).truth for matrix in (first, second)] == [True] * 2
+    node = weakref.ref(second.left)
+    del second  # the only other reference to the node
+    gc.collect()
+    assert node() is not None
 
 
 def test_a_memo_drops_its_tables_when_the_prefix_it_follows_moves_elsewhere(sig):

@@ -667,6 +667,40 @@ def test_a_prefix_that_raised_is_not_answered_from_the_last_success():
     assert stream(prefix) == mu_from_sigma2(sentence, prefix, sig) == ExtendedNat(4)
 
 
+@pytest.mark.parametrize("text", [
+    "exists x. forall y. f(x) = 0",  # searched witness by witness
+    "exists x. forall y. ((y > x) -> S[ f(z) : z .. y ] = 1)",  # searched by intervals
+])
+def test_a_stream_answers_the_prefix_it_pushed_without_observing_it_again(text, monkeypatch):
+    sig = default_signature()
+    sig.register_seq_function("S", lambda t: 1 if 0 in t else 0)
+    sentence = Sigma2Sentence.from_formula(parse(text, sig))
+    observed = []
+    observe = MuStream._observe
+
+    def counted(self, prefix):
+        observed.append(len(prefix))
+        return observe(self, prefix)
+
+    monkeypatch.setattr(MuStream, "_observe", counted)
+    stream = MuStream(sentence, sig)
+    pushed = [stream.push(value) for value in (3, 1, 0, 2, 5)]
+    assert stream(stream.prefix) == pushed[-1] == mu_from_sigma2(sentence, stream.prefix, sig)
+    assert stream(FinitePrefix((3, 1, 0, 2, 5))) == pushed[-1]
+    assert observed == [1, 2, 3, 4, 5]
+
+
+def test_a_replay_pushes_the_prefix_it_answered_last_again(cz):
+    # (0, 1, 1) is on another list than (0,): the replay observes (0,) afresh
+    for sentence in (cz.sigma2, complement_sigma2(cz)):
+        stream = MuStream(sentence)
+        for entries in ((0,), (0, 1, 1), (0,), (0, 1)):
+            prefix = FinitePrefix(entries)
+            assert stream(prefix) == mu_from_sigma2(sentence, prefix), (sentence.text(), entries)
+    g = guesser_from_delta2(cz)
+    assert [g(FinitePrefix(entries)) for entries in ((0,), (0, 1, 1))] == [1, 1]
+
+
 def test_streamed_guessers_replay_prefixes_that_do_not_extend():
     rnd = random.Random(4244)
     gsig = formula_gen.generator_signature()
