@@ -170,23 +170,20 @@ def cantor_adversary(guesser: Guesser, target_flips: int,
 # Builtin extension oracles
 
 
+def _tail(value: int, available: Callable[[FinitePrefix], bool] = lambda p: True
+          ) -> Callable[[FinitePrefix], Iterator[int] | None]:
+    """An extension that repeats ``value`` forever, at the prefixes where it is ``available``."""
+    return lambda p: itertools.repeat(value) if available(p) else None
+
+
 def infinitely_many_zeros_extenders() -> ExtensionOracles:
     """In: append zeros forever.  Out: append ones forever."""
-    return ExtensionOracles(
-        in_s=lambda p: itertools.repeat(0),
-        out_s=lambda p: itertools.repeat(1),
-    )
+    return ExtensionOracles(in_s=_tail(0), out_s=_tail(1))
 
 
 def contains_zero_extenders() -> ExtensionOracles:
     """In: append zeros.  Out: append ones, unavailable once a zero is present."""
-
-    def out_s(p: FinitePrefix) -> Iterator[int] | None:
-        if 0 in p:
-            return None
-        return itertools.repeat(1)
-
-    return ExtensionOracles(in_s=lambda p: itertools.repeat(0), out_s=out_s)
+    return ExtensionOracles(in_s=_tail(0), out_s=_tail(1, lambda p: 0 not in p))
 
 
 def permutation_extenders() -> ExtensionOracles:
@@ -220,12 +217,7 @@ def permutation_extenders() -> ExtensionOracles:
 def cantor_extenders() -> ExtensionOracles:
     """For sequences over {0, 5} with infinitely many 5s; unavailable off that alphabet."""
 
-    def make(tail_value: int) -> Callable[[FinitePrefix], Iterator[int] | None]:
-        def source(p: FinitePrefix) -> Iterator[int] | None:
-            if any(v not in (0, 5) for v in p):
-                return None
-            return itertools.repeat(tail_value)
+    def on_alphabet(p: FinitePrefix) -> bool:
+        return all(v in (0, 5) for v in p)
 
-        return source
-
-    return ExtensionOracles(in_s=make(5), out_s=make(0))
+    return ExtensionOracles(in_s=_tail(5, on_alphabet), out_s=_tail(0, on_alphabet))

@@ -129,18 +129,14 @@ def _json(obj) -> None:
     print(json.dumps(obj))
 
 
-BUILTIN_GUESSERS = {
-    "contains-zero": synth.contains_zero_guesser(),
-    "parity-of-length": synth.Guesser(
-        evaluate=lambda p: 1 if len(p) % 2 == 0 else 0, provenance="parity-of-length"),
-    "constant-0": synth.Guesser(evaluate=lambda p: 0, provenance="constant-0"),
-    "constant-1": synth.Guesser(evaluate=lambda p: 1, provenance="constant-1"),
-    "initial-segment": synth.Guesser(
-        evaluate=lambda p: 1 if sorted(p.entries) == list(range(len(p))) else 0,
-        provenance="initial-segment"),
-    "last-is-5": synth.Guesser(
-        evaluate=lambda p: 1 if p[-1] == 5 else 0, provenance="last-is-5"),
-}
+BUILTIN_GUESSERS = {guesser.provenance: guesser for guesser in (
+    synth.contains_zero_guesser(),
+    synth.Guesser(lambda p: 1 if len(p) % 2 == 0 else 0, "parity-of-length"),
+    synth.Guesser(lambda p: 0, "constant-0"),
+    synth.Guesser(lambda p: 1, "constant-1"),
+    synth.Guesser(lambda p: 1 if sorted(p.entries) == list(range(len(p))) else 0, "initial-segment"),
+    synth.Guesser(lambda p: 1 if p[-1] == 5 else 0, "last-is-5"),
+)}
 
 BUILTIN_DELTA2 = {
     "contains-zero": synth.contains_zero_delta2,
@@ -274,17 +270,18 @@ def _check_round_trip(path: Path, text: str, sig: lang.Signature) -> None:
 def cmd_synth(args) -> int:
     """Build every sentence text first, so a failure leaves no directory or file behind."""
     sig = _load_signature(args.sig)
-    if args.source == "guesser":
+    if args.source != "topology":
+        if len(args.inputs) != 1:
+            raise CliError(f"synth {args.source} needs one symbol name")
         name = args.inputs[0]
+    if args.source == "guesser":
         synth.sentences_from_guesser(name, sig)
         sigma2_text, pi2_text = synth.guesser_sentence_texts(name)
         texts = {f"{name}.sigma2.lg": sigma2_text, f"{name}.pi2.lg": pi2_text}
     elif args.source == "overguesser":
-        name = args.inputs[0]
         synth.sigma2_from_overguesser(name, sig)
         texts = {f"{name}.sigma2.lg": synth.overguesser_sentence_text(name)}
     elif args.source == "family":
-        name = args.inputs[0]
         texts = {f"{name}.sigma2.lg": synth.sigma2_from_countable_family(name, sig).text()}
     else:  # topology
         if len(args.inputs) != 2:

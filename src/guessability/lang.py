@@ -14,7 +14,7 @@ Concrete grammar (whitespace-insensitive)::
     conj    := neg { '&' neg }
     neg     := '!' neg | atom
     atom    := term REL term | IDENT '(' term {',' term} ')' | '(' formula ')'
-    REL     := '=' | '<' | '>' | '<=' | '>='
+    REL     := '=' | a key of PRED_BUILTINS ('<', '>', '<=', '>=')
     term    := NAT | VAR | 'f' '(' term ')' | IDENT '(' term {',' term} ')'
              | IDENT '[' term ':' VAR '..' term ']'
 
@@ -257,8 +257,6 @@ RESERVED = {"f", "forall", "exists"}
 #: is ``a -> b``.
 BINARY = ((Implies, "->", operator.le), (Or, "|", operator.or_), (And, "&", operator.and_))
 
-_REL_SYMBOLS = ("=", "<=", ">=", "<", ">")
-
 
 # ---------------------------------------------------------------------------
 # Signature
@@ -277,12 +275,15 @@ FN_BUILTINS: dict[str, tuple[int, Callable[..., int]]] = {
     "constfam": (2, lambda m, n: m),
 }
 
+#: the comparisons: the default signature's predicates, written infix as relations
 PRED_BUILTINS: dict[str, tuple[int, Callable[..., bool]]] = {
     "<": (2, operator.lt),
     ">": (2, operator.gt),
     "<=": (2, operator.le),
     ">=": (2, operator.ge),
 }
+
+_REL_SYMBOLS = ("=", *PRED_BUILTINS)
 
 SEQ_BUILTINS: dict[str, Callable[[Sequence[int]], int]] = {
     "sum": sum,
@@ -354,8 +355,8 @@ def default_signature() -> Signature:
     """Signature with the standing builtins.
 
     Functions ``add``, ``mul``, ``monus`` (truncated subtraction) and the
-    pairing projections ``d1``, ``d2``; the four comparison predicates,
-    reachable through the infix REL syntax.
+    pairing projections ``d1``, ``d2``; the comparison predicates of
+    ``PRED_BUILTINS``, reachable through the infix REL syntax.
     """
     sig = Signature()
     sig.register_function("add", *FN_BUILTINS["+"])
@@ -363,8 +364,8 @@ def default_signature() -> Signature:
     sig.register_function("monus", *FN_BUILTINS["monus"])
     sig.register_function("d1", *FN_BUILTINS["d1"])
     sig.register_function("d2", *FN_BUILTINS["d2"])
-    for name in ("<", ">", "<=", ">="):
-        sig.register_predicate(name, *PRED_BUILTINS[name])
+    for name, (arity, host) in PRED_BUILTINS.items():
+        sig.register_predicate(name, arity, host)
     return sig
 
 
@@ -492,6 +493,11 @@ _OPERATORS = tuple(sorted({*(symbol for _, symbol, _ in BINARY), *_REL_SYMBOLS,
                           key=lambda op: (-len(op), op)))
 
 
+def _in_name(ch: str) -> bool:
+    """Whether ``ch`` continues a name; a numeral continues while ``str.isdecimal`` holds."""
+    return ch.isalnum() or ch == "_"
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     line, col = 1, 1
@@ -508,19 +514,12 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
+        if ch.isdecimal() or ch.isalpha() or ch == "_":
+            kind, inside = ("nat", str.isdecimal) if ch.isdecimal() else ("name", _in_name)
+            j = i + 1
+            while j < n and inside(text[j]):
                 j += 1
-            tokens.append(_Token("nat", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
+            tokens.append(_Token(kind, text[i:j], line, col))
             col += j - i
             i = j
             continue
@@ -705,29 +704,27 @@ class _Parser:
         return Variable(name)
 
 
-def parse(text: str, sig: Signature | None = None) -> Formula:
-    """Parse DSL text into a formula AST, resolving symbols against a signature."""
-    sig = sig if sig is not None else default_signature()
-    parser = _Parser(_tokenize(text), sig)
-    formula = parser.parse_formula()
+def _parse_whole(text: str, sig: Signature | None, rule: Callable[[_Parser], Term | Formula]):
+    """The tree ``rule`` reads from all of ``text``, resolving symbols against a signature."""
+    parser = _Parser(_tokenize(text), sig if sig is not None else default_signature())
+    tree = rule(parser)
     tok = parser.peek()
     if tok.kind != "eof":
         raise parser.fail(f"unexpected trailing input {tok.text!r}")
-    # '&' and '|' chains are parsed in a loop but nest in the tree
-    if _height(formula) > MAX_NESTING:
+    # '&' and '|' chains are parsed in a loop but nest in the tree; terms nest only under the guard
+    if _height(tree) > MAX_NESTING:
         raise parser.fail(f"nesting deeper than {MAX_NESTING} levels")
-    return formula
+    return tree
+
+
+def parse(text: str, sig: Signature | None = None) -> Formula:
+    """Parse DSL text into a formula AST, resolving symbols against a signature."""
+    return _parse_whole(text, sig, _Parser.parse_formula)
 
 
 def parse_term(text: str, sig: Signature | None = None) -> Term:
     """Parse DSL text as a bare term."""
-    sig = sig if sig is not None else default_signature()
-    parser = _Parser(_tokenize(text), sig)
-    term = parser.parse_term()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise parser.fail(f"unexpected trailing input {tok.text!r}")
-    return term
+    return _parse_whole(text, sig, _Parser.parse_term)
 
 
 def _height(node: Term | Formula) -> int:

@@ -16,7 +16,6 @@ import functools
 import heapq
 import itertools
 import math
-import operator
 from collections.abc import Callable, Iterator
 
 from . import pairing
@@ -25,6 +24,7 @@ from .lang import (
     Formula,
     LangError,
     Not,
+    PRED_BUILTINS,
     Pi2Sentence,
     Pred,
     Record,
@@ -122,6 +122,12 @@ class Delta2Spec(Record):
     sigma2: Sigma2Sentence
 
 
+def _delta2_from_texts(pi2_text: str, sigma2_text: str, sig: Signature | None) -> Delta2Spec:
+    """The pair read from the forall-exists text and then from the exists-forall one."""
+    return Delta2Spec(pi2=Pi2Sentence.from_formula(parse(pi2_text, sig)),
+                      sigma2=Sigma2Sentence.from_formula(parse(sigma2_text, sig)))
+
+
 # ---------------------------------------------------------------------------
 # mu from an exists-forall sentence
 
@@ -154,16 +160,14 @@ def mu_from_sigma2(sentence: Sigma2Sentence, prefix: FinitePrefix,
 
 _CONNECTIVES = (Not, *(connective for connective, _, _ in BINARY))
 
-# (arity, host) of the comparison predicates: ``a op c`` changes truth only at a = c or c + 1
-_COMPARISONS = tuple((2, host) for host in (operator.lt, operator.gt, operator.le, operator.ge))
-
 
 def _thresholds(matrix: Formula, var: str, sig: Signature) -> list[Term] | None:
     """The terms ``var`` is compared with, if it occurs only as a whole comparison operand.
 
-    That is, as one side of ``=`` or of a binary predicate whose host is
-    ``operator.lt/gt/le/ge``, with the other side not mentioning it; the other
-    sides are returned.  None when ``var`` occurs free anywhere else.
+    That is, as one side of ``=`` or of a binary predicate whose host is a
+    comparison of ``PRED_BUILTINS`` (``a op c`` changes truth only at a = c or
+    c + 1), with the other side not mentioning it; the other sides are
+    returned.  None when ``var`` occurs free anywhere else.
     """
     found: list[Term] = []
 
@@ -175,7 +179,7 @@ def _thresholds(matrix: Formula, var: str, sig: Signature) -> list[Term] | None:
         operands = children(node)  # the sides of an Eq or the arguments of a Pred
         if isinstance(node, Pred) and (
                 len(operands) != 2 or sig.kind_of(node.symbol) != "predicate"
-                or sig.predicate(node.symbol) not in _COMPARISONS):
+                or sig.predicate(node.symbol) not in PRED_BUILTINS.values()):
             return False
         for this, other in (operands, operands[::-1]):
             if this == Variable(var) and var not in free_vars(other):
@@ -364,10 +368,7 @@ def sentences_from_guesser(seq_symbol: str, sig: Signature) -> Delta2Spec:
     if sig.kind_of(seq_symbol) != "seq":
         raise LangError(f"{seq_symbol!r} is not a registered sequence-tuple symbol")
     sigma2_text, pi2_text = guesser_sentence_texts(seq_symbol)
-    return Delta2Spec(
-        pi2=Pi2Sentence.from_formula(parse(pi2_text, sig)),
-        sigma2=Sigma2Sentence.from_formula(parse(sigma2_text, sig)),
-    )
+    return _delta2_from_texts(pi2_text, sigma2_text, sig)
 
 
 def register_guesser(sig: Signature, name: str, guesser: Guesser) -> None:
@@ -529,12 +530,8 @@ def delta2_from_topology(for_set: TopologySpec, for_complement: TopologySpec,
         return (f"{tau}[ sel(z, i, j, f(monus(z, 2))) : z"
                 f" .. add({length}(i, j), 2) ]")
 
-    pi2_text = f"forall i. exists j. {tuple_term(tau_s, len_s)} = 1"
-    sigma2_text = f"exists i. forall j. {tuple_term(tau_c, len_c)} = 0"
-    return Delta2Spec(
-        pi2=Pi2Sentence.from_formula(parse(pi2_text, sig)),
-        sigma2=Sigma2Sentence.from_formula(parse(sigma2_text, sig)),
-    )
+    return _delta2_from_texts(f"forall i. exists j. {tuple_term(tau_s, len_s)} = 1",
+                              f"exists i. forall j. {tuple_term(tau_c, len_c)} = 0", sig)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +560,4 @@ def contains_zero_guesser() -> Guesser:
 
 def contains_zero_delta2(sig: Signature | None = None) -> Delta2Spec:
     """The running-example pair for the set of sequences containing a zero."""
-    return Delta2Spec(
-        pi2=Pi2Sentence.from_formula(parse("forall x. exists y. f(y) = 0", sig)),
-        sigma2=Sigma2Sentence.from_formula(parse("exists x. forall y. f(x) = 0", sig)),
-    )
+    return _delta2_from_texts("forall x. exists y. f(y) = 0", "exists x. forall y. f(x) = 0", sig)

@@ -1,10 +1,11 @@
-"""The connective levels of the parser and the printer as hand-written code.
+"""The connective levels of the parser and the printer, and the tokenizer, as hand-written code.
 
 These are ``_Parser.parse_imp``, ``parse_disj`` and ``parse_conj``, and the
 printer's ``_print_at`` with its level constants, as ``lang`` had them before
 both read the connectives from ``lang.BINARY``, kept verbatim as the reference
 the differential test in ``test_lang_reference.py`` checks ``lang.parse`` and
-``lang.print_formula`` against.
+``lang.print_formula`` against.  ``tokenize`` is ``lang._tokenize`` as it was
+before numerals and names were scanned by one loop, with its own loop for each.
 """
 
 from __future__ import annotations
@@ -22,8 +23,11 @@ from guessability.lang import (
     Or,
     Pred,
     Signature,
+    ParseError,
     _height,
+    _OPERATORS,
     _Parser,
+    _Token,
     _tokenize,
     default_signature,
     print_term,
@@ -109,3 +113,47 @@ def _print_at(node: Formula, level: int) -> str:
             return f"{print_term(node.args[0])} {node.symbol} {print_term(node.args[1])}"
         return f"{node.symbol}(" + ", ".join(print_term(a) for a in node.args) + ")"
     raise TypeError(f"not a formula: {node!r}")
+
+
+def tokenize(text: str) -> list[_Token]:
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(_Token("nat", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("name", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for op in _OPERATORS:
+            if text.startswith(op, i):
+                tokens.append(_Token("op", op, line, col))
+                col += len(op)
+                i += len(op)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_Token("eof", "", line, col))
+    return tokens

@@ -747,6 +747,20 @@ def test_synth_unknown_registry_key(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("source, sig_text", [
+    ("guesser", "seqfn Gz contains0\n"), ("overguesser", "seqfn Gz last\n"),
+    ("family", "fn Gz 2 constfam\n")])
+@pytest.mark.parametrize("extra", [["extra"], ["extra", "junk"]])
+def test_synth_of_a_symbol_takes_exactly_one_name(capsys, tmp_path, source, sig_text, extra):
+    sig_path = tmp_path / "session.sig"
+    sig_path.write_text(sig_text)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "synth", source, "Gz", *extra, "--sig", str(sig_path),
+                         "--out-dir", str(out_dir))
+    assert (code, out, err) == (2, "", f"error: synth {source} needs one symbol name\n")
+    assert not out_dir.exists()
+
+
 def test_synth_topology(capsys, tmp_path):
     s_table = tmp_path / "s.tbl"
     s_table.write_text("0 0 7\n")

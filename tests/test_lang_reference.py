@@ -79,3 +79,30 @@ def test_parser_matches_the_reference_on_connective_texts(runs):
         "nested-disjunctions", "unclosed"])
 def test_parser_matches_the_reference_at_the_nesting_limit(shape, depth):
     assert_same(shape(depth))
+
+
+def tokens_or_error(tokenize, text: str):
+    """Each token as (kind, text, line, column), or the scan error's details."""
+    try:
+        return [(tok.kind, tok.text, tok.line, tok.column) for tok in tokenize(text)]
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.column
+
+
+# digits of several scripts (ASCII, Arabic-Indic, Devanagari, fullwidth), a
+# superscript digit that is alphanumeric but not decimal, letters inside and
+# outside ASCII, the underscore, every operator, spaces, tabs, newlines and a
+# character no token starts with
+_CHARACTERS = ("0", "7", "9", "٣", "٩", "०", "５", "²", "é", "x", "f",
+               "G", "_", " ", "\t", "\n", "#", *lang._OPERATORS)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_CHARACTERS), max_size=30).map("".join))
+def test_tokenizer_matches_the_reference(text):
+    assert tokens_or_error(lang._tokenize, text) == tokens_or_error(lang_reference.tokenize, text)
+
+
+def test_the_tokenizer_reads_every_connective_and_comparison():
+    assert set(lang._OPERATORS) == {"->", "|", "&", "=", "<", ">", "<=", ">=",
+                                    "..", "(", ")", "[", "]", ",", ":", ".", "!"}
