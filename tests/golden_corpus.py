@@ -2,9 +2,11 @@
 
 ``tests/golden/cli.json`` holds, for each command, the argument list, the
 exit code of ``cli.main`` and the digests of what it printed, plus the small
-files the README's CLI block writes before it runs its commands.  The corpus
-covers that block, the three bench commands at full size for seeds 0 and 1,
-and the longer runs that exercise the hot paths.  Each command runs in
+files the README's CLI block and the ``synth`` runs read.  A ``synth`` run
+also keeps the digest of each file whose path it printed.  The corpus
+covers the README's block, the three bench commands at full size for seeds
+0 and 1, the longer runs that exercise the hot paths, and one ``synth`` run
+for each other source.  Each command runs in
 process with an empty stdin, in a working directory that holds those files
 and a copy of ``bench/inputs``, so every path it reads or prints is relative.
 
@@ -53,6 +55,19 @@ ERRORS_AND_HELP = [
     ["--help"],
 ]
 
+# the synth sources the README's block does not run, and the files they read
+SYNTH_FILES = {
+    "S.tbl": "# S = { f : f(0) = 7 }\n0 0 7\n",
+    "SC.tbl": "# f(0) is 0, 1 or 2, or f starts 8, 9\n0 0 0\n0 1 1\n0 2 2\n0 4 8,9\ndefault -\n",
+    "mu.sig": "seqfn Mu max\n",
+    "family.sig": "fn g 2 constfam\n",
+}
+SYNTH_RUNS = [
+    ["synth", "topology", "S.tbl", "SC.tbl", "--out-dir", "synth"],
+    ["synth", "overguesser", "Mu", "--sig", "mu.sig", "--out-dir", "synth"],
+    ["synth", "family", "g", "--sig", "family.sig", "--out-dir", "synth"],
+]
+
 
 def readme_block() -> tuple[dict[str, str], list[list[str]]]:
     """The files the README's CLI block writes, and the argv of each command it runs."""
@@ -98,15 +113,20 @@ def run(argv: list[str]) -> dict:
             code = cli.main(list(argv))
     finally:
         sys.stdin = stdin
-    return {"argv": list(argv), "code": code,
-            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-            "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest()}
+    recorded = {"argv": list(argv), "code": code,
+                "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+                "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest()}
+    if argv[0] == "synth":  # it prints the path of each file it wrote
+        recorded["files_sha256"] = {path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                                    for path in out.getvalue().splitlines()}
+    return recorded
 
 
 def regen(workdir: Path) -> None:
     files, commands = readme_block()
     files["broken.lg"] = "f(0) = \n"
-    commands += bench_commands() + LONG_RUNS + ERRORS_AND_HELP
+    files.update(SYNTH_FILES)
+    commands += bench_commands() + LONG_RUNS + ERRORS_AND_HELP + SYNTH_RUNS
     prepare(workdir, files)
     cwd = os.getcwd()
     os.chdir(workdir)
