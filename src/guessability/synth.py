@@ -28,6 +28,7 @@ from .lang import (
     Pi2Sentence,
     Pred,
     Record,
+    SEQ_BUILTINS,
     Signature,
     Sigma2Sentence,
     Term,
@@ -472,15 +473,12 @@ class TopologySpec(Record):
         return self.default
 
 
-def _membership_host(spec: TopologySpec) -> Callable[[FinitePrefix], int]:
-    def host(t: FinitePrefix) -> int:
-        i, j, observed = t[0], t[1], t[2:]
+def _agreement_host(spec: TopologySpec) -> Callable[[int, int, int, int], int]:
+    def host(i: int, j: int, z: int, v: int) -> int:
         cell = spec.lookup(i, j)
         if cell is None:
             return 0
-        if len(cell) == 0:
-            return 1
-        return 1 if observed == cell.entries else 0
+        return 1 if len(cell) == 0 or (z < len(cell) and cell[z] == v) else 0
 
     return host
 
@@ -495,43 +493,30 @@ def _length_host(spec: TopologySpec) -> Callable[[int, int], int]:
     return host
 
 
-def _select_host(m: int, i: int, j: int, w: int) -> int:
-    if m == 0:
-        return i
-    if m == 1:
-        return j
-    return w
-
-
 def delta2_from_topology(for_set: TopologySpec, for_complement: TopologySpec,
                          sig: Signature, name_prefix: str = "") -> Delta2Spec:
     """Defining pair for a set given by basic-open tables for it and its complement.
 
-    Registers, under optionally prefixed names: variadic membership tests
-    ``tauS``/``tauC`` (1 iff the observed values equal the table prefix for
-    the (i, j) carried in the tuple's first two slots), length functions
-    ``lenS``/``lenC``, and a shared 4-ary selector ``sel`` used to smuggle
-    i, j and the sequence values into one tuple.
+    ``forall i. exists j. all[ tauS(i, j, z, f(z)) : z .. lenS(i, j) ] = 1`` and
+    ``exists i. forall j. all[ tauC(i, j, z, f(z)) : z .. lenC(i, j) ] = 0``, where
+    ``tau(i, j, z, v)`` is 0 for a hole, 1 for the whole space, else whether entry
+    z of the cell is v; ``len`` is the cell's last index, 0 for a hole or the whole
+    space; and ``all`` is the sequence builtin ``min``.  Each is registered under
+    an optionally prefixed name; one already declared raises SignatureError.
     """
     if not for_set.table or not for_complement.table:
         raise ValueError("topology tables must be nonempty")
-    tau_s = f"{name_prefix}tauS"
-    tau_c = f"{name_prefix}tauC"
-    len_s = f"{name_prefix}lenS"
-    len_c = f"{name_prefix}lenC"
-    sig.register_seq_function(tau_s, _membership_host(for_set))
-    sig.register_seq_function(tau_c, _membership_host(for_complement))
-    sig.register_function(len_s, 2, _length_host(for_set))
-    sig.register_function(len_c, 2, _length_host(for_complement))
-    if sig.kind_of("sel") != "function":
-        sig.register_function("sel", 4, _select_host)
+    p = name_prefix
+    for side, spec in (("S", for_set), ("C", for_complement)):
+        sig.register_function(f"{p}tau{side}", 4, _agreement_host(spec))
+        sig.register_function(f"{p}len{side}", 2, _length_host(spec))
+    sig.register_seq_function(f"{p}all", SEQ_BUILTINS["min"])
 
-    def tuple_term(tau: str, length: str) -> str:
-        return (f"{tau}[ sel(z, i, j, f(monus(z, 2))) : z"
-                f" .. add({length}(i, j), 2) ]")
+    def extends(side: str) -> str:
+        return f"{p}all[ {p}tau{side}(i, j, z, f(z)) : z .. {p}len{side}(i, j) ]"
 
-    return _delta2_from_texts(f"forall i. exists j. {tuple_term(tau_s, len_s)} = 1",
-                              f"exists i. forall j. {tuple_term(tau_c, len_c)} = 0", sig)
+    return _delta2_from_texts(f"forall i. exists j. {extends('S')} = 1",
+                              f"exists i. forall j. {extends('C')} = 0", sig)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import dataclasses
@@ -16,10 +17,12 @@ from guessability.lang import (
     Not,
     Or,
     Pred,
+    SEQ_BUILTINS,
     Variable,
     print_term,
     SentenceClass,
     Signature,
+    SignatureError,
     classify_sentence,
     default_signature,
     load_signature,
@@ -335,14 +338,15 @@ def test_topology_membership_host_values():
     sig = default_signature()
     for_set, for_complement = _first_coordinate_specs()
     delta2_from_topology(for_set, for_complement, sig)
-    tau = sig.seq_function("tauS")
-    assert tau((0, 0, 7)) == 1
-    assert tau((0, 0, 7, 7)) == 0
-    assert tau((0, 0, 8)) == 0
+    arity, tau = sig.function("tauS")
+    assert arity == 4
+    assert tau(0, 0, 0, 7) == 1
+    assert tau(0, 0, 1, 7) == 0
+    assert tau(0, 0, 0, 8) == 0
     # holes inside a listed row contribute the empty set
-    assert tau((0, 5, 7)) == 0
+    assert tau(0, 5, 0, 7) == 0
     # unlisted rows fall back to the whole-space default
-    assert tau((3, 0, 9)) == 1
+    assert tau(3, 0, 0, 9) == 1
 
 
 def test_topology_sentence_classes():
@@ -362,6 +366,38 @@ def test_topology_guesser_stabilises_from_first_entry():
     assert [g(prefix_of(nonmember, k)) for k in range(6)] == [0] * 6
 
 
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_clopen_tables_guess_every_word_from_a_pinned_length(data):
+    """A ⊆ {0,1,2}^k and its complement as one-row tables, at random columns with holes.
+
+    Every row but 0 takes the whole-space default.  On a member, mu for the set
+    stays 0, so the guess is 1 from the first entry.  On a nonmember at column j
+    of the complement's row, that cell's attempt is made once the prefix has j
+    entries and succeeds once it has k, so mu for the set leaves 0 at
+    max(k, j) entries while mu for the complement stays 0: the guess is 1
+    before that and 0 from there on, whatever follows the word.
+    """
+    k = data.draw(st.integers(1, 3), label="k")
+    words = list(itertools.product(range(3), repeat=k))
+    members = data.draw(st.sets(st.sampled_from(words), min_size=1, max_size=len(words) - 1))
+    column = {}
+    for side in (sorted(members), sorted(set(words) - members)):
+        columns = data.draw(st.permutations(range(2 * len(side))))[:len(side)]
+        column.update(zip(side, sorted(columns)))
+    for_set, for_complement = (
+        TopologySpec(table={(0, column[w]): FinitePrefix(w) for w in side})
+        for side in (members, set(words) - members))
+    sig = default_signature()
+    spec = delta2_from_topology(for_set, for_complement, sig)
+    horizon = 2 * len(words)  # past every column
+    for word in words:
+        g = guesser_from_delta2(spec, sig)
+        entries = (word + (2, 0, 1) * horizon)[:horizon]
+        assert [g(FinitePrefix(entries[:n])) for n in range(1, horizon + 1)] == [
+            int(word in members or n < max(k, column[word])) for n in range(1, horizon + 1)], word
+
+
 def test_topology_rejects_empty_tables():
     sig = default_signature()
     with pytest.raises(ValueError):
@@ -374,6 +410,20 @@ def test_topology_name_prefix_avoids_collisions():
     delta2_from_topology(for_set, for_complement, sig)
     spec = delta2_from_topology(for_set, for_complement, sig, name_prefix="second_")
     assert "second_tauS" in spec.pi2.text()
+
+
+def test_topology_guesser_ignores_a_sel_declared_before_it():
+    sig = default_signature()
+    sig.register_function("sel", 4, lambda m, i, j, w: 0)
+    g = guesser_from_delta2(delta2_from_topology(*_first_coordinate_specs(), sig), sig)
+    assert [g(FinitePrefix((7, 4, 9)[:k])) for k in (1, 2, 3)] == [1, 1, 1]
+
+
+def test_topology_rejects_an_all_declared_before_it():
+    sig = default_signature()
+    sig.register_seq_function("all", SEQ_BUILTINS["min"])
+    with pytest.raises(SignatureError, match="'all' already declared"):
+        delta2_from_topology(*_first_coordinate_specs(), sig)
 
 
 # ---------------------------------------------------------------------------

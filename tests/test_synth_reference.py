@@ -4,7 +4,9 @@ exceptions, texts included, on prefixes in any order: ascending views of one
 list, repeated, shorter than the last, equal but of another list, or not
 extending it.  Each reference host reads ``tuple(view)``.  A Delta2 guesser,
 whose two streams share one memo, against mu_from_sigma2 for the set and its
-complement, also when a host raises: the same guesses whenever it answers."""
+complement, also when a host raises: the same guesses whenever it answers.
+``delta2_from_topology`` against the reference that packed i and j into the
+ellipsis tuple: the same attempts, mu values and guesses."""
 
 import random
 
@@ -17,12 +19,16 @@ from guessability import synth
 from guessability.cli import BUILTIN_GUESSERS
 from guessability.lang import SEQ_BUILTINS, Pi2Sentence, Sigma2Sentence, default_signature, parse
 from guessability.oracle import FinitePrefix
+from guessability.semantics import Assignment, EllipsisMemo, attempt
 from guessability.synth import (
     INFINITY,
     Delta2Spec,
     ExtendedNat,
     Guesser,
+    MuStream,
     Overguesser,
+    TopologySpec,
+    complement_sigma2,
     contains_zero_delta2,
     guesser_from_delta2,
     guesser_not,
@@ -232,3 +238,46 @@ def test_a_delta2_guesser_whose_hosts_raise_matches_the_reference_whenever_it_an
             except RuntimeError:
                 continue
             assert guess == reference_guess(spec, p, sig), p
+
+
+# ---------------------------------------------------------------------------
+# Topology tables: the agreement sentences against the tuple-packing reference
+
+
+_cells = st.lists(st.integers(0, 2), max_size=3).map(FinitePrefix)  # the empty cell is the whole space
+
+
+@st.composite
+def topology_specs(draw) -> TopologySpec:
+    """Up to six cells in rows 0..2, so a listed row has holes and an unlisted one takes the default."""
+    table = draw(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 3)), _cells,
+                                 min_size=1, max_size=6))
+    return TopologySpec(table=table, default=draw(_cells))
+
+
+@settings(max_examples=150, deadline=None)
+@given(topology_specs(), topology_specs(), st.lists(st.integers(0, 2), max_size=6))
+def test_topology_pairs_match_the_reference(for_set, for_complement, entries):
+    sides = []
+    for build in (synth.delta2_from_topology, synth_reference.delta2_from_topology):
+        sig = default_signature()
+        spec = build(for_set, for_complement, sig)
+        sides.append((spec, sig, EllipsisMemo(), (spec.sigma2, complement_sigma2(spec))))
+    streams = [[MuStream(sentence, sig) for sentence in sentences] for _, sig, _, sentences in sides]
+    guessers = [guesser_from_delta2(spec, sig) for spec, sig, _, _ in sides]
+    for p in views_of(entries):
+        outcomes = []
+        for _, sig, memo, sentences in sides:
+            memo.follow(p)  # one memo for both sentences over the growing prefix, as a guesser shares it
+            outcomes.append([
+                attempt(sentence.matrix, p, sig, s, shared)
+                for sentence in sentences for i in range(4) for j in range(len(p) + 2)
+                for s in [Assignment({sentence.outer: i, sentence.inner: j})]
+                for shared in (None, memo)])
+        assert outcomes[0] == outcomes[1], p
+        if len(p):
+            mus = [[(synth.mu_from_sigma2(sentence, p, sig), stream.push(p[-1]))
+                    for sentence, stream in zip(sentences, side_streams)]
+                   for (_, sig, _, sentences), side_streams in zip(sides, streams)]
+            assert mus[0] == mus[1], p
+            assert guessers[0](p) == guessers[1](p), p
