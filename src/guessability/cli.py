@@ -174,6 +174,8 @@ def cmd_eval(args) -> int:
     source = oracle.from_spec(args.seq)
     assignment = _parse_assignment(args.assign, formula)
     if lang.is_quantifier_free(formula):
+        if args.bound is not None:
+            raise CliError("--bound is read only for a quantified sentence")
         result = semantics.eval_qf(formula, source, assignment, sig)
         shown = "true" if result.value else "false"
         max_q = "none" if result.max_queried is None else lang.decimal(
@@ -197,6 +199,8 @@ def cmd_eval(args) -> int:
 
 def _guess_spec_from_args(args, sig) -> synth.Delta2Spec:
     if args.spec is not None:
+        if args.sigma2 is not None or args.pi2 is not None:
+            raise CliError("--sigma2 and --pi2 are not read with --spec")
         if args.spec not in BUILTIN_DELTA2:
             raise CliError(f"unknown builtin spec {args.spec!r}; builtins: "
                            + ", ".join(sorted(BUILTIN_DELTA2)))
@@ -242,6 +246,8 @@ def cmd_adversary(args) -> int:
         raise CliError("flips must be at least 1")
     if args.budget < 1:
         raise CliError("budget must be at least 1")
+    if args.kind != "diagonal" and args.set != "inf-zeros":  # the default, so an explicit one passes
+        raise CliError("--set is read only by --kind diagonal")
     sig = _load_signature(args.sig)
     guesser = _resolve_guesser(args.guesser, sig)
     if args.kind == "diagonal":
@@ -273,6 +279,8 @@ def cmd_synth(args) -> int:
     if args.source != "topology":
         if len(args.inputs) != 1:
             raise CliError(f"synth {args.source} needs one symbol name")
+        if args.prefix:
+            raise CliError("--prefix is read only by synth topology")
         name = args.inputs[0]
     if args.source == "guesser":
         synth.sentences_from_guesser(name, sig)

@@ -953,6 +953,33 @@ def test_usage_errors_are_one_error_line(capsys, tmp_path, s2_file, argv, messag
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["adversary", "--guesser", "constant-1", "--kind", "permutation", "--set", "cantor"],
+     "--set is read only by --kind diagonal"),
+    (["adversary", "--guesser", "constant-1", "--kind", "cantor", "--set", "permutation",
+      "--flips", "2", "--budget", "5"], "--set is read only by --kind diagonal"),
+    (["eval", "{qf}", "--seq", "id", "--bound", "5"], "--bound is read only for a quantified sentence"),
+    (["guess", "--spec", "contains-zero", "--sigma2", "nope.lg", "--pi2", "nope.lg",
+      "--seq", "id", "--horizon", "3"], "--sigma2 and --pi2 are not read with --spec"),
+    (["guess", "--spec", "contains-zero", "--pi2", "{s2}", "--seq", "id", "--horizon", "3"],
+     "--sigma2 and --pi2 are not read with --spec"),
+    (["synth", "guesser", "Gz", "--sig", "{sig}", "--prefix", "X", "--out-dir", "{out}"],
+     "--prefix is read only by synth topology"),
+    (["synth", "overguesser", "Gz", "--sig", "{sig}", "--prefix", "X", "--out-dir", "{out}"],
+     "--prefix is read only by synth topology"),
+    (["synth", "family", "g", "--sig", "{sig}", "--prefix", "X", "--out-dir", "{out}"],
+     "--prefix is read only by synth topology"),
+])
+def test_options_a_command_would_ignore_are_usage_errors(capsys, tmp_path, qf_file, s2_file,
+                                                         argv, message):
+    sig = tmp_path / "session.sig"
+    sig.write_text("seqfn Gz contains0\nfn g 2 constfam\n")
+    paths = {"qf": qf_file, "s2": s2_file, "sig": str(sig), "out": str(tmp_path / "out")}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_mu_rejects_nonpositive_horizon(capsys, s2_file):
     code, _, err = run(capsys, "mu", s2_file, "--seq", "id", "--horizon", "0")
     assert code == 2
