@@ -5,8 +5,9 @@ exit code of ``cli.main`` and the digests of what it printed, plus the small
 files the README's CLI block and the ``synth`` runs read.  A ``synth`` run
 also keeps the digest of each file whose path it printed.  The corpus
 covers the README's block, the three bench commands at full size for seeds
-0 and 1, the longer runs that exercise the hot paths, and one ``synth`` run
-for each other source.  Each command runs in
+0 and 1, the longer runs that exercise the hot paths, one ``synth`` run
+for each other source, and runs that pin ``--assign`` and the ``--json``
+values of ``eval``, ``mu``, ``guess`` and ``adversary``.  Each command runs in
 process with an empty stdin, in a working directory that holds those files
 and a copy of ``bench/inputs``, so every path it reads or prints is relative.
 
@@ -69,6 +70,27 @@ SYNTH_RUNS = [
 ]
 
 
+# runs that pin assignments and the printed values of mu: free variables bound by
+# --assign, one left unassigned (it reads 0), --assign under --bound, and --json
+VALUE_FILES = {
+    "qf2.lg": "f(x) = y\n",
+    "bounded.lg": "exists y. f(y) = add(x, 1)\n",
+}
+VALUE_RUNS = [
+    ["eval", "qf2.lg", "--seq", "prefix:[3,0,2]:pad0", "--assign", "x=2,y=2"],
+    ["eval", "qf2.lg", "--seq", "prefix:[3,0,2]:pad0", "--assign", "x=1"],
+    ["eval", "bounded.lg", "--seq", "id", "--assign", "x=4", "--bound", "6"],
+    ["eval", "qf2.lg", "--seq", "prefix:[3,0,2]:pad0", "--assign", "x=0,y=3", "--json"],
+    ["eval", "bounded.lg", "--seq", "id", "--assign", "x=9", "--bound", "6", "--json"],
+    ["mu", "bench/inputs/mu.sigma2.lg", "--seq", "cycle:[1,0,0]", "--horizon", "40", "--json"],
+    ["guess", *GZ, "--seq", "plantzero:10", "--horizon", "60", "--json"],
+    ["adversary", "--guesser", "delta2:bench/inputs/Gz.sigma2.lg:bench/inputs/Gz.pi2.lg",
+     "--sig", "bench/inputs/gz.sig", "--kind", "diagonal", "--flips", "3", "--budget", "500",
+     "--json"],
+    ["adversary", "--guesser", "parity-of-length", "--kind", "diagonal", "--flips", "4", "--json"],
+]
+
+
 def readme_block() -> tuple[dict[str, str], list[list[str]]]:
     """The files the README's CLI block writes, and the argv of each command it runs."""
     readme = (ROOT / "README.md").read_text()
@@ -126,7 +148,8 @@ def regen(workdir: Path) -> None:
     files, commands = readme_block()
     files["broken.lg"] = "f(0) = \n"
     files.update(SYNTH_FILES)
-    commands += bench_commands() + LONG_RUNS + ERRORS_AND_HELP + SYNTH_RUNS
+    files.update(VALUE_FILES)
+    commands += bench_commands() + LONG_RUNS + ERRORS_AND_HELP + SYNTH_RUNS + VALUE_RUNS
     prepare(workdir, files)
     cwd = os.getcwd()
     os.chdir(workdir)
