@@ -54,9 +54,7 @@ from .lang import (
     substitute,
 )
 from .semantics import (
-    Assignment,
     AttemptOutcome,
-    EMPTY_ASSIGNMENT,
     EvalResult,
     EvaluationBudgetExhausted,
     MisplacedQuantifierError,
@@ -67,9 +65,7 @@ from .semantics import (
 )
 from .synth import (
     Delta2Spec,
-    ExtendedNat,
     Guesser,
-    INFINITY,
     MuStream,
     Overguesser,
     TopologySpec,

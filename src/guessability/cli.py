@@ -102,10 +102,10 @@ def _load_delta2(sigma2_path: str, pi2_path: str, sig: lang.Signature) -> synth.
     )
 
 
-def _parse_assignment(text: str | None, formula: lang.Formula) -> semantics.Assignment:
+def _parse_assignment(text: str | None, formula: lang.Formula) -> dict[str, int]:
     """``name=nat,...``: each name once, and each free in the formula."""
     if not text:
-        return semantics.EMPTY_ASSIGNMENT
+        return {}
     bindings, parts = {}, {}
     for part in text.split(","):
         name, eq, value = part.partition("=")
@@ -120,7 +120,7 @@ def _parse_assignment(text: str | None, formula: lang.Formula) -> semantics.Assi
     for name, part in parts.items():
         if name not in free:
             raise CliError(f"bad assignment entry {part!r}: {name} is not free in the sentence")
-    return semantics.Assignment(bindings)
+    return bindings
 
 
 def _json(obj) -> None:
@@ -232,7 +232,7 @@ def cmd_mu(args) -> int:
     sentence = lang.Sigma2Sentence.from_formula(_load_sentence(args.sentence, sig))
     source = oracle.from_spec(args.seq)
     stream = synth.MuStream(sentence, sig)
-    rows = [stream.push(source.query(i)).value for i in range(args.horizon)]
+    rows = [stream.push(source.query(i)) for i in range(args.horizon)]
     if args.json:
         _json({"mu": rows})
     else:

@@ -1,9 +1,11 @@
 """Evaluation of terms and formulas over a sequence, tracking the entries read.
 
 One evaluator serves every entry point; they differ in how an entry is read.
-``eval_term`` and ``eval_qf`` read an oracle and report which indices they
-read.  ``attempt`` reads a finite prefix and fails the moment a read would look
-past its last index; given an ``EllipsisMemo`` it evaluates each entry of an
+Each evaluates under an assignment, a mapping from variable names to
+naturals, in which a name it does not map reads as 0.  ``eval_term`` and
+``eval_qf`` read an oracle and report which indices they read.  ``attempt``
+reads a finite prefix and fails the moment a read would look past its last
+index; given an ``EllipsisMemo`` it evaluates each entry of an
 ellipsis term, or of any equal one, once for each value of the body's free
 variables along a growing prefix, whatever the bounds that ask for it.  A sequence host gets the body
 values as a ``FinitePrefix`` view (call ``tuple(t)`` for a tuple), so one below 0
@@ -43,29 +45,6 @@ class MisplacedQuantifierError(ValueError):
     """A quantifier reached the quantifier-free evaluator."""
 
 
-class Assignment:
-    """Immutable finite map variable -> natural; unmapped variables read as 0."""
-
-    def __init__(self, bindings: Mapping[str, int] | None = None):
-        self._bindings = dict(bindings) if bindings else {}
-
-    def __getitem__(self, name: str) -> int:
-        return self._bindings.get(name, 0)
-
-    def set(self, name: str, value: int) -> "Assignment":
-        """New assignment differing only at ``name``."""
-        updated = dict(self._bindings)
-        updated[name] = int(value)
-        return Assignment(updated)
-
-    def __repr__(self):
-        inside = ", ".join(f"{k}={v}" for k, v in sorted(self._bindings.items()))
-        return f"Assignment({inside})"
-
-
-EMPTY_ASSIGNMENT = Assignment()
-
-
 class EllipsisMemo:
     """Entries and values of the ellipsis terms of the formulas evaluated over one growing prefix.
 
@@ -88,14 +67,14 @@ class EllipsisMemo:
         self.tables: dict[tuple[int, ...], list] = defaultdict(lambda: [FinitePrefix(), {}])
         self.prefix: FinitePrefix | None = None  # the last prefix followed
 
-    def table(self, term: EllipsisApp, s: Assignment) -> list:
+    def table(self, term: EllipsisApp, s: Mapping[str, int]) -> list:
         """``[prefix, values]`` for the term under ``s``: its entries so far, its host values by size."""
         key = self._keys.get(id(term))
         if key is None:
             names = tuple(free_vars(term.body) - {term.binder})
             key = self._keys[id(term)] = (term, *self._first.setdefault(term, (id(term), names)))
         _, node, names = key
-        return self.tables[(node, *(s[name] for name in names))]
+        return self.tables[(node, *(s.get(name, 0) for name in names))]
 
     def follow(self, prefix: FinitePrefix) -> None:
         """Evaluate over ``prefix`` from now on: unless it is or extends the last one, drop every table."""
@@ -182,11 +161,11 @@ class _Evaluation:
                 f"evaluation spent more than {MAX_BOUNDED_INSTANCES} quantifier instances"
                 " and ellipsis entries")
 
-    def value(self, term: Term, s: Assignment) -> int:
+    def value(self, term: Term, s: Mapping[str, int]) -> int:
         if isinstance(term, Numeral):
             return term.value
         if isinstance(term, Variable):
-            return s[term.name]
+            return s.get(term.name, 0)
         if isinstance(term, SeqApp):
             return self.read(self.value(term.arg, s))
         if isinstance(term, FixedApp):
@@ -205,14 +184,14 @@ class _Evaluation:
                 host = self.sig.seq_function(term.symbol)
                 for i in range(len(prefix), size):
                     self.spend()
-                    prefix = table[0] = prefix.extended(self.value(term.body, s.set(term.binder, i)))
+                    prefix = table[0] = prefix.extended(self.value(term.body, {**s, term.binder: i}))
                 if size < len(prefix):  # the host reads the memo's own view; only a shorter one copies
                     prefix = FinitePrefix(prefix[:size])
                 value = values[size] = int(host(prefix))
             return value
         raise TypeError(f"not a term: {term!r}")
 
-    def truth(self, formula: Formula, s: Assignment) -> bool:
+    def truth(self, formula: Formula, s: Mapping[str, int]) -> bool:
         if isinstance(formula, Eq):
             return self.value(formula.left, s) == self.value(formula.right, s)
         if isinstance(formula, Pred):
@@ -232,14 +211,14 @@ class _Evaluation:
             decisive = isinstance(formula, Exists)
             for n in range(self.bound + 1):
                 self.spend()
-                if self.truth(formula.body, s.set(formula.var, n)) == decisive:
+                if self.truth(formula.body, {**s, formula.var: n}) == decisive:
                     return decisive
             return not decisive
         raise TypeError(f"not a formula: {formula!r}")
 
 
 def _recorded(evaluate: Callable, node: Term | Formula, oracle: SequenceOracle,
-              s: Assignment | None, sig: Signature | None) -> EvalResult:
+              s: Mapping[str, int] | None, sig: Signature | None) -> EvalResult:
     """Run ``evaluate`` (``_Evaluation.value`` or ``.truth``) over the oracle, noting each index read."""
     queried: set[int] = set()
 
@@ -248,24 +227,24 @@ def _recorded(evaluate: Callable, node: Term | Formula, oracle: SequenceOracle,
         queried.add(index)
         return value
 
-    value = evaluate(_Evaluation(read, sig), node, s if s is not None else EMPTY_ASSIGNMENT)
+    value = evaluate(_Evaluation(read, sig), node, s or {})
     return EvalResult(value=value, queried=frozenset(queried))
 
 
-def eval_term(term: Term, oracle: SequenceOracle, s: Assignment | None = None,
+def eval_term(term: Term, oracle: SequenceOracle, s: Mapping[str, int] | None = None,
               sig: Signature | None = None) -> EvalResult:
     """Value of a term, with the oracle indices this evaluation read."""
     return _recorded(_Evaluation.value, term, oracle, s, sig)
 
 
-def eval_qf(formula: Formula, oracle: SequenceOracle, s: Assignment | None = None,
+def eval_qf(formula: Formula, oracle: SequenceOracle, s: Mapping[str, int] | None = None,
             sig: Signature | None = None) -> EvalResult:
     """Truth of a quantifier-free formula, with the oracle indices this evaluation read."""
     return _recorded(_Evaluation.truth, formula, oracle, s, sig)
 
 
 def attempt(formula: Formula, prefix: FinitePrefix, sig: Signature | None = None,
-            s: Assignment | None = None, memo: EllipsisMemo | None = None) -> AttemptOutcome:
+            s: Mapping[str, int] | None = None, memo: EllipsisMemo | None = None) -> AttemptOutcome:
     """Check a quantifier-free formula under an assignment over the zero-padded prefix.
 
     With no assignment the formula is read as a closed sentence.  Fails the
@@ -277,23 +256,23 @@ def attempt(formula: Formula, prefix: FinitePrefix, sig: Signature | None = None
     """
     evaluation = _Evaluation(prefix.reader(), sig, memo)
     try:
-        truth = evaluation.truth(formula, s if s is not None else EMPTY_ASSIGNMENT)
+        truth = evaluation.truth(formula, s or {})
     except QueryBeyondLimit as exc:
         return AttemptOutcome.failure(exc.index)
     return AttemptOutcome.success(truth)
 
 
 def value_over(term: Term, prefix: FinitePrefix, sig: Signature | None = None,
-               s: Assignment | None = None, memo: EllipsisMemo | None = None) -> int:
+               s: Mapping[str, int] | None = None, memo: EllipsisMemo | None = None) -> int:
     """Value of a term over the prefix, sharing a memo as ``attempt`` does.
 
     A read past the prefix's last index raises ``QueryBeyondLimit``.
     """
     evaluation = _Evaluation(prefix.reader(), sig, memo)
-    return evaluation.value(term, s if s is not None else EMPTY_ASSIGNMENT)
+    return evaluation.value(term, s or {})
 
 
-def eval_bounded(formula: Formula, oracle: SequenceOracle, s: Assignment | None = None,
+def eval_bounded(formula: Formula, oracle: SequenceOracle, s: Mapping[str, int] | None = None,
                  sig: Signature | None = None, bound: int = 0) -> bool:
     """Truth with quantifiers restricted to 0..bound.
 
@@ -301,4 +280,4 @@ def eval_bounded(formula: Formula, oracle: SequenceOracle, s: Assignment | None 
     guesser constructions.
     """
     evaluation = _Evaluation(oracle.query, sig, bound=bound)
-    return evaluation.truth(formula, s if s is not None else EMPTY_ASSIGNMENT)
+    return evaluation.truth(formula, s or {})

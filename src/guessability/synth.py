@@ -12,7 +12,6 @@ boolean operations.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -39,43 +38,7 @@ from .lang import (
     parse,
 )
 from .oracle import FinitePrefix
-from .semantics import Assignment, EllipsisMemo, attempt, value_over
-
-
-# ---------------------------------------------------------------------------
-# ExtendedNat
-
-
-@functools.total_ordering
-class ExtendedNat(Record):
-    """A natural or the point at infinity, totally ordered."""
-
-    value: int | None  # None encodes infinity
-
-    def __post_init__(self):
-        if self.value is not None and self.value < 0:
-            raise ValueError("finite values must be naturals")
-
-    @classmethod
-    def finite(cls, n: int) -> "ExtendedNat":
-        return cls(int(n))
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def __le__(self, other: "ExtendedNat") -> bool:
-        if self.value is None:
-            return other.value is None
-        if other.value is None:
-            return True
-        return self.value <= other.value
-
-    def __repr__(self):
-        return "ExtendedNat(inf)" if self.value is None else f"ExtendedNat({self.value})"
-
-
-INFINITY = ExtendedNat(None)
+from .semantics import EllipsisMemo, attempt, value_over
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +61,18 @@ class Guesser(Record):
 
 
 class Overguesser(Record):
-    """Total map from nonempty prefixes into the extended naturals."""
+    """Total map from nonempty prefixes into the naturals and ``math.inf``."""
 
-    evaluate: Callable[[FinitePrefix], ExtendedNat]
+    evaluate: Callable[[FinitePrefix], int | float]
     provenance: str = ""
 
-    def __call__(self, prefix: FinitePrefix) -> ExtendedNat:
+    def __call__(self, prefix: FinitePrefix) -> int | float:
         if len(prefix) == 0:
             raise ValueError("overguessers need at least one observed entry")
         value = self.evaluate(prefix)
-        if not isinstance(value, ExtendedNat):
-            raise ValueError(f"overguesser returned {value!r}; values are ExtendedNat")
+        if not (isinstance(value, int) and not isinstance(value, bool) and value >= 0
+                or value == math.inf):
+            raise ValueError(f"overguesser returned {value!r}; values are naturals or math.inf")
         return value
 
 
@@ -134,7 +98,7 @@ def _delta2_from_texts(pi2_text: str, sigma2_text: str, sig: Signature | None) -
 
 
 def mu_from_sigma2(sentence: Sigma2Sentence, prefix: FinitePrefix,
-                   sig: Signature | None = None) -> ExtendedNat:
+                   sig: Signature | None = None) -> int:
     """Least unrefuted outer witness for the sentence, searched up to len(prefix).
 
     A pair (a, b) counts as nice when the attempt over the prefix under
@@ -151,12 +115,11 @@ def mu_from_sigma2(sentence: Sigma2Sentence, prefix: FinitePrefix,
         raise ValueError("mu needs at least one observed entry")
     sig = sig if sig is not None else default_signature()
     for a in range(len(prefix)):
-        outcomes = (attempt(sentence.matrix, prefix, sig,
-                            Assignment({sentence.outer: a, sentence.inner: b}))
+        outcomes = (attempt(sentence.matrix, prefix, sig, {sentence.outer: a, sentence.inner: b})
                     for b in range(len(prefix) + 1))
         if not any(outcome.succeeded and not outcome.truth for outcome in outcomes):
-            return ExtendedNat.finite(a)
-    return ExtendedNat.finite(len(prefix))
+            return a
+    return len(prefix)
 
 
 _CONNECTIVES = (Not, *(connective for connective, _, _ in BINARY))
@@ -229,7 +192,7 @@ class MuStream:
         self._thresholds = _thresholds(sentence.matrix, sentence.outer, self.sig)
         self._memo = EllipsisMemo()
         self._restart()
-        self._answered = self.prefix, INFINITY  # the last prefix observed without raising, and mu; none yet
+        self._answered = self.prefix, math.inf  # the last prefix observed without raising, and mu; none yet
 
     def _restart(self) -> None:
         self.prefix = FinitePrefix(())
@@ -238,7 +201,7 @@ class MuStream:
         self._failed: list[tuple[int, int]] = []  # heap of (offending index, b) for failed b
         self._refuted: list[tuple[int, float]] = []  # heap of refuted [lo, hi) witness intervals
 
-    def __call__(self, prefix: FinitePrefix) -> ExtendedNat:
+    def __call__(self, prefix: FinitePrefix) -> int:
         """mu for a nonempty prefix: the last answer if it equals the last prefix
         pushed or answered, pushed if it extends the last observed by one entry, else replayed.
 
@@ -255,11 +218,11 @@ class MuStream:
                 self.push(value)
         return self._observe(prefix)
 
-    def push(self, value: int) -> ExtendedNat:
+    def push(self, value: int) -> int:
         """Observe the next entry and return mu for the prefix seen so far, answering it as __call__ does."""
         return self._observe(self.prefix.extended(value))
 
-    def _observe(self, prefix: FinitePrefix) -> ExtendedNat:
+    def _observe(self, prefix: FinitePrefix) -> int:
         """Take prefix, which extends the last one by one entry, as the prefix seen so far, and answer it."""
         self.prefix = prefix
         self._memo.follow(prefix)
@@ -271,7 +234,7 @@ class MuStream:
                 self._a += 1
                 self._next_b = 0
                 self._failed = []
-        self._answered = prefix, ExtendedNat.finite(min(self._a, len(prefix)))
+        self._answered = prefix, min(self._a, len(prefix))
         return self._answered[1]
 
     def _due(self, prefix: FinitePrefix) -> Iterator[int]:
@@ -287,12 +250,12 @@ class MuStream:
             heapq.heappop(failed)
         yield from range(self._next_b, len(prefix) + 1)
 
-    def _decided(self, prefix: FinitePrefix, a: int) -> Iterator[tuple[Assignment, bool]]:
+    def _decided(self, prefix: FinitePrefix, a: int) -> Iterator[tuple[dict[str, int], bool]]:
         """(assignment, truth) for each due b whose attempt at witness ``a`` succeeds; a failed
         b waits in the heap, and once every due b is decided none is due until the prefix grows."""
         sentence = self.sentence
         for b in self._due(prefix):
-            s = Assignment({sentence.outer: a, sentence.inner: b})
+            s = {sentence.outer: a, sentence.inner: b}
             outcome = attempt(sentence.matrix, prefix, self.sig, s, self._memo)
             if outcome.failed:
                 heapq.heappush(self._failed, (outcome.offending_index, b))
@@ -314,7 +277,7 @@ class MuStream:
                     continue
                 if lo:
                     truth = attempt(sentence.matrix, prefix, self.sig,
-                                    s.set(sentence.outer, lo), self._memo).truth
+                                    {**s, sentence.outer: lo}, self._memo).truth
                 if not truth:
                     heapq.heappush(self._refuted, (lo, hi))
         while self._refuted and self._refuted[0][0] <= self._a:
@@ -386,14 +349,14 @@ def register_guesser(sig: Signature, name: str, guesser: Guesser) -> None:
 
 
 def mu_prime_host(overguesser: Overguesser) -> Callable[[FinitePrefix], int]:
-    """Shifted encoding of an overguesser: finite v maps to v+1, infinity to 0.
+    """Shifted encoding of an overguesser: a natural v maps to v+1, ``math.inf`` to 0.
 
     A sequence host: it reads the memo's prefix view, and the memo keeps each
     size's value, so the overguesser must be deterministic.
     """
     def shifted(prefix: FinitePrefix) -> int:
         v = overguesser(prefix)
-        return 0 if v.is_infinite else v.value + 1
+        return 0 if v == math.inf else v + 1
 
     return shifted
 

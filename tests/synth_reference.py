@@ -11,6 +11,7 @@ entries into one ellipsis tuple through the 4-ary selector ``sel``.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 from guessability.lang import Signature
@@ -34,7 +35,7 @@ def mu_prime_host(overguesser: Overguesser) -> Callable[[tuple[int, ...]], int]:
     def host(t: tuple[int, ...]) -> int:
         if t not in cache:
             v = overguesser(FinitePrefix(t))
-            cache[t] = 0 if v.is_infinite else v.value + 1
+            cache[t] = 0 if v == math.inf else v + 1
         return cache[t]
 
     return host

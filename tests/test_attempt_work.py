@@ -1,4 +1,4 @@
-"""A work gate without timing: the Python calls one warm ``attempt`` makes.
+"""A work gate without timing: the Python calls one warm ``attempt`` or guess step makes.
 
 Wall-clock benchmarks cannot see a few percent more evaluator work, but a
 frame more per node or per symbol lookup shows here as a count.  The bounds
@@ -11,16 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from guessability import lang
-from guessability.oracle import FinitePrefix
-from guessability.semantics import Assignment, EllipsisMemo, attempt
+from guessability import lang, synth
+from guessability.oracle import FinitePrefix, from_spec
+from guessability.semantics import EllipsisMemo, attempt
 
 INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 
 
-def calls_of_warm_attempt(formula, prefix, sig, s, memo) -> int:
-    """``call`` profile events of the second of two equal attempts, the ``attempt`` call included."""
-    attempt(formula, prefix, sig, s, memo)
+def calls_of(function, *args) -> int:
+    """``call`` profile events of ``function(*args)``, that call included."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -29,29 +28,51 @@ def calls_of_warm_attempt(formula, prefix, sig, s, memo) -> int:
 
     sys.setprofile(profile)
     try:
-        attempt(formula, prefix, sig, s, memo)
+        function(*args)
     finally:
         sys.setprofile(None)
     return calls
 
 
-def gz_matrix():
-    """The matrix of the benchmark's exists-forall ``Gz`` sentence, with its signature."""
+def calls_of_warm_attempt(formula, prefix, sig, s, memo) -> int:
+    """``call`` profile events of the second of two equal attempts, the ``attempt`` call included."""
+    attempt(formula, prefix, sig, s, memo)
+    return calls_of(attempt, formula, prefix, sig, s, memo)
+
+
+def gz_spec():
+    """The benchmark's ``Gz`` Delta2 pair, with its signature."""
     sig = lang.load_signature((INPUTS / "gz.sig").read_text())
-    sentence = lang.Sigma2Sentence.from_formula(lang.parse((INPUTS / "Gz.sigma2.lg").read_text(), sig))
-    return sentence.matrix, sig
+    return synth.Delta2Spec(
+        pi2=lang.Pi2Sentence.from_formula(lang.parse((INPUTS / "Gz.pi2.lg").read_text(), sig)),
+        sigma2=lang.Sigma2Sentence.from_formula(lang.parse((INPUTS / "Gz.sigma2.lg").read_text(), sig)),
+    ), sig
 
 
 def test_a_warm_attempt_on_the_bench_gz_matrix_with_its_memo():
-    matrix, sig = gz_matrix()
-    s = Assignment({"x": 0, "y": 3})
-    assert calls_of_warm_attempt(matrix, FinitePrefix((1, 1, 0, 1, 1)), sig, s, EllipsisMemo()) <= 19
+    spec, sig = gz_spec()
+    s = {"x": 0, "y": 3}
+    prefix = FinitePrefix((1, 1, 0, 1, 1))
+    assert calls_of_warm_attempt(spec.sigma2.matrix, prefix, sig, s, EllipsisMemo()) <= 16
 
 
-@pytest.mark.parametrize("entries, bound", [((0,) * 9, 23), ((0,) * 3, 25)],
+@pytest.mark.parametrize("entries, bound", [((0,) * 9, 19), ((0,) * 3, 21)],
                          ids=["succeeds", "fails"])
 def test_a_warm_attempt_on_a_plain_implication(entries, bound):
     sig = lang.default_signature()
     formula = lang.parse("(y > x) -> f(add(y, y)) = 0", sig)
-    s = Assignment({"x": 0, "y": 3})
+    s = {"x": 0, "y": 3}
     assert calls_of_warm_attempt(formula, FinitePrefix(entries), sig, s, None) <= bound
+
+
+@pytest.mark.parametrize("seq", ["const:1", "plantzero:10"])
+def test_a_warm_guess_step_of_the_bench_gz_guesser(seq):
+    """The guess at prefix length 41, after the guesser has answered lengths 1 to 40."""
+    spec, sig = gz_spec()
+    guesser = synth.guesser_from_delta2(spec, sig)
+    source, prefix = from_spec(seq), FinitePrefix()
+    for i in range(40):
+        prefix = prefix.extended(source.query(i))
+        guesser(prefix)
+    prefix = prefix.extended(source.query(40))
+    assert calls_of(guesser, prefix) <= 208

@@ -38,7 +38,6 @@ from guessability.lang import (
 
 from guessability.oracle import FinitePrefix, from_spec
 from guessability.semantics import (
-    Assignment,
     AttemptOutcome,
     EvalResult,
     attempt,
@@ -340,9 +339,9 @@ def test_predicate_call_atoms_parse_print_and_evaluate():
     compound = parse("!below(1, 2) & below(f(0), add(1, 2))", sig)
     assert print_formula(compound) == "!below(1, 2) & below(f(0), add(1, 2))"
     source = from_spec("prefix:[3,0,2]:pad0")
-    assert eval_qf(formula, source, Assignment({"x": 1, "y": 2}), sig) == \
+    assert eval_qf(formula, source, {"x": 1, "y": 2}, sig) == \
         EvalResult(value=True, queried=frozenset({2}))
-    assert not eval_qf(formula, source, Assignment({"x": 2, "y": 2}), sig).value
+    assert not eval_qf(formula, source, {"x": 2, "y": 2}, sig).value
     with pytest.raises(ParseError, match="^predicate 'below' expects 2 arguments, got 1 "):
         parse("below(x)", sig)
 

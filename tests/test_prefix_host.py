@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from guessability.cli import BUILTIN_GUESSERS, trace_guesser
 from guessability.lang import SEQ_BUILTINS, Sigma2Sentence, default_signature, parse
 from guessability.oracle import FinitePrefix, from_spec
-from guessability.semantics import Assignment, EllipsisMemo, attempt
+from guessability.semantics import EllipsisMemo, attempt
 from guessability.synth import (
     Guesser,
     MuStream,
@@ -49,7 +49,7 @@ def test_two_streams_asking_one_registered_guesser_in_turn_do_not_replay_it(monk
 
     monkeypatch.setattr(inner, "_observe", noted)
     sig = default_signature()
-    register_guesser(sig, "G", Guesser(evaluate=lambda p: inner(p).value % 2))
+    register_guesser(sig, "G", Guesser(evaluate=lambda p: inner(p) % 2))
     spec = sentences_from_guesser("G", sig)
     first, second = MuStream(spec.sigma2, sig), MuStream(complement_sigma2(spec), sig)
     prefix, source = FinitePrefix(), from_spec("cycle:[1,2,0]")
@@ -109,7 +109,7 @@ def assert_memo_changes_no_attempt(sig, after_each=lambda: None):
     prefix, memo = FinitePrefix((1, 0, 2, 0, 3, 1, 0)), EllipsisMemo()
     for y in range(len(prefix)):
         for x in range(len(prefix) + 2):
-            s = Assignment({"x": x, "y": y})
+            s = {"x": x, "y": y}
             assert attempt(matrix, prefix, sig, s, memo) == attempt(matrix, prefix, sig, s), (x, y)
         after_each()
 
@@ -127,7 +127,7 @@ def test_a_host_that_extends_its_view_leaves_the_memo_alone():
 def test_a_stream_pushed_after_reading_a_memo_view_leaves_the_memo_alone():
     stream = MuStream(contains_zero_delta2().sigma2)
     sig = default_signature()
-    sig.register_seq_function("G", lambda prefix: stream(prefix).value)
+    sig.register_seq_function("G", stream)
     # the memoised attempt hands the stream the memo's view first, so the push extends it
     assert_memo_changes_no_attempt(sig, lambda: stream.push(7))
 

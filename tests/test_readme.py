@@ -34,7 +34,7 @@ def test_library_quick_start_values():
         comment = next(line.split("#", 1)[1] for line in lines[node.end_lineno - 1:]
                        if "#" in line)
         stated.append(comment.split(":", 1)[0].strip())
-    assert stated == ["0", "1", "ExtendedNat(5)"]
+    assert stated == ["0", "1", "5"]
     assert got == stated
 
 

@@ -26,8 +26,6 @@ from guessability.lang import (
 )
 from guessability.oracle import FinitePrefix, from_spec, zero_pad
 from guessability.semantics import (
-    Assignment,
-    EMPTY_ASSIGNMENT,
     EllipsisMemo,
     EvaluationBudgetExhausted,
     MAX_BOUNDED_INSTANCES,
@@ -92,13 +90,13 @@ def test_eval_ellipsis_small_sum(sig):
 
 def test_eval_ellipsis_binder_shadows_assignment(sig):
     term = parse_term("G[ f(x) : x .. 2 ]", sig)
-    result = eval_term(term, from_spec("id"), Assignment({"x": 40}), sig)
+    result = eval_term(term, from_spec("id"), {"x": 40}, sig)
     assert result.value == 3
 
 
 def test_eval_ellipsis_bound_uses_assignment(sig):
     term = parse_term("G[ f(x) : x .. y ]", sig)
-    assert eval_term(term, from_spec("id"), Assignment({"y": 4}), sig).value == 10
+    assert eval_term(term, from_spec("id"), {"y": 4}, sig).value == 10
 
 
 def test_eval_unknown_symbol_errors(sig):
@@ -111,20 +109,7 @@ def test_eval_unknown_symbol_errors(sig):
 
 def test_assignment_defaults_to_zero(sig):
     term = parse_term("f(x)", sig)
-    assert eval_term(term, from_spec("const:9"), EMPTY_ASSIGNMENT, sig).value == 9
-    assert EMPTY_ASSIGNMENT["anything"] == 0
-
-
-def test_assignment_update_changes_only_that_variable():
-    s = Assignment({"x": 1, "y": 2})
-    t = s.set("x", 5)
-    assert (t["x"], t["y"]) == (5, 2)
-    assert (s["x"], s["y"]) == (1, 2)
-
-
-def test_assignment_repr_lists_its_bindings_by_name():
-    assert repr(Assignment({"y": 2, "x": 1}).set("b", 7)) == "Assignment(b=7, x=1, y=2)"
-    assert repr(EMPTY_ASSIGNMENT) == "Assignment()"
+    assert eval_term(term, from_spec("const:9"), {}, sig).value == 9
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +287,7 @@ def test_attempt_with_memo_matches_plain_attempt():
             pairs = [(x, y) for x in range(4) for y in range(4)]
             rnd.shuffle(pairs)
             for x, y in pairs:
-                s = Assignment({"x": x, "y": y})
+                s = {"x": x, "y": y}
                 assert attempt(matrix, prefix, gsig, s, memo) == attempt(matrix, prefix, gsig, s), \
                     (matrix, k, x, y)
 
@@ -321,7 +306,7 @@ def test_memo_keeps_the_entries_before_a_failed_read(sig, monkeypatch):
     memo = EllipsisMemo()
 
     def both(y, prefix=prefix):
-        s = Assignment({"x": 1, "y": y})
+        s = {"x": 1, "y": y}
         plain = attempt(matrix, prefix, sig, s)
         spent[0] = 0
         return plain, attempt(matrix, prefix, sig, s, memo), spent[0]
@@ -349,11 +334,11 @@ def test_equal_ellipsis_terms_share_a_table_per_value_of_the_other_variables(sig
     for x in range(3):
         for y in range(5):
             for matrix in (first, second):
-                s = Assignment({"x": x, "y": y})
+                s = {"x": x, "y": y}
                 assert attempt(matrix, prefix, sig, s, memo) == attempt(matrix, prefix, sig, s), (x, y)
     # one table per value of x, each shared by both formulas; a new value of x needs a new one
     assert len(memo.tables) == 3
-    s = Assignment({"x": 3, "y": 1})
+    s = {"x": 3, "y": 1}
     assert attempt(first, prefix, sig, s, memo) == attempt(first, prefix, sig, s)
     assert len(memo.tables) == 4
 
@@ -389,7 +374,7 @@ def test_a_memo_drops_its_tables_when_the_prefix_it_follows_moves_elsewhere(sig)
         memo.follow(prefix)
         for y in range(len(prefix) + 1):
             for x in range(13):
-                s = Assignment({"x": x, "y": y})
+                s = {"x": x, "y": y}
                 assert attempt(matrix, prefix, sig, s, memo) == attempt(matrix, prefix, sig, s), (prefix, s)
         return len(memo.tables)
 
@@ -412,9 +397,9 @@ def test_memo_spends_budget_only_on_new_entries(sig):
     prefix = FinitePrefix((0,) * (2 * half))
     memo = EllipsisMemo()
     for y in (half - 1, 2 * half - 1):
-        assert attempt(matrix, prefix, sig, Assignment({"y": y}), memo).truth is True
+        assert attempt(matrix, prefix, sig, {"y": y}, memo).truth is True
     with pytest.raises(EvaluationBudgetExhausted):
-        attempt(matrix, prefix, sig, Assignment({"y": 2 * half - 1}))
+        attempt(matrix, prefix, sig, {"y": 2 * half - 1})
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +449,7 @@ def test_eval_bounded_matches_enumeration_of_eval_qf(outer, inner):
         oracle = formula_gen.random_oracle(rnd)
         bound = rnd.randrange(4)
         expected = quantify[outer](
-            quantify[inner](eval_qf(matrix, oracle, Assignment({"x": x, "y": y}), gsig).value
+            quantify[inner](eval_qf(matrix, oracle, {"x": x, "y": y}, gsig).value
                             for y in range(bound + 1))
             for x in range(bound + 1))
         sentence = outer("x", inner("y", matrix))
@@ -503,9 +488,9 @@ def test_weak_substitution_smoke():
                                      binder="x" if i % 4 == 0 else None)
         oracle = formula_gen.random_oracle(rnd)
         c = rnd.randrange(5)
-        s = Assignment({"y": rnd.randrange(5), "x": rnd.randrange(5)})
+        s = {"y": rnd.randrange(5), "x": rnd.randrange(5)}
         left = eval_qf(substitute(formula, "x", Numeral(c)), oracle, s, gsig)
-        right = eval_qf(formula, oracle, s.set("x", c), gsig)
+        right = eval_qf(formula, oracle, {**s, "x": c}, gsig)
         assert left.value == right.value
 
 

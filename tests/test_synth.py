@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import dataclasses
@@ -33,10 +34,8 @@ from guessability.oracle import FinitePrefix, from_spec, prefix_of
 from guessability.semantics import attempt
 from guessability.lang import Numeral, Pi2Sentence, Sigma2Sentence, substitute
 from guessability.synth import (
-    ExtendedNat,
     Delta2Spec,
     Guesser,
-    INFINITY,
     MuStream,
     Overguesser,
     TopologySpec,
@@ -60,28 +59,6 @@ from guessability.synth import (
 
 import formula_gen
 import record_twins
-
-
-# ---------------------------------------------------------------------------
-# ExtendedNat
-
-
-def test_extended_nat_finite_below_infinity():
-    assert ExtendedNat.finite(10 ** 9) < INFINITY
-    assert INFINITY <= INFINITY
-    assert not INFINITY <= ExtendedNat.finite(0)
-
-
-@given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
-def test_extended_nat_total_order_trichotomy(a, b):
-    x, y = ExtendedNat.finite(a), ExtendedNat.finite(b)
-    assert (x < y) + (x == y) + (y < x) == 1
-    assert (x <= y) == (a <= b)
-
-
-def test_extended_nat_rejects_negatives():
-    with pytest.raises(ValueError):
-        ExtendedNat.finite(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +102,16 @@ def cz():
 
 
 def test_mu_finds_the_witness(cz):
-    assert mu_from_sigma2(cz.sigma2, FinitePrefix((3, 0, 2))) == ExtendedNat.finite(1)
+    assert mu_from_sigma2(cz.sigma2, FinitePrefix((3, 0, 2))) == 1
 
 
 def test_mu_vacuous_witness_beyond_prefix(cz):
     # every in-prefix witness refuted; the first unrefutable index wins
-    assert mu_from_sigma2(cz.sigma2, FinitePrefix((3, 1, 2))) == ExtendedNat.finite(3)
+    assert mu_from_sigma2(cz.sigma2, FinitePrefix((3, 1, 2))) == 3
 
 
 def test_mu_immediate_witness(cz):
-    assert mu_from_sigma2(cz.sigma2, FinitePrefix((0,))) == ExtendedNat.finite(0)
+    assert mu_from_sigma2(cz.sigma2, FinitePrefix((0,))) == 0
 
 
 def test_mu_rejects_empty_prefix(cz):
@@ -262,13 +239,13 @@ def test_sigma2_from_overguesser_requires_unary_projections():
 
 
 def test_mu_prime_host_encoding():
-    finite = mu_prime_host(Overguesser(evaluate=lambda p: ExtendedNat.finite(4)))
+    finite = mu_prime_host(Overguesser(evaluate=lambda p: 4))
     assert finite((1, 2)) == 5
-    infinite = mu_prime_host(Overguesser(evaluate=lambda p: INFINITY))
+    infinite = mu_prime_host(Overguesser(evaluate=lambda p: math.inf))
     assert infinite((1, 2)) == 0
 
 
-@pytest.mark.parametrize("junk", [3, None, "inf", ExtendedNat])
+@pytest.mark.parametrize("junk", [-1, 2.5, True, None, "inf"])
 def test_overguessers_must_return_extended_naturals(junk):
     host = mu_prime_host(Overguesser(evaluate=lambda p: junk))
     with pytest.raises(ValueError, match=f"^overguesser returned {re.escape(repr(junk))}; "):
@@ -294,7 +271,7 @@ def test_family_sentence_text():
 def test_family_mu_on_a_member():
     sig = constants_family_signature()
     sentence = sigma2_from_countable_family("g", sig)
-    assert mu_from_sigma2(sentence, FinitePrefix((3,) * 5), sig) == ExtendedNat.finite(3)
+    assert mu_from_sigma2(sentence, FinitePrefix((3,) * 5), sig) == 3
 
 
 def test_family_mu_grows_on_the_identity_sequence():
@@ -302,7 +279,7 @@ def test_family_mu_grows_on_the_identity_sequence():
     sentence = sigma2_from_countable_family("g", sig)
     ident = from_spec("id")
     for k in (1, 2, 7, 20):
-        assert mu_from_sigma2(sentence, prefix_of(ident, k), sig) == ExtendedNat.finite(k + 1)
+        assert mu_from_sigma2(sentence, prefix_of(ident, k), sig) == k + 1
 
 
 def test_family_custom_name():
@@ -482,9 +459,9 @@ def test_mu_matches_first_zero_closed_form(cz):
         entries = tuple(rnd.choice((0, 1, 2, 3, 7)) for _ in range(rnd.randrange(1, 12)))
         p = FinitePrefix(entries)
         first_zero = next((i for i, v in enumerate(entries) if v == 0), len(entries))
-        assert mu_from_sigma2(cz.sigma2, p) == ExtendedNat.finite(first_zero)
+        assert mu_from_sigma2(cz.sigma2, p) == first_zero
         complement_value = len(entries) if 0 in entries else 0
-        assert mu_from_sigma2(nu_sentence, p) == ExtendedNat.finite(complement_value)
+        assert mu_from_sigma2(nu_sentence, p) == complement_value
 
 
 def test_family_mu_matches_constant_run_closed_form():
@@ -496,7 +473,7 @@ def test_family_mu_matches_constant_run_closed_form():
         p = FinitePrefix(entries)
         constant = len(set(entries)) == 1 and entries[0] < len(entries)
         expected = entries[0] if constant else len(entries)
-        assert mu_from_sigma2(sentence, p, sig) == ExtendedNat.finite(expected)
+        assert mu_from_sigma2(sentence, p, sig) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +486,7 @@ def test_mu_eventually_bounded_on_members(cz):
         source = from_spec(f"plantzero:{p}")
         for k in range(p, 30):
             mu = mu_from_sigma2(cz.sigma2, prefix_of(source, k))
-            assert mu <= ExtendedNat.finite(p)
+            assert mu <= p
 
 
 def test_mu_outgrows_every_threshold_off_members(cz):
@@ -518,7 +495,7 @@ def test_mu_outgrows_every_threshold_off_members(cz):
         k = threshold + 1
         for longer in range(k, 40, 4):
             mu = mu_from_sigma2(cz.sigma2, prefix_of(source, longer))
-            assert ExtendedNat.finite(threshold) < mu
+            assert threshold < mu
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +691,7 @@ def test_a_prefix_that_raised_is_not_answered_from_the_last_success():
     with pytest.raises(RuntimeError):
         stream(prefix)
     # mu is 3 on five entries and 4 on six
-    assert stream(prefix) == mu_from_sigma2(sentence, prefix, sig) == ExtendedNat(4)
+    assert stream(prefix) == mu_from_sigma2(sentence, prefix, sig) == 4
 
 
 @pytest.mark.parametrize("text", [
@@ -788,7 +765,6 @@ def test_records_match_their_dataclass_twins():
     pi2 = Pi2Sentence.from_formula(parse("forall x. exists y. f(x) = y"))
     cells = {(0, 0): FinitePrefix((7,)), (0, 1): FinitePrefix(())}
     samples = {
-        ExtendedNat: [(0,), (5,), (None,)],
         Guesser: [(len, "length"), (len, ""), (bool, "length")],
         Overguesser: [(len, "length"), (bool, "")],
         Delta2Spec: [(pi2, sigma2)],
@@ -810,4 +786,3 @@ def test_records_match_their_dataclass_twins():
     assert first == second == TopologySpec(table={}) and first.table is not second.table
     first.table[(0, 0)] = FinitePrefix((1,))
     assert second.table == {} and TopologySpec().table == {}
-    record_twins.check_rejects_like_twin(ExtendedNat, (-1,), ValueError)

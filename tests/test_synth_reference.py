@@ -8,6 +8,7 @@ complement, also when a host raises: the same guesses whenever it answers.
 ``delta2_from_topology`` against the reference that packed i and j into the
 ellipsis tuple: the same attempts, mu values and guesses."""
 
+import math
 import random
 
 import pytest
@@ -19,11 +20,9 @@ from guessability import synth
 from guessability.cli import BUILTIN_GUESSERS
 from guessability.lang import SEQ_BUILTINS, Pi2Sentence, Sigma2Sentence, default_signature, parse
 from guessability.oracle import FinitePrefix
-from guessability.semantics import Assignment, EllipsisMemo, attempt
+from guessability.semantics import EllipsisMemo, attempt
 from guessability.synth import (
-    INFINITY,
     Delta2Spec,
-    ExtendedNat,
     Guesser,
     MuStream,
     Overguesser,
@@ -83,11 +82,11 @@ _guessers = st.one_of(
 )
 _overguessers = st.one_of(
     st.sampled_from([
-        lambda: Overguesser(evaluate=lambda p: ExtendedNat.finite(4)),
-        lambda: Overguesser(evaluate=lambda p: INFINITY if 0 in p else ExtendedNat.finite(len(p))),
-        lambda: Overguesser(evaluate=once_raising(lambda p: ExtendedNat.finite(sum(p)))),
+        lambda: Overguesser(evaluate=lambda p: 4),
+        lambda: Overguesser(evaluate=lambda p: math.inf if 0 in p else len(p)),
+        lambda: Overguesser(evaluate=once_raising(lambda p: sum(p))),
         *(lambda junk=junk: Overguesser(evaluate=lambda p: junk)
-          for junk in (3, None, "inf", ExtendedNat)),
+          for junk in (-1, 2.5, True, None, "inf")),
     ]),
     _seeds.map(lambda seed: lambda: generated_stream(seed)),
 )
@@ -272,7 +271,7 @@ def test_topology_pairs_match_the_reference(for_set, for_complement, entries):
             outcomes.append([
                 attempt(sentence.matrix, p, sig, s, shared)
                 for sentence in sentences for i in range(4) for j in range(len(p) + 2)
-                for s in [Assignment({sentence.outer: i, sentence.inner: j})]
+                for s in [{sentence.outer: i, sentence.inner: j}]
                 for shared in (None, memo)])
         assert outcomes[0] == outcomes[1], p
         if len(p):
