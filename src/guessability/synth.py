@@ -29,6 +29,7 @@ from .lang import (
     Record,
     SEQ_BUILTINS,
     Signature,
+    SignatureError,
     Sigma2Sentence,
     Term,
     Variable,
@@ -424,36 +425,26 @@ class TopologySpec(Record):
                  default: FinitePrefix = FinitePrefix(())):
         super().__init__({} if table is None else table, default)
 
-    def listed_rows(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.table)
 
-    def lookup(self, i: int, j: int) -> FinitePrefix | None:
-        """Prefix for the (i, j) cell, or None for an empty contribution."""
-        if (i, j) in self.table:
-            return self.table[(i, j)]
-        if i in self.listed_rows():
-            return None
-        return self.default
+def _topology_hosts(spec: TopologySpec) -> tuple[Callable[..., int], Callable[..., int]]:
+    """The ``tau`` and ``len`` hosts of one table, read from a copy of its cells taken now."""
+    table, default = dict(spec.table), spec.default
+    rows = frozenset(i for i, _ in table)
 
+    def cell(i: int, j: int) -> FinitePrefix | None:
+        """The (i, j) cell's prefix, the default for an unlisted row, or None for a hole."""
+        found = table.get((i, j))
+        return default if found is None and i not in rows else found
 
-def _agreement_host(spec: TopologySpec) -> Callable[[int, int, int, int], int]:
-    def host(i: int, j: int, z: int, v: int) -> int:
-        cell = spec.lookup(i, j)
-        if cell is None:
-            return 0
-        return 1 if len(cell) == 0 or (z < len(cell) and cell[z] == v) else 0
+    def tau(i: int, j: int, z: int, v: int) -> int:
+        found = cell(i, j)
+        return int(found is not None and (len(found) == 0 or z < len(found) and found[z] == v))
 
-    return host
+    def length(i: int, j: int) -> int:
+        found = cell(i, j)
+        return 0 if found is None or len(found) == 0 else len(found) - 1
 
-
-def _length_host(spec: TopologySpec) -> Callable[[int, int], int]:
-    def host(i: int, j: int) -> int:
-        cell = spec.lookup(i, j)
-        if cell is None or len(cell) == 0:
-            return 0
-        return len(cell) - 1
-
-    return host
+    return tau, length
 
 
 def delta2_from_topology(for_set: TopologySpec, for_complement: TopologySpec,
@@ -465,14 +456,20 @@ def delta2_from_topology(for_set: TopologySpec, for_complement: TopologySpec,
     ``tau(i, j, z, v)`` is 0 for a hole, 1 for the whole space, else whether entry
     z of the cell is v; ``len`` is the cell's last index, 0 for a hole or the whole
     space; and ``all`` is the sequence builtin ``min``.  Each is registered under
-    an optionally prefixed name; one already declared raises SignatureError.
+    an optionally prefixed name; if one is already declared, SignatureError is
+    raised and none is registered.  The hosts read a copy of the tables taken
+    when the pair is made, so a later change to the tables does not reach them.
     """
     if not for_set.table or not for_complement.table:
         raise ValueError("topology tables must be nonempty")
     p = name_prefix
+    for name in ("tauS", "lenS", "tauC", "lenC", "all"):
+        if sig.kind_of(p + name) is not None:
+            raise SignatureError(f"symbol {p + name!r} already declared")
     for side, spec in (("S", for_set), ("C", for_complement)):
-        sig.register_function(f"{p}tau{side}", 4, _agreement_host(spec))
-        sig.register_function(f"{p}len{side}", 2, _length_host(spec))
+        tau, length = _topology_hosts(spec)
+        sig.register_function(f"{p}tau{side}", 4, tau)
+        sig.register_function(f"{p}len{side}", 2, length)
     sig.register_seq_function(f"{p}all", SEQ_BUILTINS["min"])
 
     def extends(side: str) -> str:

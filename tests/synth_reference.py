@@ -6,7 +6,8 @@ host read a tuple: ``register_guesser``, whose host built a prefix on every
 call, and ``mu_prime_host``, with its own cache.
 
 ``delta2_from_topology`` as it was while it packed i, j and the observed
-entries into one ellipsis tuple through the 4-ary selector ``sel``.
+entries into one ellipsis tuple through the 4-ary selector ``sel``, with the
+cell lookup ``TopologySpec`` had then, which read the live tables.
 """
 
 from __future__ import annotations
@@ -41,10 +42,19 @@ def mu_prime_host(overguesser: Overguesser) -> Callable[[tuple[int, ...]], int]:
     return host
 
 
+def lookup(spec: TopologySpec, i: int, j: int) -> FinitePrefix | None:
+    """Prefix for the (i, j) cell, or None for an empty contribution; it scans every cell."""
+    if (i, j) in spec.table:
+        return spec.table[(i, j)]
+    if i in frozenset(row for row, _ in spec.table):
+        return None
+    return spec.default
+
+
 def _membership_host(spec: TopologySpec) -> Callable[[FinitePrefix], int]:
     def host(t: FinitePrefix) -> int:
         i, j, observed = t[0], t[1], t[2:]
-        cell = spec.lookup(i, j)
+        cell = lookup(spec, i, j)
         if cell is None:
             return 0
         if len(cell) == 0:
@@ -56,7 +66,7 @@ def _membership_host(spec: TopologySpec) -> Callable[[FinitePrefix], int]:
 
 def _length_host(spec: TopologySpec) -> Callable[[int, int], int]:
     def host(i: int, j: int) -> int:
-        cell = spec.lookup(i, j)
+        cell = lookup(spec, i, j)
         if cell is None or len(cell) == 0:
             return 0
         return len(cell) - 1

@@ -76,3 +76,15 @@ def test_a_warm_guess_step_of_the_bench_gz_guesser(seq):
         guesser(prefix)
     prefix = prefix.extended(source.query(40))
     assert calls_of(guesser, prefix) <= 208
+
+
+def test_a_topology_lookup_makes_the_same_calls_whatever_the_table_size():
+    """One ``tauS`` call on a hole of a listed row, over 40 cells and over 400."""
+    def calls_on_a_hole(cells: int) -> int:
+        sig = lang.default_signature()
+        spec = synth.TopologySpec(table={(0, j): FinitePrefix((j,)) for j in range(1, cells + 1)})
+        synth.delta2_from_topology(spec, spec, sig)
+        _, tau = sig.function("tauS")
+        return calls_of(tau, 0, 0, 0, 7)
+
+    assert calls_on_a_hole(400) == calls_on_a_hole(40)

@@ -403,6 +403,27 @@ def test_topology_rejects_an_all_declared_before_it():
         delta2_from_topology(*_first_coordinate_specs(), sig)
 
 
+def test_topology_registers_nothing_when_one_name_is_taken():
+    sig = default_signature()
+    sig.register_seq_function("all", SEQ_BUILTINS["min"])
+    with pytest.raises(SignatureError, match="'all' already declared"):
+        delta2_from_topology(*_first_coordinate_specs(), sig)
+    assert [sig.kind_of(name) for name in ("tauS", "lenS", "tauC", "lenC")] == [None] * 4
+    spec = delta2_from_topology(*_first_coordinate_specs(), sig, name_prefix="t_")
+    assert "t_tauS" in spec.pi2.text() and "t_all" in spec.sigma2.text()
+
+
+def test_topology_hosts_read_the_tables_as_they_were_when_made():
+    sig = default_signature()
+    for_set, for_complement = _first_coordinate_specs()
+    delta2_from_topology(for_set, for_complement, sig)
+    for_set.table[(0, 0)] = FinitePrefix((8, 1))
+    for_set.table[(0, 5)] = FinitePrefix((7,))
+    _, tau = sig.function("tauS")
+    _, length = sig.function("lenS")
+    assert (tau(0, 0, 0, 7), tau(0, 0, 0, 8), tau(0, 5, 0, 7), length(0, 0)) == (1, 0, 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # combinators and the builtin guesser
 
