@@ -1,4 +1,4 @@
-"""Only ``lang`` rebuilds syntax trees by substitution; the rest bind by Assignment."""
+"""Only ``lang`` rebuilds syntax trees by substitution; the rest evaluate under an assignment dict."""
 
 import ast
 from pathlib import Path
