@@ -43,10 +43,8 @@ def calls_of_warm_attempt(formula, prefix, sig, s, memo) -> int:
 def gz_spec():
     """The benchmark's ``Gz`` Delta2 pair, with its signature."""
     sig = lang.load_signature((INPUTS / "gz.sig").read_text())
-    return synth.Delta2Spec(
-        pi2=lang.Pi2Sentence.from_formula(lang.parse((INPUTS / "Gz.pi2.lg").read_text(), sig)),
-        sigma2=lang.Sigma2Sentence.from_formula(lang.parse((INPUTS / "Gz.sigma2.lg").read_text(), sig)),
-    ), sig
+    pi2, sigma2 = ((INPUTS / f"Gz.{kind}.lg").read_text() for kind in ("pi2", "sigma2"))
+    return synth._delta2_from_texts(pi2, sigma2, sig), sig
 
 
 def test_a_warm_attempt_on_the_bench_gz_matrix_with_its_memo():

@@ -34,5 +34,6 @@ def test_corpus_covers_the_readme_block_and_the_bench_commands():
     recorded = [run["argv"] for run in CORPUS["runs"]]
     assert files.items() <= CORPUS["files"].items()
     commands = [*readme_commands, *golden.bench_commands(),
-                *golden.LONG_RUNS, *golden.ERRORS_AND_HELP, *golden.VALUE_RUNS]
+                *golden.LONG_RUNS, *golden.ERRORS_AND_HELP,
+                *golden.SYNTH_RUNS, *golden.VALUE_RUNS]
     assert [argv for argv in commands if argv not in recorded] == []
