@@ -67,7 +67,6 @@ from .synth import (
     Delta2Spec,
     Guesser,
     MuStream,
-    Overguesser,
     TopologySpec,
     contains_zero_delta2,
     contains_zero_guesser,
@@ -82,7 +81,6 @@ from .synth import (
     mu_prime_host,
     overguesser_from_sigma2,
     overguesser_sentence_text,
-    register_guesser,
     sentences_from_guesser,
     sigma2_from_countable_family,
     sigma2_from_overguesser,

@@ -7,11 +7,11 @@ guesser over growing prefixes), ``mu`` (trace an overguesser), ``adversary``
 sequence, the guessers guess). ``parse_args`` reads the command line against
 one table, ``COMMANDS``, which also renders ``--help``.
 
-Exit codes: 0 ok, 2 parse or signature error, 3 adversary or evaluation
-budget exhausted, 4 density violation (no suitable extension at some prefix),
-74 standard output not writable (as on a full disk), 141 standard output
-closed early (as by ``| head``).  A standard error that cannot be written
-loses its lines but changes no exit code.
+Exit codes: 0 ok, 2 parse or signature error, 3 adversary or evaluation budget
+exhausted, 4 density violation (no suitable extension at some prefix), 5 a host
+or guesser raised, not ``ValueError`` (``error:`` names it), 74 standard output
+not writable (as on a full disk), 141 standard output closed early (as by
+``| head``).  A standard error that cannot be written loses its lines but changes no exit code.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_DENSITY = 4
+EXIT_HOST = 5
 EXIT_OUTPUT = 74  # EX_IOERR of sysexits.h
 EXIT_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
 
@@ -167,8 +168,6 @@ def _resolve_guesser(ref: str, sig: lang.Signature) -> synth.Guesser:
 
 
 def cmd_eval(args) -> int:
-    if args.bound is not None and args.bound < 0:
-        raise CliError("bound must be at least 0")
     sig = _load_signature(args.sig)
     formula = _load_sentence(args.sentence, sig)
     source = oracle.from_spec(args.seq)
@@ -592,6 +591,10 @@ def main(argv: list[str] | None = None) -> int:
         code, message = EXIT_DENSITY, str(exc)
     except ValueError as exc:
         code, message = EXIT_USAGE, str(exc)
+    except Exception as exc:  # a fault of the package itself has no raised_by and shows its traceback
+        if not hasattr(exc, "raised_by"):
+            raise
+        code, message = EXIT_HOST, f"{type(exc).__name__} raised by {exc.raised_by}: {exc}"
     _complain(f"error: {message}")
     return code
 

@@ -5,13 +5,14 @@ Each evaluates under an assignment, a mapping from variable names to
 naturals, in which a name it does not map reads as 0.  ``eval_term`` and
 ``eval_qf`` read an oracle and report which indices they read.  ``attempt``
 reads a finite prefix and fails the moment a read would look past its last
-index; given an ``EllipsisMemo`` it evaluates each entry of an
-ellipsis term, or of any equal one, once for each value of the body's free
-variables along a growing prefix, whatever the bounds that ask for it.  A sequence host gets the body
-values as a ``FinitePrefix`` view (call ``tuple(t)`` for a tuple), so one below 0
-raises.  ``eval_bounded`` restricts quantifiers to 0..bound.  Connectives are
-never short-circuited, so the query set is determined by the syntax alone, and
-every evaluation has a budget of ``MAX_BOUNDED_INSTANCES`` units of work.
+index; given an ``EllipsisMemo`` it evaluates each entry of an ellipsis term,
+or of any equal one, once for each value of the body's free variables along a
+growing prefix, whatever the bounds that ask for it.  A sequence host gets the
+body values as a ``FinitePrefix`` view (call ``tuple(t)`` for a tuple), so one
+below 0 raises; what a host raises gets ``raised_by``, "the host of 'B'" for the
+innermost.  ``eval_bounded`` restricts quantifiers to 0..bound.  Connectives are never
+short-circuited, so the query set is determined by the syntax alone, and every
+evaluation has a budget of ``MAX_BOUNDED_INSTANCES`` units of work.
 """
 
 from __future__ import annotations
@@ -172,7 +173,12 @@ class _Evaluation:
             arity, host = self.sig.function(term.symbol)
             if len(term.args) != arity:
                 raise ValueError(f"{term.symbol!r} expects {arity} arguments, got {len(term.args)}")
-            return int(host(*[self.value(a, s) for a in term.args]))
+            args = [self.value(a, s) for a in term.args]
+            try:
+                return int(host(*args))
+            except Exception as exc:
+                exc.__dict__.setdefault("raised_by", f"the host of {term.symbol!r}")
+                raise
         if isinstance(term, EllipsisApp):
             # the bound evaluates first, then the body at binder = 0..bound, ascending,
             # each entry spending one unit unless the memo already holds it
@@ -187,7 +193,11 @@ class _Evaluation:
                     prefix = table[0] = prefix.extended(self.value(term.body, {**s, term.binder: i}))
                 if size < len(prefix):  # the host reads the memo's own view; only a shorter one copies
                     prefix = FinitePrefix(prefix[:size])
-                value = values[size] = int(host(prefix))
+                try:
+                    value = values[size] = int(host(prefix))
+                except Exception as exc:
+                    exc.__dict__.setdefault("raised_by", f"the host of {term.symbol!r}")
+                    raise
             return value
         raise TypeError(f"not a term: {term!r}")
 
@@ -198,7 +208,12 @@ class _Evaluation:
             arity, host = self.sig.predicate(formula.symbol)
             if len(formula.args) != arity:
                 raise ValueError(f"{formula.symbol!r} expects {arity} arguments, got {len(formula.args)}")
-            return bool(host(*[self.value(a, s) for a in formula.args]))
+            args = [self.value(a, s) for a in formula.args]
+            try:
+                return bool(host(*args))
+            except Exception as exc:
+                exc.__dict__.setdefault("raised_by", f"the host of {formula.symbol!r}")
+                raise
         if isinstance(formula, Not):
             return not self.truth(formula.body, s)
         connective = _CONNECTIVES.get(formula.__class__)
@@ -277,7 +292,9 @@ def eval_bounded(formula: Formula, oracle: SequenceOracle, s: Mapping[str, int] 
     """Truth with quantifiers restricted to 0..bound.
 
     A test-harness approximation only; never used inside the overguesser or
-    guesser constructions.
+    guesser constructions.  A bound below 0 raises ValueError.
     """
+    if bound < 0:
+        raise ValueError("bound must be at least 0")
     evaluation = _Evaluation(oracle.query, sig, bound=bound)
     return evaluation.truth(formula, s or {})

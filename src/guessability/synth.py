@@ -47,7 +47,7 @@ from .semantics import EllipsisMemo, attempt, value_over
 
 
 class Guesser(Record):
-    """Total map from nonempty prefixes to {0, 1}."""
+    """Total map from nonempty prefixes to {0, 1}; what ``evaluate`` raises gets ``raised_by``."""
 
     evaluate: Callable[[FinitePrefix], int]
     provenance: str = ""
@@ -55,26 +55,14 @@ class Guesser(Record):
     def __call__(self, prefix: FinitePrefix) -> int:
         if len(prefix) == 0:
             raise ValueError("guessers need at least one observed entry")
-        guess = self.evaluate(prefix)
+        try:
+            guess = self.evaluate(prefix)
+        except Exception as exc:
+            exc.__dict__.setdefault("raised_by", f"the guesser {self.provenance!r}")
+            raise
         if guess not in (0, 1):
             raise ValueError(f"guesser returned {guess!r}; guesses are 0 or 1")
         return guess
-
-
-class Overguesser(Record):
-    """Total map from nonempty prefixes into the naturals and ``math.inf``."""
-
-    evaluate: Callable[[FinitePrefix], int | float]
-    provenance: str = ""
-
-    def __call__(self, prefix: FinitePrefix) -> int | float:
-        if len(prefix) == 0:
-            raise ValueError("overguessers need at least one observed entry")
-        value = self.evaluate(prefix)
-        if not (isinstance(value, int) and not isinstance(value, bool) and value >= 0
-                or value == math.inf):
-            raise ValueError(f"overguesser returned {value!r}; values are naturals or math.inf")
-        return value
 
 
 class Delta2Spec(Record):
@@ -286,9 +274,9 @@ class MuStream:
 
 
 def overguesser_from_sigma2(sentence: Sigma2Sentence,
-                            sig: Signature | None = None) -> Overguesser:
-    """Package mu for a sentence as a prefix-indexed overguesser."""
-    return Overguesser(evaluate=MuStream(sentence, sig), provenance=sentence.text())
+                            sig: Signature | None = None) -> MuStream:
+    """mu for a sentence as a prefix-indexed overguesser: the stream is the overguesser."""
+    return MuStream(sentence, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -336,27 +324,21 @@ def sentences_from_guesser(seq_symbol: str, sig: Signature) -> Delta2Spec:
     return _delta2_from_texts(pi2_text, sigma2_text, sig)
 
 
-def register_guesser(sig: Signature, name: str, guesser: Guesser) -> None:
-    """Expose a deterministic guesser as a sequence-tuple symbol: it reads the memo's prefix view.
-
-    Traced over H prefixes, the round trip through sentences_from_guesser and
-    guesser_from_delta2 costs about 4H stream observations (see MuStream.__call__).
-    """
-    sig.register_seq_function(name, guesser)
-
-
 # ---------------------------------------------------------------------------
 # Exists-forall sentence from an overguesser
 
 
-def mu_prime_host(overguesser: Overguesser) -> Callable[[FinitePrefix], int]:
-    """Shifted encoding of an overguesser: a natural v maps to v+1, ``math.inf`` to 0.
+def mu_prime_host(overguesser: Callable[[FinitePrefix], int | float]) -> Callable[[FinitePrefix], int]:
+    """Shifted encoding of an overguesser, any callable on nonempty prefixes: a natural v
+    maps to v+1, ``math.inf`` to 0, and any other value raises ValueError.
 
     A sequence host: it reads the memo's prefix view, and the memo keeps each
     size's value, so the overguesser must be deterministic.
     """
     def shifted(prefix: FinitePrefix) -> int:
         v = overguesser(prefix)
+        if not (isinstance(v, int) and not isinstance(v, bool) and v >= 0 or v == math.inf):
+            raise ValueError(f"overguesser returned {v!r}; values are naturals or math.inf")
         return 0 if v == math.inf else v + 1
 
     return shifted

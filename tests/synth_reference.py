@@ -3,7 +3,8 @@ differential tests in ``test_synth_reference.py`` check the new ones against.
 
 The two hand-written tuple-to-prefix adapters ``synth`` had while a sequence
 host read a tuple: ``register_guesser``, whose host built a prefix on every
-call, and ``mu_prime_host``, with its own cache.
+call, and ``mu_prime_host``, with its own cache and with the value check of
+the ``Overguesser`` record it was handed then.
 
 ``delta2_from_topology`` as it was while it packed i, j and the observed
 entries into one ellipsis tuple through the 4-ary selector ``sel``, with the
@@ -17,7 +18,7 @@ from collections.abc import Callable
 
 from guessability.lang import Signature
 from guessability.oracle import FinitePrefix
-from guessability.synth import Delta2Spec, Guesser, Overguesser, TopologySpec, _delta2_from_texts
+from guessability.synth import Delta2Spec, Guesser, TopologySpec, _delta2_from_texts
 
 
 def register_guesser(sig: Signature, name: str, guesser: Guesser) -> None:
@@ -25,7 +26,7 @@ def register_guesser(sig: Signature, name: str, guesser: Guesser) -> None:
     sig.register_seq_function(name, lambda t: guesser(FinitePrefix(t)))
 
 
-def mu_prime_host(overguesser: Overguesser) -> Callable[[tuple[int, ...]], int]:
+def mu_prime_host(overguesser: Callable[[FinitePrefix], int | float]) -> Callable[[tuple[int, ...]], int]:
     """Shifted encoding of an overguesser: finite v maps to v+1, infinity to 0.
 
     Memoised per prefix tuple; the overguesser is deterministic so the cache
@@ -36,6 +37,9 @@ def mu_prime_host(overguesser: Overguesser) -> Callable[[tuple[int, ...]], int]:
     def host(t: tuple[int, ...]) -> int:
         if t not in cache:
             v = overguesser(FinitePrefix(t))
+            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 0
+                    or v == math.inf):
+                raise ValueError(f"overguesser returned {v!r}; values are naturals or math.inf")
             cache[t] = 0 if v == math.inf else v + 1
         return cache[t]
 

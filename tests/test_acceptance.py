@@ -38,7 +38,6 @@ from guessability.synth import (
     mu_prime_host,
     overguesser_from_sigma2,
     overguesser_sentence_text,
-    register_guesser,
     sentences_from_guesser,
     sigma2_from_countable_family,
     sigma2_from_overguesser,
@@ -291,7 +290,7 @@ def test_criterion_9_topology_construction():
 def test_criterion_10_parser_round_trip():
     sig = default_signature()
     sig.register_seq_function("G", lambda t: sum(t))
-    register_guesser(sig, "Gz", contains_zero_guesser())
+    sig.register_seq_function("Gz", contains_zero_guesser())
     over = overguesser_from_sigma2(contains_zero_delta2().sigma2, sig)
     sig.register_seq_function("Mu", mu_prime_host(over))
 

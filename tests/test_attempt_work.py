@@ -86,3 +86,13 @@ def test_a_topology_lookup_makes_the_same_calls_whatever_the_table_size():
         return calls_of(tau, 0, 0, 0, 7)
 
     assert calls_on_a_hole(400) == calls_on_a_hole(40)
+
+
+def test_a_repeated_overguesser_host_call_on_a_view_it_answered():
+    """The ``mu_prime_host`` host of a stream, called again on the view it answered last."""
+    sentence = lang.Sigma2Sentence.from_formula(
+        lang.parse((INPUTS / "mu.sigma2.lg").read_text()))
+    host = synth.mu_prime_host(synth.overguesser_from_sigma2(sentence))
+    prefix = FinitePrefix((1, 1, 1, 0, 0))
+    host(prefix)
+    assert calls_of(host, prefix) <= 4

@@ -931,6 +931,99 @@ def test_play_quits_on_eof(capsys, monkeypatch):
     assert cli.main(["play"]) == 0
 
 
+# ---------------------------------------------------------------------------
+# hosts and guessers that raise
+
+
+def kaboom(*args):
+    raise RuntimeError("kaboom")
+
+
+@pytest.fixture
+def raising(monkeypatch, tmp_path):
+    """Paths of a signature binding ``B``, ``F`` and ``P`` to builtins that raise, and of
+    a Delta2 pair over ``B``; the builtin guesser ``boom`` raises too."""
+    monkeypatch.setitem(lang.SEQ_BUILTINS, "boom", kaboom)
+    monkeypatch.setitem(lang.FN_BUILTINS, "boom", (1, kaboom))
+    monkeypatch.setitem(lang.PRED_BUILTINS, "boom", (1, kaboom))
+    monkeypatch.setitem(cli.BUILTIN_GUESSERS, "boom", synth.Guesser(kaboom, "boom"))
+    paths = {}
+    for name, text in (("sig", "seqfn B boom\nfn F 1 boom\npred P 1 boom\n"),
+                       ("sigma2", "exists x. forall y. B[ f(z) : z .. y ] = x"),
+                       ("pi2", "forall x. exists y. B[ f(z) : z .. y ] = x")):
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    return paths
+
+
+HOST_B = "error: RuntimeError raised by the host of 'B': kaboom\n"
+GUESSER = "error: RuntimeError raised by the guesser 'boom': kaboom\n"
+
+
+@pytest.mark.parametrize("sentence, symbol", [
+    ("B[ f(z) : z .. 2 ] = 0", "B"), ("F(f(0)) = 0", "F"), ("P(f(0))", "P")],
+    ids=["sequence", "function", "predicate"])
+def test_eval_names_the_host_that_raised(capsys, raising, tmp_path, sentence, symbol):
+    path = tmp_path / "s.lg"
+    path.write_text(sentence)
+    code, out, err = run(capsys, "eval", str(path), "--sig", raising["sig"], "--seq", "id")
+    assert (code, out, err) == (5, "", f"error: RuntimeError raised by the host of {symbol!r}: kaboom\n")
+
+
+def test_mu_and_guess_name_the_host_that_raised(capsys, raising):
+    for argv in (["mu", raising["sigma2"]], ["guess", "--sigma2", raising["sigma2"], "--pi2", raising["pi2"]]):
+        code, out, err = run(capsys, *argv, "--sig", raising["sig"], "--seq", "id", "--horizon", "3")
+        assert (code, out, err) == (5, "", HOST_B), argv
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "permutation", "cantor"])
+@pytest.mark.parametrize("guesser, message", [("boom", GUESSER), ("delta2", HOST_B)],
+                         ids=["guesser", "host-in-delta2"])
+def test_adversary_names_the_guesser_or_host_that_raised(capsys, raising, kind, guesser, message):
+    ref = f"delta2:{raising['sigma2']}:{raising['pi2']}" if guesser == "delta2" else guesser
+    code, out, err = run(capsys, "adversary", "--guesser", ref, "--kind", kind, "--flips", "2",
+                         "--budget", "5", "--sig", raising["sig"])
+    assert (code, out, err) == (5, "", message)
+
+
+@pytest.mark.parametrize("guesser, message", [("boom", GUESSER), ("delta2", HOST_B)],
+                         ids=["guesser", "host-in-delta2"])
+def test_play_names_the_guesser_or_host_that_raised(capsys, monkeypatch, raising, guesser, message):
+    feed_lines(monkeypatch, ["3", ":quit"])
+    ref = f"delta2:{raising['sigma2']}:{raising['pi2']}" if guesser == "delta2" else guesser
+    code, out, err = run(capsys, "play", "--sig", raising["sig"], "--guesser", "contains-zero",
+                         "--guesser", ref)
+    assert (code, err) == (5, message)
+    assert out.splitlines()[1:] == ["contains-zero: 0", "sequence so far: prefix:[3]:pad0",
+                                    "contains-zero: final=0 stable_from=1"]
+
+
+def test_a_library_caller_gets_what_the_host_raised_naming_the_innermost_host(raising):
+    sig = load_signature("seqfn B boom\n")
+    spec = synth.Delta2Spec(
+        sigma2=lang.Sigma2Sentence.from_formula(parse("exists x. forall y. B[ f(z) : z .. y ] = x", sig)),
+        pi2=lang.Pi2Sentence.from_formula(parse("forall x. exists y. B[ f(z) : z .. y ] = x", sig)))
+    guesser = synth.guesser_from_delta2(spec, sig)
+    with pytest.raises(RuntimeError, match="^kaboom$") as raised:
+        guesser(oracle.FinitePrefix((1,)))
+    assert raised.value.raised_by == "the host of 'B'"  # not the guesser around it
+
+
+def test_a_host_value_error_keeps_its_message_and_exit_2(capsys, monkeypatch, tmp_path):
+    monkeypatch.setitem(lang.SEQ_BUILTINS, "digits", lambda t: int("x"))
+    sig, sentence = tmp_path / "s.sig", tmp_path / "s.lg"
+    sig.write_text("seqfn D digits\n")
+    sentence.write_text("D[ f(z) : z .. 1 ] = 0")
+    code, out, err = run(capsys, "eval", str(sentence), "--sig", str(sig), "--seq", "id")
+    assert (code, out, err) == (2, "", "error: invalid literal for int() with base 10: 'x'\n")
+
+
+def test_a_fault_outside_every_host_and_guesser_escapes_main(monkeypatch):
+    monkeypatch.setattr(cli, "trace_guesser", kaboom)
+    with pytest.raises(RuntimeError, match="^kaboom$"):
+        cli.main(["guess", "--spec", "contains-zero", "--seq", "id", "--horizon", "3"])
+
+
 @pytest.mark.parametrize("argv, message", [
     (["guess", "--spec", "contains-zero", "--seq", "id", "--horizon", "0"],
      "horizon must be at least 1"),

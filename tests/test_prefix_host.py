@@ -1,8 +1,8 @@
-"""A construction exposed as a symbol (``register_guesser``, ``mu_prime_host``)
-reads the memo's own prefix view, and the memo asks it once per size, so the
-paper's round trip guesser -> Delta2 sentences -> guesser pushes its inner
-streams instead of replaying them, and keeps the original guesser's final
-guess.  Equal ellipsis terms share a table, and a Delta2 guesser's two streams
+"""A construction exposed as a symbol (a guesser through ``register_seq_function``,
+an overguesser through ``mu_prime_host``) reads the memo's own prefix view, and
+the memo asks it once per size, so the paper's round trip guesser -> Delta2
+sentences -> guesser pushes its inner streams instead of replaying them, and
+keeps the original guesser's final guess.  Equal ellipsis terms share a table, and a Delta2 guesser's two streams
 share one memo, so each host is asked once per size, always about views of one
 list.  A host that extends its view, or a stream it feeds, leaves the memo's
 entries alone, and a body value below 0 is an error whatever the host."""
@@ -25,7 +25,6 @@ from guessability.synth import (
     guesser_or,
     mu_prime_host,
     overguesser_from_sigma2,
-    register_guesser,
     sentences_from_guesser,
     sigma2_from_overguesser,
 )
@@ -34,7 +33,7 @@ from guessability.synth import (
 def round_trip(guesser: Guesser) -> Guesser:
     """The guesser for the Delta2 pair that ``sentences_from_guesser`` writes for ``guesser``."""
     sig = default_signature()
-    register_guesser(sig, "G", guesser)
+    sig.register_seq_function("G", guesser)
     return guesser_from_delta2(sentences_from_guesser("G", sig), sig)
 
 
@@ -49,7 +48,7 @@ def test_two_streams_asking_one_registered_guesser_in_turn_do_not_replay_it(monk
 
     monkeypatch.setattr(inner, "_observe", noted)
     sig = default_signature()
-    register_guesser(sig, "G", Guesser(evaluate=lambda p: inner(p) % 2))
+    sig.register_seq_function("G", Guesser(evaluate=lambda p: inner(p) % 2))
     spec = sentences_from_guesser("G", sig)
     first, second = MuStream(spec.sigma2, sig), MuStream(complement_sigma2(spec), sig)
     prefix, source = FinitePrefix(), from_spec("cycle:[1,2,0]")
@@ -71,7 +70,7 @@ def test_a_host_that_raises_caches_nothing():
         return 1
 
     sig = default_signature()
-    register_guesser(sig, "G", Guesser(evaluate=evaluate))
+    sig.register_seq_function("G", Guesser(evaluate=evaluate))
     matrix = parse("G[ f(z) : z .. 1 ] = 1", sig)
     prefix, memo = FinitePrefix((1, 2)), EllipsisMemo()
     with pytest.raises(RuntimeError, match="^not yet$"):
@@ -82,15 +81,15 @@ def test_a_host_that_raises_caches_nothing():
 
 def test_each_registration_keeps_its_own_answers():
     zero, one = default_signature(), default_signature()
-    register_guesser(zero, "G", BUILTIN_GUESSERS["constant-0"])
-    register_guesser(one, "G", BUILTIN_GUESSERS["constant-1"])
+    zero.register_seq_function("G", BUILTIN_GUESSERS["constant-0"])
+    one.register_seq_function("G", BUILTIN_GUESSERS["constant-1"])
     prefix = FinitePrefix((1, 2))
     assert [zero.seq_function("G")(prefix), one.seq_function("G")(prefix)] == [0, 1]
 
 
 @pytest.mark.parametrize("register", [
     lambda sig: sig.register_seq_function("G", SEQ_BUILTINS["sum"]),
-    lambda sig: register_guesser(sig, "G", BUILTIN_GUESSERS["contains-zero"]),
+    lambda sig: sig.register_seq_function("G", BUILTIN_GUESSERS["contains-zero"]),
 ], ids=["builtin", "registered-guesser"])
 def test_a_body_value_below_zero_is_an_error_for_every_host(register):
     sig = default_signature()
@@ -120,7 +119,7 @@ def test_a_host_that_extends_its_view_leaves_the_memo_alone():
         return prefix[-1] % 2
 
     sig = default_signature()
-    register_guesser(sig, "G", Guesser(evaluate=evaluate))
+    sig.register_seq_function("G", Guesser(evaluate=evaluate))
     assert_memo_changes_no_attempt(sig)
 
 

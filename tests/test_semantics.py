@@ -423,6 +423,15 @@ def test_eval_bounded_nested(sig):
     assert eval_bounded(parse("forall x. exists y. f(y) = x", sig), from_spec("id"), None, sig, 8)
 
 
+@pytest.mark.parametrize("quantifier", ["forall", "exists"])
+def test_eval_bounded_rejects_a_negative_bound(sig, quantifier):
+    # a bound of -1 would range over no instance: forall held and exists failed vacuously
+    formula = parse(f"{quantifier} x. f(x) = 7", sig)
+    with pytest.raises(ValueError, match="^bound must be at least 0$"):
+        eval_bounded(formula, from_spec("const:1"), None, sig, -1)
+    assert eval_bounded(formula, from_spec("const:1"), None, sig, 0) is False
+
+
 def test_eval_bounded_counts_quantifier_instances(sig):
     formula = parse("forall x. 0 = 0", sig)
     assert eval_bounded(formula, from_spec("id"), None, sig, MAX_BOUNDED_INSTANCES - 1)

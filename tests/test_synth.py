@@ -37,7 +37,6 @@ from guessability.synth import (
     Delta2Spec,
     Guesser,
     MuStream,
-    Overguesser,
     TopologySpec,
     complement_sigma2,
     contains_zero_delta2,
@@ -51,7 +50,6 @@ from guessability.synth import (
     mu_from_sigma2,
     mu_prime_host,
     overguesser_from_sigma2,
-    register_guesser,
     sentences_from_guesser,
     sigma2_from_countable_family,
     sigma2_from_overguesser,
@@ -132,8 +130,8 @@ def test_overguesser_wrapper_matches_mu(cz):
     over = overguesser_from_sigma2(cz.sigma2)
     p = FinitePrefix((3, 0, 2))
     assert over(p) == mu_from_sigma2(cz.sigma2, p)
-    assert over.provenance == cz.sigma2.text()
-    with pytest.raises(ValueError, match="^overguessers need at least one observed entry$"):
+    assert over.sentence.text() == cz.sigma2.text()
+    with pytest.raises(ValueError, match="^mu needs at least one observed entry$"):
         over(FinitePrefix(()))
 
 
@@ -177,7 +175,7 @@ def test_guesser_sentence_texts_shapes():
 
 def test_sentences_from_guesser_round_trip_and_classes():
     sig = default_signature()
-    register_guesser(sig, "Gz", contains_zero_guesser())
+    sig.register_seq_function("Gz", contains_zero_guesser())
     spec = sentences_from_guesser("Gz", sig)
     assert classify_sentence(spec.sigma2.formula()) is SentenceClass.SIGMA2
     assert classify_sentence(spec.pi2.formula()) is SentenceClass.PI2
@@ -194,7 +192,7 @@ def test_guesser_sentences_define_the_guessed_set():
     # the synthesized pair, run back through the guesser builder, matches the
     # original guesser in the limit
     sig = default_signature()
-    register_guesser(sig, "Gz", contains_zero_guesser())
+    sig.register_seq_function("Gz", contains_zero_guesser())
     spec = sentences_from_guesser("Gz", sig)
     rebuilt = guesser_from_delta2(spec, sig)
     assert [rebuilt(prefix_of(from_spec("plantzero:3"), k)) for k in range(8, 12)] == [1] * 4
@@ -239,15 +237,15 @@ def test_sigma2_from_overguesser_requires_unary_projections():
 
 
 def test_mu_prime_host_encoding():
-    finite = mu_prime_host(Overguesser(evaluate=lambda p: 4))
+    finite = mu_prime_host(lambda p: 4)
     assert finite((1, 2)) == 5
-    infinite = mu_prime_host(Overguesser(evaluate=lambda p: math.inf))
+    infinite = mu_prime_host(lambda p: math.inf)
     assert infinite((1, 2)) == 0
 
 
 @pytest.mark.parametrize("junk", [-1, 2.5, True, None, "inf"])
 def test_overguessers_must_return_extended_naturals(junk):
-    host = mu_prime_host(Overguesser(evaluate=lambda p: junk))
+    host = mu_prime_host(lambda p: junk)
     with pytest.raises(ValueError, match=f"^overguesser returned {re.escape(repr(junk))}; "):
         host((1, 2))
 
@@ -787,7 +785,6 @@ def test_records_match_their_dataclass_twins():
     cells = {(0, 0): FinitePrefix((7,)), (0, 1): FinitePrefix(())}
     samples = {
         Guesser: [(len, "length"), (len, ""), (bool, "length")],
-        Overguesser: [(len, "length"), (bool, "")],
         Delta2Spec: [(pi2, sigma2)],
         TopologySpec: [(cells, FinitePrefix(())), ({}, FinitePrefix((1,))),
                        (dict(cells), FinitePrefix(()))],
@@ -802,7 +799,6 @@ def test_records_match_their_dataclass_twins():
         ("default", FinitePrefix, dataclasses.field(default=FinitePrefix(())))],
         bases=(TopologySpec,), frozen=True)
     record_twins.check_against_twin(TopologySpec, samples[TopologySpec], twin)
-    assert Guesser(len) != Overguesser(len)
     first, second = TopologySpec(), TopologySpec()
     assert first == second == TopologySpec(table={}) and first.table is not second.table
     first.table[(0, 0)] = FinitePrefix((1,))

@@ -1,8 +1,8 @@
-"""``register_guesser`` and ``mu_prime_host``, which read prefix views, against the
-hand-written tuple hosts in ``synth_reference``: the same values and the same
-exceptions, texts included, on prefixes in any order: ascending views of one
-list, repeated, shorter than the last, equal but of another list, or not
-extending it.  Each reference host reads ``tuple(view)``.  A Delta2 guesser,
+"""A guesser registered as a sequence host and ``mu_prime_host``, which read
+prefix views, against the hand-written tuple hosts in ``synth_reference``: the
+same values and the same exceptions, texts included, on prefixes in any order:
+ascending views of one list, repeated, shorter than the last, equal but of
+another list, or not extending it.  Each reference host reads ``tuple(view)``.  A Delta2 guesser,
 whose two streams share one memo, against mu_from_sigma2 for the set and its
 complement, also when a host raises: the same guesses whenever it answers.
 ``delta2_from_topology`` against the reference that packed i and j into the
@@ -25,7 +25,6 @@ from guessability.synth import (
     Delta2Spec,
     Guesser,
     MuStream,
-    Overguesser,
     TopologySpec,
     complement_sigma2,
     contains_zero_delta2,
@@ -64,7 +63,7 @@ def generated_delta2(seed: int) -> Guesser:
     return guesser_from_delta2(spec, GEN_SIG)
 
 
-def generated_stream(seed: int) -> Overguesser:
+def generated_stream(seed: int) -> MuStream:
     return overguesser_from_sigma2(formula_gen.gen_sigma2(random.Random(seed), 2), GEN_SIG)
 
 
@@ -82,10 +81,10 @@ _guessers = st.one_of(
 )
 _overguessers = st.one_of(
     st.sampled_from([
-        lambda: Overguesser(evaluate=lambda p: 4),
-        lambda: Overguesser(evaluate=lambda p: math.inf if 0 in p else len(p)),
-        lambda: Overguesser(evaluate=once_raising(lambda p: sum(p))),
-        *(lambda junk=junk: Overguesser(evaluate=lambda p: junk)
+        lambda: lambda p: 4,
+        lambda: lambda p: math.inf if 0 in p else len(p),
+        lambda: once_raising(lambda p: sum(p)),
+        *(lambda junk=junk: lambda p: junk
           for junk in (-1, 2.5, True, None, "inf")),
     ]),
     _seeds.map(lambda seed: lambda: generated_stream(seed)),
@@ -113,7 +112,7 @@ def prefix_orders(draw) -> list[FinitePrefix]:
 @given(_guessers, prefix_orders())
 def test_register_guesser_matches_the_reference(make, order):
     ours, theirs = default_signature(), default_signature()
-    synth.register_guesser(ours, "G", make())
+    ours.register_seq_function("G", make())
     synth_reference.register_guesser(theirs, "G", make())
     for p in order:
         assert outcome(ours.seq_function("G"), p) == outcome(theirs.seq_function("G"), tuple(p)), p
