@@ -80,9 +80,9 @@ class _Run:
 
     def __init__(self, guesser: Guesser, target_flips: int, step_budget: int):
         if target_flips < 1:
-            raise ValueError("target_flips must be at least 1")
+            raise ValueError("flips must be at least 1")
         if step_budget < 1:
-            raise ValueError("step_budget must be at least 1")
+            raise ValueError("budget must be at least 1")
         self.guesser = guesser
         self.target_flips = target_flips
         self.step_budget = step_budget

@@ -79,28 +79,31 @@ def trace_guesser(guesser: synth.Guesser, source: oracle.SequenceOracle,
 # Shared argument helpers
 
 
-def _read(path: str, what: str) -> str:
+def _read(path: str, what: str, read: Callable[[str], object]):
+    """``read`` of the file's text; an error it finds in the text names the file."""
     try:
-        return Path(path).read_text()
+        return read(Path(path).read_text())
     except OSError as exc:
         raise CliError(f"cannot read {what}: {exc}")
+    except lang.LangError as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def _load_signature(path: str | None) -> lang.Signature:
     if path is None:
         return lang.default_signature()
-    return lang.load_signature(_read(path, "signature file"))
+    return _read(path, "signature file", lang.load_signature)
 
 
-def _load_sentence(path: str, sig: lang.Signature) -> lang.Formula:
-    return lang.parse(_read(path, "sentence file"), sig)
+def _load_sentence(path: str, sig: lang.Signature, shape=lambda formula: formula):
+    """The formula in the file, through ``shape`` such as ``Sigma2Sentence.from_formula``."""
+    return _read(path, "sentence file", lambda text: shape(lang.parse(text, sig)))
 
 
 def _load_delta2(sigma2_path: str, pi2_path: str, sig: lang.Signature) -> synth.Delta2Spec:
     return synth.Delta2Spec(
-        sigma2=lang.Sigma2Sentence.from_formula(_load_sentence(sigma2_path, sig)),
-        pi2=lang.Pi2Sentence.from_formula(_load_sentence(pi2_path, sig)),
-    )
+        sigma2=_load_sentence(sigma2_path, sig, lang.Sigma2Sentence.from_formula),
+        pi2=_load_sentence(pi2_path, sig, lang.Pi2Sentence.from_formula))
 
 
 def _parse_assignment(text: str | None, formula: lang.Formula) -> dict[str, int]:
@@ -228,7 +231,7 @@ def cmd_mu(args) -> int:
     if args.horizon < 1:
         raise CliError("horizon must be at least 1")
     sig = _load_signature(args.sig)
-    sentence = lang.Sigma2Sentence.from_formula(_load_sentence(args.sentence, sig))
+    sentence = _load_sentence(args.sentence, sig, lang.Sigma2Sentence.from_formula)
     source = oracle.from_spec(args.seq)
     stream = synth.MuStream(sentence, sig)
     rows = [stream.push(source.query(i)) for i in range(args.horizon)]
@@ -241,10 +244,6 @@ def cmd_mu(args) -> int:
 
 
 def cmd_adversary(args) -> int:
-    if args.flips < 1:
-        raise CliError("flips must be at least 1")
-    if args.budget < 1:
-        raise CliError("budget must be at least 1")
     if args.kind != "diagonal" and args.set != "inf-zeros":  # the default, so an explicit one passes
         raise CliError("--set is read only by --kind diagonal")
     sig = _load_signature(args.sig)
@@ -315,9 +314,8 @@ def cmd_synth(args) -> int:
 
 def _load_topology(path: str) -> synth.TopologySpec:
     """Table file: lines ``<i> <j> <a,b,c|->`` plus an optional ``default <entries|->``."""
-    text = _read(path, "topology table")
-    table: dict[tuple[int, int], oracle.FinitePrefix] = {}
-    default = oracle.FinitePrefix(())
+    text = _read(path, "topology table", str)
+    cells: dict[tuple[int, int] | str, oracle.FinitePrefix] = {}  # and "default" for the default
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -325,14 +323,19 @@ def _load_topology(path: str) -> synth.TopologySpec:
         parts = line.split()
         try:
             if parts[0] == "default" and len(parts) == 2:
-                default = _parse_entries(parts[1])
+                key = name = "default"
             elif len(parts) == 3:
-                table[tuple(map(lang.natural, parts[:2], ("row", "column")))] = _parse_entries(parts[2])
+                key = tuple(map(lang.natural, parts[:2], ("row", "column")))
+                name = f"cell {key[0]} {key[1]}"
             else:
                 raise ValueError("expected '<i> <j> <entries>' or 'default <entries>'")
+            if key in cells:
+                raise ValueError(f"{name} is already given")
+            cells[key] = _parse_entries(parts[-1])
         except ValueError as exc:
             raise CliError(f"{path}:{lineno}: {exc}")
-    return synth.TopologySpec(table=table, default=default)
+    default = cells.pop("default", oracle.FinitePrefix(()))
+    return synth.TopologySpec(table=cells, default=default)
 
 
 def _parse_entries(text: str) -> oracle.FinitePrefix:
@@ -343,10 +346,8 @@ def _parse_entries(text: str) -> oracle.FinitePrefix:
 
 def cmd_play(args) -> int:
     sig = _load_signature(args.sig)
-    names = args.guesser or ["contains-zero"]
-    guessers = [(name, _resolve_guesser(name, sig)) for name in names]
+    rows = [(name, _resolve_guesser(name, sig), []) for name in args.guesser or ["contains-zero"]]
     prefix = oracle.FinitePrefix()
-    traces: dict[str, list[int]] = {name: [] for name, _ in guessers}
     print("feed the sequence one natural at a time; :trace shows guesses so far, :quit ends")
     try:
         while True:
@@ -357,8 +358,7 @@ def cmd_play(args) -> int:
             if line == ":quit":
                 break
             if line == ":trace":
-                for name, _ in guessers:
-                    trace = traces[name]
+                for name, _, trace in rows:
                     if trace:
                         gt = GuessTrace(tuple(trace))
                         print(f"{name}: trace={' '.join(map(str, trace))} "
@@ -372,14 +372,12 @@ def cmd_play(args) -> int:
                 print(f"{exc}; enter a natural number, :trace, or :quit")
                 continue
             prefix = prefix.extended(value)
-            for name, guesser in guessers:
-                guess = guesser(prefix)
-                traces[name].append(guess)
-                print(f"{name}: {guess}")
+            for name, guesser, trace in rows:
+                trace.append(guesser(prefix))
+                print(f"{name}: {trace[-1]}")
     finally:
         print(f"sequence so far: {oracle.prefix_spec(prefix)}")
-        for name, _ in guessers:
-            trace = traces[name]
+        for name, _, trace in rows:
             if trace:
                 gt = GuessTrace(tuple(trace))
                 print(f"{name}: final={gt.final} stable_from={gt.stable_from}")
@@ -591,8 +589,8 @@ def main(argv: list[str] | None = None) -> int:
         code, message = EXIT_DENSITY, str(exc)
     except ValueError as exc:
         code, message = EXIT_USAGE, str(exc)
-    except Exception as exc:  # a fault of the package itself has no raised_by and shows its traceback
-        if not hasattr(exc, "raised_by"):
+    except Exception as exc:  # a package fault has no raised_by, or None, and shows its traceback
+        if getattr(exc, "raised_by", None) is None:
             raise
         code, message = EXIT_HOST, f"{type(exc).__name__} raised by {exc.raised_by}: {exc}"
     _complain(f"error: {message}")

@@ -359,11 +359,8 @@ def default_signature() -> Signature:
     ``PRED_BUILTINS``, reachable through the infix REL syntax.
     """
     sig = Signature()
-    sig.register_function("add", *FN_BUILTINS["+"])
-    sig.register_function("mul", *FN_BUILTINS["*"])
-    sig.register_function("monus", *FN_BUILTINS["monus"])
-    sig.register_function("d1", *FN_BUILTINS["d1"])
-    sig.register_function("d2", *FN_BUILTINS["d2"])
+    for name, key in {"add": "+", "mul": "*", "monus": "monus", "d1": "d1", "d2": "d2"}.items():
+        sig.register_function(name, *FN_BUILTINS[key])
     for name, (arity, host) in PRED_BUILTINS.items():
         sig.register_predicate(name, arity, host)
     return sig
@@ -815,7 +812,7 @@ def classify_sentence(formula: Formula) -> SentenceClass:
     quantifiers is NESTED_OTHER.
     """
     if free_vars(formula):
-        raise LangError(f"classify_sentence needs a closed formula; free: {sorted(free_vars(formula))}")
+        raise LangError(f"the sentence has free variables {sorted(free_vars(formula))}")
     if is_quantifier_free(formula):
         return SentenceClass.QUANTIFIER_FREE
     if isinstance(formula, Exists) and isinstance(formula.body, Forall) \

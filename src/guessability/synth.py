@@ -296,7 +296,11 @@ def guesser_from_delta2(spec: Delta2Spec, sig: Signature | None = None) -> Guess
     nu._memo = mu._memo
 
     def evaluate(prefix: FinitePrefix) -> int:
-        return 1 if mu(prefix) <= nu(prefix) else 0
+        try:
+            return 1 if mu(prefix) <= nu(prefix) else 0
+        except Exception as exc:  # what no host tagged is a fault of the package, not of this guesser
+            exc.__dict__.setdefault("raised_by", None)
+            raise
 
     return Guesser(
         evaluate=evaluate,

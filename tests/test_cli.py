@@ -838,6 +838,20 @@ def test_synth_topology_names_a_bad_natural(capsys, tmp_path, line, message):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 0 7\n0 0 8\n", "2: cell 0 0 is already given"),
+    ("default -\n0 0 7\n\ndefault 1\n", "4: default is already given"),
+])
+def test_synth_topology_rejects_a_repeated_cell_or_default(capsys, tmp_path, text, message):
+    bad = tmp_path / "S.tbl"
+    bad.write_text(text)
+    other = tmp_path / "ok.tbl"
+    other.write_text("0 0 1\n")
+    code, out, err = run(capsys, "synth", "topology", str(bad), str(other),
+                         "--out-dir", str(tmp_path / "out"))
+    assert (code, out, err) == (2, "", f"error: {bad}:{message}\n")
+
+
 # ---------------------------------------------------------------------------
 # play
 
@@ -883,6 +897,16 @@ def test_play_trace_before_any_entry(capsys, monkeypatch):
     assert "contains-zero: no entries yet\n" in out
 
 
+def test_play_keeps_one_trace_for_each_guesser_given(capsys, monkeypatch):
+    feed_lines(monkeypatch, ["1", "0", ":trace", ":quit"])
+    code, out, err = run(capsys, "play", "--guesser", "contains-zero", "--guesser", "contains-zero")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [
+        *["contains-zero: 0"] * 2, *["contains-zero: 1"] * 2,
+        *["contains-zero: trace=0 1 stable_from=2 final=1"] * 2,
+        "sequence so far: prefix:[1,0]:pad0", *["contains-zero: final=1 stable_from=2"] * 2]
+
+
 def test_play_takes_decimal_digits_only(capsys, monkeypatch):
     feed_lines(monkeypatch, ["3", "\u00b2", ":quit"])
     code = cli.main(["play"])
@@ -906,7 +930,28 @@ def test_eval_numeral_too_long_to_convert_is_a_parse_error(capsys, tmp_path):
     path.write_text("f(" + "9" * 5000 + ") = 0")
     code, out, err = run(capsys, "eval", str(path), "--seq", "id")
     assert (code, out) == (2, "")
-    assert err == "error: numeral of 5000 digits is too long (line 1, column 3)\n"
+    assert err == f"error: {path}: numeral of 5000 digits is too long (line 1, column 3)\n"
+
+
+def test_an_error_in_an_input_file_names_the_file(capsys, tmp_path):
+    files = {"A.lg": "exists x. forall y. f(x) = 0", "B.lg": "forall x. exists y. f(y) =",
+             "free.lg": "exists x. forall y. f(z) = 0", "g.sig": "fn G 1 d1\nfn G 1 d1\n"}
+    path = {}
+    for name, text in files.items():
+        path[name] = tmp_path / name
+        path[name].write_text(text)
+    broken = f"error: {path['B.lg']}: expected a term, found 'end of input' (line 1, column 27)\n"
+    for argv, message in [
+        (["guess", "--sigma2", path["A.lg"], "--pi2", path["B.lg"], "--seq", "id", "--horizon", "2"],
+         broken),
+        (["adversary", "--guesser", f"delta2:{path['A.lg']}:{path['B.lg']}", "--kind", "cantor"],
+         broken),
+        (["eval", path["A.lg"], "--seq", "id", "--sig", path["g.sig"]],
+         f"error: {path['g.sig']}: line 2: symbol 'G' already declared\n"),
+        (["mu", path["free.lg"], "--seq", "id", "--horizon", "2"],
+         f"error: {path['free.lg']}: the sentence has free variables ['z']\n"),
+    ]:
+        assert run(capsys, *map(str, argv)) == (2, "", message), argv
 
 
 def test_play_prints_its_summary_when_an_evaluation_runs_out_of_budget(
@@ -1022,6 +1067,17 @@ def test_a_fault_outside_every_host_and_guesser_escapes_main(monkeypatch):
     monkeypatch.setattr(cli, "trace_guesser", kaboom)
     with pytest.raises(RuntimeError, match="^kaboom$"):
         cli.main(["guess", "--spec", "contains-zero", "--seq", "id", "--horizon", "3"])
+
+
+def test_a_fault_of_the_package_inside_a_delta2_guesser_escapes_main(monkeypatch, s2_file, pi2_file):
+    def bug(*args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(synth.MuStream, "_observe", bug)
+    for argv in (["guess", "--spec", "contains-zero", "--seq", "id", "--horizon", "3"],
+                 ["adversary", "--guesser", f"delta2:{s2_file}:{pi2_file}", "--kind", "cantor"]):
+        with pytest.raises(KeyError, match="^'bug'$"):
+            cli.main(argv)
 
 
 @pytest.mark.parametrize("argv, message", [

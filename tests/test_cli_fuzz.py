@@ -6,10 +6,12 @@ few token mutations (delete, insert, replace, swap) to one of them, and runs
 them through ``cli.main``: ``eval`` of the matrix with x assigned, ``eval`` of
 the sentence under ``--bound``, ``mu`` of it, and ``guess`` with the pair, at
 small horizons; then ``adversary`` of every kind against the pair's guesser at
-a small budget, and ``play`` against it on standard input lines mutated from
-numerals, ``:trace`` and ``:quit``.  Every run must return 0, 2, 3 or 4 with
-at most one ``error:`` line; an exception that escapes ``main`` is a traceback
-and fails the test.
+a small budget, and ``play`` against it, once and named twice, on standard
+input lines mutated from numerals, ``:trace`` and ``:quit``.  A second test
+mutates the tokens of two topology tables, whose cells and ``default`` lines
+often repeat, and runs them through ``synth topology``.  Every run must return
+0, 2, 3 or 4 with at most one ``error:`` line; an exception that escapes
+``main`` is a traceback and fails the test.
 """
 
 import contextlib
@@ -36,6 +38,7 @@ VOCABULARY = (
 SEQUENCES = ("id", "const:0", "const:1", "cycle:[1,0,2]", "plantzero:3", "prefix:[3,0,2]:pad0")
 PLAY_LINES = ("0", "1", "3", "12", ":trace", ":quit")
 PLAY_VOCABULARY = (*PLAY_LINES, "-1", "99999", "x", ":", "trace", "\u00b2", "9" * 5000)
+TABLE_VOCABULARY = ("0", "2", "7", "8,9", "-", ",", "1,", "default", "#", "-1", "x", "9" * 5000)
 
 
 def edit_lists(vocabulary):
@@ -103,7 +106,29 @@ def test_mutated_sentences_and_signatures_end_cleanly(seed, seq, target, edits, 
             *(["adversary", *guesser, "--kind", kind, "--flips", "2", "--budget", "20"]
               for kind in ("diagonal", "permutation", "cantor")),
             ["play", *guesser],
+            ["play", *guesser, *guesser[2:]],
         ):
             code, err = run(argv, stdin)  # only play reads stdin
             errors = [line for line in err.splitlines() if line.startswith("error:")]
             assert code in (0, 2, 3, 4) and len(errors) <= 1, (argv[0], texts, stdin, code, err)
+
+
+# up to four cells over rows and columns 0..2, so a table often repeats one
+cells = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                           st.sampled_from(("0", "7", "8,9", "-"))), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables=st.tuples(cells, cells), defaults=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+       target=st.integers(0, 1), edits=edit_lists(TABLE_VOCABULARY))
+def test_mutated_topology_tables_end_cleanly(tables, defaults, target, edits):
+    texts = ["".join(f"{i} {j} {entries}\n" for i, j, entries in rows) + "default -\n" * repeats
+             for rows, repeats in zip(tables, defaults)]
+    texts[target] = mutated(texts[target], edits, re.compile(r"\S+"))
+    with tempfile.TemporaryDirectory() as workdir:
+        paths = [str(Path(workdir, name)) for name in ("S.tbl", "SC.tbl")]
+        for path, text in zip(paths, texts):
+            Path(path).write_text(text)
+        code, err = run(["synth", "topology", *paths, "--out-dir", str(Path(workdir, "out"))], "")
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code in (0, 2, 3, 4) and len(errors) <= 1, (texts, code, err)
