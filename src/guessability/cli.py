@@ -4,8 +4,8 @@ Subcommands: ``eval`` (run a sentence against a sequence), ``guess`` (trace a
 guesser over growing prefixes), ``mu`` (trace an overguesser), ``adversary``
 (run a diagonalizing adversary against a candidate guesser), ``synth``
 (generate defining sentences), and ``play`` (interactive game: you feed the
-sequence, the guessers guess). ``parse_args`` reads the command line against
-one table, ``COMMANDS``, which also renders ``--help``.
+sequence, the guessers guess). ``build_parser`` makes the one argparse parser
+of the command line from one table, ``COMMANDS``, which also renders ``--help``.
 
 Exit codes: 0 ok, 2 parse or signature error, 3 adversary or evaluation budget
 exhausted, 4 density violation (no suitable extension at some prefix), 5 a host
@@ -16,13 +16,12 @@ not writable (as on a full disk), 141 standard output closed early (as by
 
 from __future__ import annotations
 
+import argparse
 import atexit
 import os
-import re
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from pathlib import Path
-from types import SimpleNamespace
 
 from . import adversary as adv
 from . import lang, oracle, semantics, synth
@@ -335,6 +334,8 @@ def _load_topology(path: str) -> synth.TopologySpec:
         except ValueError as exc:
             raise CliError(f"{path}:{lineno}: {exc}")
     default = cells.pop("default", oracle.FinitePrefix(()))
+    if not cells:
+        raise CliError(f"{path}: a topology table needs at least one cell line")
     return synth.TopologySpec(table=cells, default=default)
 
 
@@ -385,187 +386,94 @@ def cmd_play(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Command table and reader
+# Command table and parser
 
 
-def _numeral(text: str, flag: str, error: Callable[[str], Exception]) -> int:
+def _numeral(text: str) -> int:
     """A decimal natural after an optional ``-``; each command checks its own range."""
-    value = lang.natural(text.removeprefix("-"), flag, error)
+    value = lang.natural(text.removeprefix("-"), "value", argparse.ArgumentTypeError)
     return -value if text.startswith("-") else value
 
 
-REQUIRED = object()
-
 _COMMON = (
-    ("--sig", str, None, "signature file (fn/pred/seqfn lines)"),
-    ("--json", None, False, "structured output"),
+    ("--sig", "signature file (fn/pred/seqfn lines)", {}),
+    ("--json", "structured output", {"action": "store_true"}),
 )
 
-# command -> (handler, help, options). An option is (name, reader, default or
-# REQUIRED, help); a name without ``--`` is a positional, and a name ending in
-# ``...`` collects each value it is given into a list. A reader is ``str``,
-# ``_numeral``, a tuple of choices, or None for a flag.
+# command -> (handler, help, options). An option is (name, help, the keywords
+# of its ``add_argument`` call); a name without ``--`` is a positional.
 COMMANDS = {
     "eval": (cmd_eval, "evaluate a sentence file against a sequence", (
-        ("sentence", str, REQUIRED, "sentence file in the DSL"),
-        ("--seq", str, REQUIRED, "sequence spec, e.g. prefix:[3,0,2]:pad0"),
-        ("--assign", str, None, "free-variable values, e.g. x=1,y=2"),
-        ("--bound", _numeral, None, "bound for quantifier approximation"),
+        ("sentence", "sentence file in the DSL", {}),
+        ("--seq", "sequence spec, e.g. prefix:[3,0,2]:pad0", {"required": True}),
+        ("--assign", "free-variable values, e.g. x=1,y=2", {}),
+        ("--bound", "bound for quantifier approximation", {"type": _numeral}),
         *_COMMON)),
     "guess": (cmd_guess, "trace a synthesized guesser over growing prefixes", (
-        ("--spec", str, None, "builtin spec name, e.g. contains-zero"),
-        ("--sigma2", str, None, "exists-forall sentence file"),
-        ("--pi2", str, None, "forall-exists sentence file"),
-        ("--seq", str, REQUIRED, "sequence spec"),
-        ("--horizon", _numeral, REQUIRED, "longest prefix to guess on"),
+        ("--spec", "builtin spec name, e.g. contains-zero", {}),
+        ("--sigma2", "exists-forall sentence file", {}),
+        ("--pi2", "forall-exists sentence file", {}),
+        ("--seq", "sequence spec", {"required": True}),
+        ("--horizon", "longest prefix to guess on", {"type": _numeral, "required": True}),
         *_COMMON)),
     "mu": (cmd_mu, "trace the overguesser of an exists-forall sentence", (
-        ("sentence", str, REQUIRED, "exists-forall sentence file"),
-        ("--seq", str, REQUIRED, "sequence spec"),
-        ("--horizon", _numeral, REQUIRED, "longest prefix to trace"),
+        ("sentence", "exists-forall sentence file", {}),
+        ("--seq", "sequence spec", {"required": True}),
+        ("--horizon", "longest prefix to trace", {"type": _numeral, "required": True}),
         *_COMMON)),
     "adversary": (cmd_adversary, "run an adversary against a candidate guesser", (
-        ("--guesser", str, REQUIRED, "builtin name or delta2:<sigma2-file>:<pi2-file>"),
-        ("--kind", ("diagonal", "permutation", "cantor"), REQUIRED, "adversary to run"),
-        ("--set", tuple(sorted(EXTENDER_SETS)), "inf-zeros",
-         "extension oracles for the diagonal adversary"),
-        ("--flips", _numeral, 10, "flips to force"),
-        ("--budget", _numeral, 10_000, "per-phase step budget"),
+        ("--guesser", "builtin name or delta2:<sigma2-file>:<pi2-file>", {"required": True}),
+        ("--kind", "adversary to run",
+         {"choices": ("diagonal", "permutation", "cantor"), "required": True}),
+        ("--set", "extension oracles for the diagonal adversary (default: %(default)s)",
+         {"choices": sorted(EXTENDER_SETS), "default": "inf-zeros"}),
+        ("--flips", "flips to force (default: %(default)s)", {"type": _numeral, "default": 10}),
+        ("--budget", "per-phase step budget (default: %(default)s)",
+         {"type": _numeral, "default": 10_000}),
         *_COMMON)),
     "synth": (cmd_synth, "generate defining sentences", (
-        ("source", ("guesser", "overguesser", "family", "topology"), REQUIRED,
-         "what the sentences define"),
-        ("inputs...", str, REQUIRED, "registered symbol name, or two topology table files"),
-        ("--out-dir", str, ".", "directory for the sentence files"),
-        ("--prefix", str, "", "name prefix for topology symbols"),
+        ("source", "what the sentences define: %(choices)s", {
+            "choices": ("guesser", "overguesser", "family", "topology"), "metavar": "source"}),
+        ("inputs", "registered symbol name, or two topology table files", {"nargs": "+"}),
+        ("--out-dir", "directory for the sentence files (default: %(default)s)", {"default": "."}),
+        ("--prefix", "name prefix for topology symbols", {"default": ""}),
         *_COMMON)),
     "play": (cmd_play, "interactive game: you are the sequence", (
-        ("--guesser...", str, None,
-         "guesser to play against (repeatable); default contains-zero"),
+        ("--guesser", "guesser to play against (repeatable); default contains-zero",
+         {"action": "append"}),
         *_COMMON)),
 }
 
-_HELP = ("-h", "--help")
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ``CliError`` naming the command; prints help 80 columns wide."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=lambda prog: argparse.HelpFormatter(prog, width=80),
+                         **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
+        for arg in args:  # argparse would store an empty list for ``--flag=--``
+            if arg.startswith("--") and arg.partition("=")[2] == "--":
+                self.error(f"{arg}: -- is not a value")
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message: str):
+        raise CliError(f"{self.prog.rpartition(' ')[2]}: {message}")
 
 
-def _failure(prog: str) -> Callable[[str], CliError]:
-    return lambda message: CliError(f"{prog}: {message}")
-
-
-def _spelled(arg: str, names: Sequence[str], fail) -> tuple[str, str | None] | None:
-    """The option ``arg`` names and its ``=value``, or None when ``arg`` is a value.
-
-    This is argparse's reading: a long option may be cut to a prefix that no
-    other option shares, and ``-``, ``-5``, ``-.5`` and text with a space are
-    values. ``--`` is the caller's to handle.
-    """
-    if not arg.startswith("-") or arg == "-":
-        return None
-    if arg in names:
-        return arg, None
-    flag, eq, value = arg.partition("=")
-    hits = [flag] if flag in names else [
-        name for name in names if arg.startswith("--") and name.startswith(flag)]
-    if len(hits) > 1:
-        raise fail(f"ambiguous option {flag}: could be {', '.join(hits)}")
-    if hits:
-        return hits[0], value if eq else None
-    # argparse's negative-number pattern, compiled on first use rather than at import
-    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
-        return None
-    raise fail(f"unknown option {arg}")
-
-
-def parse_args(argv: Sequence[str]) -> SimpleNamespace:
-    """Read ``argv`` against ``COMMANDS`` into the attributes of its command.
-
-    Options and positionals come in any order, a repeated option keeps its
-    last value, and ``--flag value``, ``--flag=value`` and a unique prefix of
-    a long option all work. After ``--`` every argument is a positional, and
-    a ``...`` positional takes one run of consecutive values. ``-h``/``--help``
-    gives the ``cmd_help`` handler; every other fault raises ``CliError``.
-    """
-    args, fail = iter(argv), _failure("guessability")
-    command = next(args, None)
-    if command not in (None, "--") and _spelled(command, _HELP, fail):
-        return SimpleNamespace(command=None, handler=cmd_help)
-    if command not in COMMANDS:
-        raise fail(f"choose a command from {', '.join(COMMANDS)}"
-                   + (f", not {command!r}" if command else ""))
-    handler, _, table = COMMANDS[command]
-    fail = _failure(command)
-    specs = {}  # name without "..." -> (attribute, reader, collects, required)
-    values = {"command": command, "handler": handler}
-    for name, reader, default, _ in table:
-        key = name.removesuffix("...")
-        specs[key] = (key.lstrip("-").replace("-", "_"), reader, key != name, default is REQUIRED)
-        values[specs[key][0]] = None if default is REQUIRED else default
-    flags = [*_HELP, *(key for key in specs if key.startswith("-"))]
-    pending = [key for key in specs if key not in flags]
-
-    def store(key: str, text: str) -> None:
-        dest, reader, collects, _ = specs[key]
-        if isinstance(reader, tuple) and text not in reader:
-            raise fail(f"{key} {text!r} is not one of {', '.join(reader)}")
-        value = _numeral(text, key, fail) if reader is _numeral else text
-        values[dest] = [*(values[dest] or ()), value] if collects else value
-
-    collecting, positionals_only = None, False
-    for arg in args:
-        if arg == "--" and not positionals_only:
-            positionals_only = True
-            continue
-        option = None if positionals_only else _spelled(arg, flags, fail)
-        if option is None:
-            if collecting is None and not pending:
-                raise fail(f"unexpected argument {arg!r}")
-            key = collecting or pending.pop(0)
-            collecting = key if specs[key][2] else None
-            store(key, arg)
-            continue
-        collecting = None
-        key, text = option
-        if key in _HELP:
-            return SimpleNamespace(command=command, handler=cmd_help)
-        if specs[key][1] is None:
-            if text is not None:
-                raise fail(f"{key} takes no value")
-            values[specs[key][0]] = True
-            continue
-        if text is None:
-            text = next(args, "--")
-            if text == "--" or _spelled(text, flags, fail):
-                raise fail(f"{key} needs a value")
-        store(key, text)
-    missing = [key for key, (dest, *_, required) in specs.items()
-               if required and values[dest] is None]
-    if missing:
-        raise fail(f"missing {', '.join(missing)}")
-    return SimpleNamespace(**values)
-
-
-def _usage(command: str | None) -> str:
-    """Help rendered from ``COMMANDS``: the commands, or one command's options."""
-    if command is None:
-        head = ["usage: guessability <command> [options]", "",
-                "evaluate ellipsis-logic sentences, trace guessers, and run adversaries", "",
-                "commands (<command> --help lists its options):"]
-        rows = [(name, about) for name, (_, about, _) in COMMANDS.items()]
-    else:
-        _, about, table = COMMANDS[command]
-        head = [f"usage: guessability {command} [options]", "", about, ""]
-        rows = [("-h, --help", "show this help")] + [
-            (name, text + (f"; one of {', '.join(reader)}" if isinstance(reader, tuple) else "")
-             + (" (required)" if default is REQUIRED else f" (default: {default})" if default
-                else ""))
-            for name, reader, default, text in table]
-    width = max(len(name) for name, _ in rows)
-    return "\n".join(head + [f"  {name:<{width}}  {text}" for name, text in rows])
-
-
-def cmd_help(args) -> int:
-    print(_usage(args.command))
-    return EXIT_OK
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the command line, built from ``COMMANDS``."""
+    parser = _Parser(prog="guessability", description=(
+        "evaluate ellipsis-logic sentences, trace guessers, and run adversaries"))
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (handler, about, options) in COMMANDS.items():
+        sub = commands.add_parser(command, help=about, description=about)
+        sub.set_defaults(handler=handler)
+        for name, text, keywords in options:
+            sub.add_argument(name, help=text, **keywords)
+    return parser
 
 
 def _complain(line: str) -> None:
@@ -579,7 +487,10 @@ def _complain(line: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     """Run one command; the only place that turns an exception into an ``error:`` line and a code."""
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # argparse exits only after printing -h/--help; a fault raises CliError
+            return EXIT_OK
         return args.handler(args)
     except CliError as exc:
         code, message = exc.code, str(exc)

@@ -50,7 +50,8 @@ LONG_RUNS = [
      "--flips", "10", "--budget", "10000"],
 ]
 
-# a parse error and the help text, which no other command prints
+# a parse error and the help text, which no other command prints; the help's
+# bytes are argparse's, so they follow the Python that runs it
 ERRORS_AND_HELP = [
     ["eval", "broken.lg", "--seq", "id"],
     ["--help"],

@@ -820,6 +820,19 @@ def test_synth_topology_bad_table(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["# nothing\n", "default 3\n", ""])
+@pytest.mark.parametrize("empty_first", [False, True])
+def test_synth_topology_names_a_table_without_cells(capsys, tmp_path, text, empty_first):
+    empty, other = tmp_path / "E.tbl", tmp_path / "O.tbl"
+    empty.write_text(text)
+    other.write_text("0 0 1\n")
+    tables = [empty, other] if empty_first else [other, empty]
+    code, out, err = run(capsys, "synth", "topology", *map(str, tables), "--out-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {empty}: a topology table needs at least one cell line\n"
+    assert not (tmp_path / "topology.pi2.lg").exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("-3 0 1", "row '-3' is not a decimal natural"),
     ("0 +1 1", "column '+1' is not a decimal natural"),
@@ -1144,7 +1157,7 @@ def test_mu_rejects_nonpositive_horizon(capsys, s2_file):
 def test_option_numerals_are_decimal_naturals(capsys, qf_file, argv, flag):
     code, out, err = run(capsys, *(arg.format(qf=qf_file) for arg in argv))
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: {argv[0]}: {flag} ") and err.count("\n") == 1
+    assert err.startswith(f"error: {argv[0]}: argument {flag}: value ") and err.count("\n") == 1
 
 
 def test_records_match_their_dataclass_twins():

@@ -46,15 +46,20 @@ def test_starting_the_cli_generates_no_code():
     ["mu", "{sentence}", "--seq", "prefix:[3,1,2]:pad0", "--horizon", "3"],
     ["adversary", "--guesser", "constant-1", "--kind", "diagonal", "--budget", "5"],
 ])
-def test_running_a_command_loads_no_argument_parser(tmp_path, command, json_flag):
-    """A command loads none of ``argparse``, ``json``, ``locale`` or ``gettext``;
-    ``--json`` loads ``json`` alone, and prints one parseable line."""
+def test_running_a_command_loads_only_what_it_reads(tmp_path, command, json_flag):
+    """A command loads none of ``json``, ``shutil``, ``textwrap``, ``bz2`` or ``lzma``;
+    ``--json`` loads ``json`` alone, and prints one parseable line.
+
+    Help is printed at a fixed width, so no parser asks ``shutil`` for the
+    terminal's, and ``shutil`` would bring the archive modules with it.
+    """
     sentence = tmp_path / "s2.lg"
     sentence.write_text("exists x. forall y. f(x) = 0")
     probe = ("import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); "
              "from guessability import cli; out = io.StringIO()\n"
              "with contextlib.redirect_stdout(out): code = cli.main(sys.argv[2:])\n"
-             "print(code, sorted({'argparse', 'json', 'locale', 'gettext'} & set(sys.modules)))\n"
+             "print(code, sorted({'json', 'shutil', 'textwrap', 'bz2', 'lzma'}"
+             " & set(sys.modules)))\n"
              "print(out.getvalue(), end='')")
     argv = [arg.format(sentence=sentence) for arg in command] + json_flag
     child = subprocess.run([sys.executable, "-S", "-c", probe, str(PACKAGE.parent), *argv],
