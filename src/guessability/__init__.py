@@ -36,14 +36,12 @@ from .lang import (
     ParseError,
     Pi2Sentence,
     Pred,
-    SentenceClass,
     SeqApp,
     Signature,
     SignatureError,
     Sigma2Sentence,
     Term,
     Variable,
-    classify_sentence,
     default_signature,
     free_vars,
     load_signature,

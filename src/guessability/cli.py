@@ -243,12 +243,12 @@ def cmd_mu(args) -> int:
 
 
 def cmd_adversary(args) -> int:
-    if args.kind != "diagonal" and args.set != "inf-zeros":  # the default, so an explicit one passes
+    if args.kind != "diagonal" and args.set is not None:
         raise CliError("--set is read only by --kind diagonal")
     sig = _load_signature(args.sig)
     guesser = _resolve_guesser(args.guesser, sig)
     if args.kind == "diagonal":
-        extenders = EXTENDER_SETS[args.set]()
+        extenders = EXTENDER_SETS[args.set or "inf-zeros"]()
         prefix, trace = adv.diagonalize(guesser, extenders, args.flips, args.budget)
     elif args.kind == "permutation":
         prefix, trace = adv.permutation_adversary(guesser, args.flips, args.budget)
@@ -395,10 +395,8 @@ def _numeral(text: str) -> int:
     return -value if text.startswith("-") else value
 
 
-_COMMON = (
-    ("--sig", "signature file (fn/pred/seqfn lines)", {}),
-    ("--json", "structured output", {"action": "store_true"}),
-)
+_SIG = ("--sig", "signature file (fn/pred/seqfn lines)", {})
+_JSON = ("--json", "structured output", {"action": "store_true"})
 
 # command -> (handler, help, options). An option is (name, help, the keywords
 # of its ``add_argument`` call); a name without ``--`` is a positional.
@@ -408,40 +406,40 @@ COMMANDS = {
         ("--seq", "sequence spec, e.g. prefix:[3,0,2]:pad0", {"required": True}),
         ("--assign", "free-variable values, e.g. x=1,y=2", {}),
         ("--bound", "bound for quantifier approximation", {"type": _numeral}),
-        *_COMMON)),
+        _SIG, _JSON)),
     "guess": (cmd_guess, "trace a synthesized guesser over growing prefixes", (
         ("--spec", "builtin spec name, e.g. contains-zero", {}),
         ("--sigma2", "exists-forall sentence file", {}),
         ("--pi2", "forall-exists sentence file", {}),
         ("--seq", "sequence spec", {"required": True}),
         ("--horizon", "longest prefix to guess on", {"type": _numeral, "required": True}),
-        *_COMMON)),
+        _SIG, _JSON)),
     "mu": (cmd_mu, "trace the overguesser of an exists-forall sentence", (
         ("sentence", "exists-forall sentence file", {}),
         ("--seq", "sequence spec", {"required": True}),
         ("--horizon", "longest prefix to trace", {"type": _numeral, "required": True}),
-        *_COMMON)),
+        _SIG, _JSON)),
     "adversary": (cmd_adversary, "run an adversary against a candidate guesser", (
         ("--guesser", "builtin name or delta2:<sigma2-file>:<pi2-file>", {"required": True}),
         ("--kind", "adversary to run",
          {"choices": ("diagonal", "permutation", "cantor"), "required": True}),
-        ("--set", "extension oracles for the diagonal adversary (default: %(default)s)",
-         {"choices": sorted(EXTENDER_SETS), "default": "inf-zeros"}),
+        ("--set", "extension oracles for the diagonal adversary (default: inf-zeros)",
+         {"choices": sorted(EXTENDER_SETS)}),
         ("--flips", "flips to force (default: %(default)s)", {"type": _numeral, "default": 10}),
         ("--budget", "per-phase step budget (default: %(default)s)",
          {"type": _numeral, "default": 10_000}),
-        *_COMMON)),
+        _SIG, _JSON)),
     "synth": (cmd_synth, "generate defining sentences", (
         ("source", "what the sentences define: %(choices)s", {
             "choices": ("guesser", "overguesser", "family", "topology"), "metavar": "source"}),
         ("inputs", "registered symbol name, or two topology table files", {"nargs": "+"}),
         ("--out-dir", "directory for the sentence files (default: %(default)s)", {"default": "."}),
         ("--prefix", "name prefix for topology symbols", {"default": ""}),
-        *_COMMON)),
+        _SIG)),
     "play": (cmd_play, "interactive game: you are the sequence", (
         ("--guesser", "guesser to play against (repeatable); default contains-zero",
          {"action": "append"}),
-        *_COMMON)),
+        _SIG)),
 }
 
 

@@ -29,7 +29,6 @@ the evaluator all read.
 from __future__ import annotations
 
 import contextlib
-import enum
 import math
 import operator
 from collections.abc import Callable, Sequence
@@ -309,6 +308,9 @@ class Signature:
     def _declare(self, name: str, kind: str, entry: object) -> None:
         if name in RESERVED:
             raise SignatureError(f"{name!r} is reserved")
+        if name not in PRED_BUILTINS and not _is_name(name):
+            raise SignatureError(f"{name!r} is not a symbol name: "
+                                 "a letter or '_', then letters, digits or '_'")
         if name in self._symbols:
             raise SignatureError(f"symbol {name!r} already declared")
         self._symbols[name] = (kind, entry)
@@ -493,6 +495,11 @@ _OPERATORS = tuple(sorted({*(symbol for _, symbol, _ in BINARY), *_REL_SYMBOLS,
 def _in_name(ch: str) -> bool:
     """Whether ``ch`` continues a name; a numeral continues while ``str.isdecimal`` holds."""
     return ch.isalnum() or ch == "_"
+
+
+def _is_name(text: str) -> bool:
+    """Whether ``_tokenize`` reads ``text`` as one name."""
+    return (text[:1].isalpha() or text[:1] == "_") and all(map(_in_name, text))
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -786,14 +793,7 @@ def _print_at(node: Formula, level: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Sentence classification and prenex-2 sentence types
-
-
-class SentenceClass(enum.Enum):
-    QUANTIFIER_FREE = "quantifier-free"
-    SIGMA2 = "sigma2"
-    PI2 = "pi2"
-    NESTED_OTHER = "nested-other"
+# Prenex-2 sentence types
 
 
 def is_quantifier_free(formula: Formula) -> bool:
@@ -802,26 +802,6 @@ def is_quantifier_free(formula: Formula) -> bool:
     if not isinstance(formula, Formula):
         raise TypeError(f"not a formula: {formula!r}")
     return not isinstance(formula, (Forall, Exists)) and all(map(is_quantifier_free, children(formula)))
-
-
-def classify_sentence(formula: Formula) -> SentenceClass:
-    """Syntactic class of a closed formula.
-
-    SIGMA2 and PI2 demand exactly the prenex shapes exists-forall and
-    forall-exists over a quantifier-free matrix; anything else with
-    quantifiers is NESTED_OTHER.
-    """
-    if free_vars(formula):
-        raise LangError(f"the sentence has free variables {sorted(free_vars(formula))}")
-    if is_quantifier_free(formula):
-        return SentenceClass.QUANTIFIER_FREE
-    if isinstance(formula, Exists) and isinstance(formula.body, Forall) \
-            and is_quantifier_free(formula.body.body):
-        return SentenceClass.SIGMA2
-    if isinstance(formula, Forall) and isinstance(formula.body, Exists) \
-            and is_quantifier_free(formula.body.body):
-        return SentenceClass.PI2
-    return SentenceClass.NESTED_OTHER
 
 
 def _check_matrix(matrix: Formula, outer: str, inner: str, shape: str) -> None:
@@ -853,7 +833,12 @@ class _PrenexSentence(Record):
 
     @classmethod
     def from_formula(cls, formula: Formula) -> "_PrenexSentence":
-        if classify_sentence(formula) is not cls._class:
+        """The sentence ``formula`` if it is closed and has this class's prenex shape."""
+        if free_vars(formula):
+            raise LangError(f"the sentence has free variables {sorted(free_vars(formula))}")
+        outer, inner = cls._quantifiers
+        if not (isinstance(formula, outer) and isinstance(formula.body, inner)
+                and is_quantifier_free(formula.body.body)):
             raise LangError(f"not {cls._kind} sentence: {print_formula(formula)}")
         return cls(formula.var, formula.body.var, formula.body.body)
 
@@ -861,12 +846,12 @@ class _PrenexSentence(Record):
 class Sigma2Sentence(_PrenexSentence):
     """``exists outer. forall inner. matrix`` with quantifier-free matrix."""
 
-    _shape, _kind, _class = "sigma2", "an exists-forall", SentenceClass.SIGMA2
+    _shape, _kind = "sigma2", "an exists-forall"
     _quantifiers = (Exists, Forall)
 
 
 class Pi2Sentence(_PrenexSentence):
     """``forall outer. exists inner. matrix`` with quantifier-free matrix."""
 
-    _shape, _kind, _class = "pi2", "a forall-exists", SentenceClass.PI2
+    _shape, _kind = "pi2", "a forall-exists"
     _quantifiers = (Forall, Exists)

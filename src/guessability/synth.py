@@ -442,9 +442,10 @@ def delta2_from_topology(for_set: TopologySpec, for_complement: TopologySpec,
     ``tau(i, j, z, v)`` is 0 for a hole, 1 for the whole space, else whether entry
     z of the cell is v; ``len`` is the cell's last index, 0 for a hole or the whole
     space; and ``all`` is the sequence builtin ``min``.  Each is registered under
-    an optionally prefixed name; if one is already declared, SignatureError is
-    raised and none is registered.  The hosts read a copy of the tables taken
-    when the pair is made, so a later change to the tables does not reach them.
+    an optionally prefixed name; if one is already declared, or the prefix makes
+    a name the signature refuses, SignatureError is raised and none is
+    registered.  The hosts read a copy of the tables taken when the pair is
+    made, so a later change to the tables does not reach them.
     """
     if not for_set.table or not for_complement.table:
         raise ValueError("topology tables must be nonempty")
@@ -452,11 +453,16 @@ def delta2_from_topology(for_set: TopologySpec, for_complement: TopologySpec,
     for name in ("tauS", "lenS", "tauC", "lenC", "all"):
         if sig.kind_of(p + name) is not None:
             raise SignatureError(f"symbol {p + name!r} already declared")
+    # ``all`` goes first: a prefix that makes one name unreadable makes all five
+    # so, and ``for`` + ``all`` is the only reserved name a prefix can make
+    try:
+        sig.register_seq_function(f"{p}all", SEQ_BUILTINS["min"])
+    except SignatureError as exc:
+        raise SignatureError(f"name prefix {p!r}: {exc}") from None
     for side, spec in (("S", for_set), ("C", for_complement)):
         tau, length = _topology_hosts(spec)
         sig.register_function(f"{p}tau{side}", 4, tau)
         sig.register_function(f"{p}len{side}", 2, length)
-    sig.register_seq_function(f"{p}all", SEQ_BUILTINS["min"])
 
     def extends(side: str) -> str:
         return f"{p}all[ {p}tau{side}(i, j, z, f(z)) : z .. {p}len{side}(i, j) ]"

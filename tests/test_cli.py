@@ -833,6 +833,19 @@ def test_synth_topology_names_a_table_without_cells(capsys, tmp_path, text, empt
     assert not (tmp_path / "topology.pi2.lg").exists()
 
 
+def test_synth_topology_quotes_a_prefix_that_makes_no_name(capsys, tmp_path):
+    tables = [tmp_path / "S.tbl", tmp_path / "C.tbl"]
+    for table in tables:
+        table.write_text("0 0 1\n")
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "synth", "topology", *map(str, tables), "--prefix", "a b",
+                         "--out-dir", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err == ("error: name prefix 'a b': 'a ball' is not a symbol name: "
+                   "a letter or '_', then letters, digits or '_'\n")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("-3 0 1", "row '-3' is not a decimal natural"),
     ("0 +1 1", "column '+1' is not a decimal natural"),
@@ -948,7 +961,8 @@ def test_eval_numeral_too_long_to_convert_is_a_parse_error(capsys, tmp_path):
 
 def test_an_error_in_an_input_file_names_the_file(capsys, tmp_path):
     files = {"A.lg": "exists x. forall y. f(x) = 0", "B.lg": "forall x. exists y. f(y) =",
-             "free.lg": "exists x. forall y. f(z) = 0", "g.sig": "fn G 1 d1\nfn G 1 d1\n"}
+             "free.lg": "exists x. forall y. f(z) = 0", "g.sig": "fn G 1 d1\nfn G 1 d1\n",
+             "bad.sig": "seqfn x- sum\n"}
     path = {}
     for name, text in files.items():
         path[name] = tmp_path / name
@@ -961,6 +975,9 @@ def test_an_error_in_an_input_file_names_the_file(capsys, tmp_path):
          broken),
         (["eval", path["A.lg"], "--seq", "id", "--sig", path["g.sig"]],
          f"error: {path['g.sig']}: line 2: symbol 'G' already declared\n"),
+        (["eval", path["A.lg"], "--seq", "id", "--sig", path["bad.sig"]],
+         f"error: {path['bad.sig']}: line 1: 'x-' is not a symbol name: "
+         "a letter or '_', then letters, digits or '_'\n"),
         (["mu", path["free.lg"], "--seq", "id", "--horizon", "2"],
          f"error: {path['free.lg']}: the sentence has free variables ['z']\n"),
     ]:
@@ -1130,7 +1147,10 @@ def test_usage_errors_are_one_error_line(capsys, tmp_path, s2_file, argv, messag
     (["synth", "overguesser", "Gz", "--sig", "{sig}", "--prefix", "X", "--out-dir", "{out}"],
      "--prefix is read only by synth topology"),
     (["synth", "family", "g", "--sig", "{sig}", "--prefix", "X", "--out-dir", "{out}"],
-     "--prefix is read only by synth topology"),
+     "--prefix is read only by synth topology"),    (["adversary", "--guesser", "constant-1", "--kind", "permutation", "--set", "inf-zeros"],
+     "--set is read only by --kind diagonal"),
+    (["adversary", "--guesser", "constant-1", "--kind", "cantor", "--set=inf-zeros"],
+     "--set is read only by --kind diagonal"),
 ])
 def test_options_a_command_would_ignore_are_usage_errors(capsys, tmp_path, qf_file, s2_file,
                                                          argv, message):

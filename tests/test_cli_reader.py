@@ -6,8 +6,10 @@ repeated option, ``--`` before a positional, and values that look like
 negative numbers; and every broken line is one ``error:`` line with exit 2.
 """
 
+import ast
 import contextlib
 import io
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,12 +27,12 @@ from guessability import cli, synth
      {"sentence": "s.lg", "seq": "id", "horizon": 2, "sig": "g.sig", "json": False}),
     (["adversary", "--guesser", "a", "--kind", "cantor", "--flips", "1", "--guesser", "b",
       "--flips=2"],
-     {"guesser": "b", "kind": "cantor", "set": "inf-zeros", "flips": 2, "budget": 10_000}),
+     {"guesser": "b", "kind": "cantor", "set": None, "flips": 2, "budget": 10_000}),
     (["synth", "topology", "S.tbl", "SC.tbl", "--out-dir", "out"],
      {"source": "topology", "inputs": ["S.tbl", "SC.tbl"], "out_dir": "out", "prefix": ""}),
     (["synth", "guesser", "A", "--", "B"], {"source": "guesser", "inputs": ["A", "B"]}),
     (["play", "--guesser", "a", "--gu=b", "--guesser", "a"], {"guesser": ["a", "b", "a"]}),
-    (["play"], {"guesser": None, "sig": None, "json": False}),
+    (["play"], {"guesser": None, "sig": None}),
 ])
 def test_lines_give_their_attributes(argv, expected):
     read = vars(cli.build_parser().parse_args(argv))
@@ -68,6 +70,14 @@ def assert_one_error_line(code: int, out: str, err: str) -> None:
 ])
 def test_reader_rejects_broken_lines(capsys, argv):
     assert_one_error_line(*run(capsys, argv))
+
+
+@pytest.mark.parametrize("argv", [["synth", "family", "add", "--json"], ["play", "--json"]])
+def test_json_is_an_option_only_of_commands_that_print_json(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert run(capsys, argv) == (2, "", "error: guessability: unrecognized arguments: --json\n")
+    assert not any(tmp_path.iterdir())
 
 
 # a valid line of each command, run in a directory that holds s.lg
@@ -229,3 +239,40 @@ def test_a_guesser_that_exits_ends_the_process_with_its_code(monkeypatch):
     with pytest.raises(SystemExit) as exited:
         cli.main(["adversary", "--guesser", "constant-1", "--kind", "cantor"])
     assert exited.value.code == 7
+
+
+def handler_reads(command: str) -> set[str]:
+    """The ``<args>.<name>`` attributes read in ``cli.py`` by the handler of ``command``
+    and by every module function it passes its namespace to, under any parameter name."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def parameters(name: str) -> list[str]:
+        return [arg.arg for arg in functions[name].args.args]
+
+    handler = cli.COMMANDS[command][0].__name__
+    todo, seen, read = [(handler, parameters(handler)[0])], set(), set()
+    while todo:
+        name, namespace = todo.pop()
+        if (name, namespace) in seen:
+            continue
+        seen.add((name, namespace))
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == namespace:
+                read.add(node.attr)
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in functions):
+                continue
+            passed = [(parameters(node.func.id)[at], arg) for at, arg in enumerate(node.args)]
+            passed += [(keyword.arg, keyword.value) for keyword in node.keywords]
+            todo += [(node.func.id, parameter) for parameter, arg in passed
+                     if isinstance(arg, ast.Name) and arg.id == namespace]
+    return read
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_every_option_a_command_takes_is_read_by_its_handler(command):
+    """An option the handler never reads would be accepted and ignored."""
+    taken = {name.lstrip("-").replace("-", "_") for name, _ in options(command)}
+    assert taken - handler_reads(command) == set()

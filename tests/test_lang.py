@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import pytest
@@ -20,12 +21,10 @@ from guessability.lang import (
     ParseError,
     Pi2Sentence,
     Pred,
-    SentenceClass,
     SeqApp,
     SignatureError,
     Sigma2Sentence,
     Variable,
-    classify_sentence,
     default_signature,
     free_vars,
     load_signature,
@@ -383,34 +382,51 @@ def test_print_parse_round_trip_with_quantifiers():
 
 
 # ---------------------------------------------------------------------------
-# classification
+# prenex shapes: each sentence class's ``from_formula`` takes only its own shape
+
+REFUSALS = {Sigma2Sentence: "not an exists-forall sentence",
+            Pi2Sentence: "not a forall-exists sentence"}
+
+
+def assert_taken_only_by(text, sig, taker):
+    """``taker.from_formula`` gives the sentence back, and every other class refuses it."""
+    formula = parse(text, sig)
+    for cls, refusal in REFUSALS.items():
+        if cls is taker:
+            assert cls.from_formula(formula).formula() == formula
+            continue
+        with pytest.raises(LangError) as exc:
+            cls.from_formula(formula)
+        assert str(exc.value) == f"{refusal}: {print_formula(formula)}"
 
 
 def test_classify_sigma2(sig):
-    got = classify_sentence(parse("exists x. forall y. f(x) = 0", sig))
-    assert got is SentenceClass.SIGMA2
+    assert_taken_only_by("exists x. forall y. f(x) = 0", sig, Sigma2Sentence)
 
 
 def test_classify_quantifier_free(sig):
-    assert classify_sentence(parse("0 = 0", sig)) is SentenceClass.QUANTIFIER_FREE
+    assert_taken_only_by("0 = 0", sig, None)
 
 
 def test_classify_nested_other(sig):
-    got = classify_sentence(parse("forall a. forall b. exists n. f(n) = b", sig))
-    assert got is SentenceClass.NESTED_OTHER
+    assert_taken_only_by("forall a. forall b. exists n. f(n) = b", sig, None)
 
 
 def test_classify_pi2(sig):
-    assert classify_sentence(parse("forall x. exists y. f(y) = 0", sig)) is SentenceClass.PI2
+    assert_taken_only_by("forall x. exists y. f(y) = 0", sig, Pi2Sentence)
 
 
 def test_classify_single_quantifier_is_nested_other(sig):
-    assert classify_sentence(parse("forall x. f(x) = 0", sig)) is SentenceClass.NESTED_OTHER
+    assert_taken_only_by("forall x. f(x) = 0", sig, None)
 
 
 def test_classify_rejects_open_formulas(sig):
-    with pytest.raises(LangError):
-        classify_sentence(parse("f(x) = 0", sig))
+    """The free-variable check comes first, before the shape."""
+    for text, free in (("f(x) = 0", "['x']"), ("exists x. forall y. f(z) = y", "['z']")):
+        for cls in REFUSALS:
+            with pytest.raises(LangError) as exc:
+                cls.from_formula(parse(text, sig))
+            assert str(exc.value) == f"the sentence has free variables {free}"
 
 
 @pytest.mark.parametrize("cls, other, quantifiers, shape, wrong_class", [
@@ -464,15 +480,31 @@ def test_reserved_symbol_not_redeclarable():
         sig.register_seq_function("forall", lambda t: 0)
 
 
+UNREADABLE = "is not a symbol name: a letter or '_', then letters, digits or '_'"
+
+
 @pytest.mark.parametrize("register, message", [
     (lambda sig: sig.register_function("g", 0, lambda: 0), "function arity must be positive"),
     (lambda sig: sig.register_predicate("p", 0, lambda: True), "predicate arity must be positive"),
     (lambda sig: sig.function("nope"), "unknown function symbol 'nope'"),
     (lambda sig: sig.predicate("nope"), "unknown predicate symbol 'nope'"),
-], ids=["function-arity-0", "predicate-arity-0", "unknown-function", "unknown-predicate"])
+    (lambda sig: sig.register_function("", 1, lambda a: a), f"'' {UNREADABLE}"),
+    (lambda sig: sig.register_predicate("1x", 1, bool), f"'1x' {UNREADABLE}"),
+    (lambda sig: sig.register_seq_function("G-", len), f"'G-' {UNREADABLE}"),
+], ids=["function-arity-0", "predicate-arity-0", "unknown-function", "unknown-predicate",
+        "empty-name", "name-starting-with-a-digit", "name-with-an-operator"])
 def test_signature_guards_name_the_problem(register, message):
     with pytest.raises(SignatureError, match=f"^{message}$"):
         register(default_signature())
+
+
+@pytest.mark.parametrize("name", ["_", "x_2", "G\u00e9", "a\u00b2", "<="])
+def test_signature_takes_every_name_the_parser_reads(name):
+    """A name is what ``_tokenize`` reads as one name, or a comparison's symbol."""
+    sig = lang.Signature()
+    sig.register_predicate(name, 2, operator.le)
+    atom = Pred(name, (Numeral(0), Numeral(1)))
+    assert parse(print_formula(atom), sig) == atom
 
 
 def test_names_unique_across_kinds():
@@ -505,6 +537,9 @@ def test_load_signature_rejects_bad_lines(line):
     ("# comment\npred p -2 <", "line 2: arity '-2' is not a decimal natural"),
     pytest.param("fn g " + "9" * 5000 + " +", "line 1: arity of 5000 digits is too long",
                  id="arity-too-long"),
+    ("fn 1x 2 +", f"line 1: '1x' {UNREADABLE}"),
+    ("seqfn x- sum", f"line 1: 'x-' {UNREADABLE}"),
+    ("# comment\npred a.b 2 <", f"line 2: 'a.b' {UNREADABLE}"),
 ])
 def test_load_signature_error_texts(line, message):
     with pytest.raises(SignatureError) as exc:

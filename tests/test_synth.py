@@ -21,10 +21,8 @@ from guessability.lang import (
     SEQ_BUILTINS,
     Variable,
     print_term,
-    SentenceClass,
     Signature,
     SignatureError,
-    classify_sentence,
     default_signature,
     load_signature,
     parse,
@@ -177,8 +175,8 @@ def test_sentences_from_guesser_round_trip_and_classes():
     sig = default_signature()
     sig.register_seq_function("Gz", contains_zero_guesser())
     spec = sentences_from_guesser("Gz", sig)
-    assert classify_sentence(spec.sigma2.formula()) is SentenceClass.SIGMA2
-    assert classify_sentence(spec.pi2.formula()) is SentenceClass.PI2
+    assert Sigma2Sentence.from_formula(spec.sigma2.formula()) == spec.sigma2
+    assert Pi2Sentence.from_formula(spec.pi2.formula()) == spec.pi2
     for sentence in (spec.sigma2, spec.pi2):
         assert parse(print_formula(sentence.formula()), sig) == sentence.formula()
 
@@ -208,7 +206,7 @@ def test_sigma2_from_overguesser_shape():
     over = overguesser_from_sigma2(contains_zero_delta2().sigma2, sig)
     sig.register_seq_function("Mu", mu_prime_host(over))
     sentence = sigma2_from_overguesser("Mu", sig)
-    assert classify_sentence(sentence.formula()) is SentenceClass.SIGMA2
+    assert Sigma2Sentence.from_formula(sentence.formula()) == sentence
     assert sentence.text() == ("exists m. forall m3. m3 > d2(m) -> "
                                "0 < Mu[ f(z) : z .. m3 ] & Mu[ f(z) : z .. m3 ] < d1(m)")
 
@@ -327,8 +325,8 @@ def test_topology_membership_host_values():
 def test_topology_sentence_classes():
     sig = default_signature()
     spec = delta2_from_topology(*_first_coordinate_specs(), sig)
-    assert classify_sentence(spec.pi2.formula()) is SentenceClass.PI2
-    assert classify_sentence(spec.sigma2.formula()) is SentenceClass.SIGMA2
+    assert Pi2Sentence.from_formula(spec.pi2.formula()) == spec.pi2
+    assert Sigma2Sentence.from_formula(spec.sigma2.formula()) == spec.sigma2
 
 
 def test_topology_guesser_stabilises_from_first_entry():
@@ -409,6 +407,20 @@ def test_topology_registers_nothing_when_one_name_is_taken():
     assert [sig.kind_of(name) for name in ("tauS", "lenS", "tauC", "lenC")] == [None] * 4
     spec = delta2_from_topology(*_first_coordinate_specs(), sig, name_prefix="t_")
     assert "t_tauS" in spec.pi2.text() and "t_all" in spec.sigma2.text()
+
+
+@pytest.mark.parametrize("prefix, refused", [
+    ("a b", "'a ball' is not a symbol name: a letter or '_', then letters, digits or '_'"),
+    ("9", "'9all' is not a symbol name: a letter or '_', then letters, digits or '_'"),
+    ("for", "'forall' is reserved"),
+])
+def test_topology_refuses_a_prefix_that_makes_no_name(prefix, refused):
+    sig = default_signature()
+    with pytest.raises(SignatureError) as exc:
+        delta2_from_topology(*_first_coordinate_specs(), sig, name_prefix=prefix)
+    assert str(exc.value) == f"name prefix {prefix!r}: {refused}"
+    assert [sig.kind_of(prefix + name) for name in ("tauS", "lenS", "tauC", "lenC", "all")] \
+        == [None] * 5
 
 
 def test_topology_hosts_read_the_tables_as_they_were_when_made():
