@@ -191,8 +191,9 @@ def permutation_extenders() -> ExtensionOracles:
 
     Out: repeat a value forever, so the extension is never injective.  The
     in-set side keeps the values of the last prefix it was given, so a prefix
-    that extends it over the same list costs only the entries it adds: an
-    adversary run pays O(1) amortised per value, however many phases it has.
+    that extends it costs only the entries it adds, and a prefix of another
+    list also a comparison of the last one's: an adversary run, whose prefixes
+    share one list, pays O(1) amortised per value, however many phases it has.
     An iterator it returned reads those values when it is advanced, so one
     advanced after a later call also skips the values that call added.
     """

@@ -109,31 +109,24 @@ class FinitePrefix:
         longer._items, longer._n = items, n + 1
         return longer
 
-    def extends(self, other: "FinitePrefix") -> bool:
-        """Whether this prefix is ``other`` plus one entry (O(1) when both share a list)."""
-        n = other._n
-        return self._n == n + 1 and (
-            self._items is other._items
-            or all(map(operator.eq, itertools.islice(self._items, n), other)))
-
     def past(self, other: "FinitePrefix") -> list[int] | None:
-        """This prefix's entries past ``other``'s, copying only those, if both view one list; else None."""
-        if self._items is not other._items or self._n < other._n:
+        """This prefix's entries past ``other``'s, copying only those, if it is or extends ``other``; else None.
+
+        Views of one list compare nothing; a prefix of another list compares ``other``'s entries.
+        """
+        n = other._n
+        if self._n < n or self._items is not other._items and not all(
+                map(operator.eq, itertools.islice(self._items, n), other)):
             return None
-        return _copy(self._items, range(other._n, self._n))
+        return _copy(self._items, range(n, self._n))
 
-    def reader(self) -> Callable[[int], int]:
-        """Read an index of this prefix: ValueError below 0, QueryBeyondLimit past last_index."""
-        items, last = self._items, self._n - 1
-
-        def read(index: int) -> int:
-            if index < 0:
-                raise ValueError(f"oracle index must be a natural, got {index}")
-            if index > last:
-                raise QueryBeyondLimit(index, last)
-            return items[index]
-
-        return read
+    def read(self, index: int) -> int:
+        """The entry at ``index``: ValueError below 0, QueryBeyondLimit past last_index."""
+        if index < 0:
+            raise ValueError(f"oracle index must be a natural, got {index}")
+        if index >= self._n:
+            raise QueryBeyondLimit(index, self._n - 1)
+        return self._items[index]
 
 
 def _copy(items: list[int], span: range) -> list[int]:

@@ -78,8 +78,9 @@ class EllipsisMemo:
         return self.tables[(node, *(s.get(name, 0) for name in names))]
 
     def follow(self, prefix: FinitePrefix) -> None:
-        """Evaluate over ``prefix`` from now on: unless it is or extends the last one, drop every table."""
-        if self.prefix is not None and prefix != self.prefix and not prefix.extends(self.prefix):
+        """Evaluate over ``prefix`` from now on: unless it is or extends the last one, by any number of
+        entries, drop every table."""
+        if self.prefix is not None and prefix.past(self.prefix) is None:
             self.tables.clear()
         self.prefix = prefix
 
@@ -113,15 +114,6 @@ class AttemptOutcome(Record):
     @property
     def succeeded(self) -> bool:
         return self.truth is not None
-
-    @classmethod
-    def success(cls, truth: bool) -> "AttemptOutcome":
-        """The shared outcome for ``truth``: a successful attempt allocates nothing."""
-        return _HOLDS if truth else _DOES_NOT_HOLD
-
-    @classmethod
-    def failure(cls, offending_index: int) -> "AttemptOutcome":
-        return cls(None, offending_index)
 
 
 _HOLDS, _DOES_NOT_HOLD = AttemptOutcome(True), AttemptOutcome(False)
@@ -269,12 +261,12 @@ def attempt(formula: Formula, prefix: FinitePrefix, sig: Signature | None = None
     ``EllipsisMemo.follow``); an ellipsis value or entry found in it is not
     evaluated again, and one that evaluates without raising is stored.
     """
-    evaluation = _Evaluation(prefix.reader(), sig, memo)
+    evaluation = _Evaluation(prefix.read, sig, memo)
     try:
         truth = evaluation.truth(formula, s or {})
     except QueryBeyondLimit as exc:
-        return AttemptOutcome.failure(exc.index)
-    return AttemptOutcome.success(truth)
+        return AttemptOutcome(None, exc.index)
+    return _HOLDS if truth else _DOES_NOT_HOLD  # a successful attempt allocates nothing
 
 
 def value_over(term: Term, prefix: FinitePrefix, sig: Signature | None = None,
@@ -283,7 +275,7 @@ def value_over(term: Term, prefix: FinitePrefix, sig: Signature | None = None,
 
     A read past the prefix's last index raises ``QueryBeyondLimit``.
     """
-    evaluation = _Evaluation(prefix.reader(), sig, memo)
+    evaluation = _Evaluation(prefix.read, sig, memo)
     return evaluation.value(term, s or {})
 
 

@@ -13,7 +13,6 @@ boolean operations.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections.abc import Callable, Iterator
 
@@ -192,19 +191,22 @@ class MuStream:
 
     def __call__(self, prefix: FinitePrefix) -> int:
         """mu for a nonempty prefix: the last answer if it equals the last prefix
-        pushed or answered, pushed if it extends the last observed by one entry, else replayed.
+        pushed or answered, else mu once each entry it adds to the last observed is pushed.
 
-        A replay restarts the stream from the first entry, and the memo drops its tables.
-        A call that raised answered nothing.
+        A prefix that adds nothing to the last observed (another prefix, or that one
+        unanswered) restarts the stream from the first entry, and the memo drops its
+        tables.  A call that raised answered nothing.
         """
         if len(prefix) == 0:
             raise ValueError("mu needs at least one observed entry")
         if prefix == self._answered[0]:
             return self._answered[1]
-        if not prefix.extends(self.prefix):
+        added = prefix.past(self.prefix)
+        if not added:
             self._restart()
-            for value in itertools.islice(prefix, prefix.last_index):
-                self.push(value)
+            added = prefix.past(self.prefix)
+        for value in added[:-1]:
+            self.push(value)
         return self._observe(prefix)
 
     def push(self, value: int) -> int:
@@ -464,11 +466,11 @@ def delta2_from_topology(for_set: TopologySpec, for_complement: TopologySpec,
         sig.register_function(f"{p}tau{side}", 4, tau)
         sig.register_function(f"{p}len{side}", 2, length)
 
-    def extends(side: str) -> str:
+    def agrees(side: str) -> str:
         return f"{p}all[ {p}tau{side}(i, j, z, f(z)) : z .. {p}len{side}(i, j) ]"
 
-    return _delta2_from_texts(f"forall i. exists j. {extends('S')} = 1",
-                              f"exists i. forall j. {extends('C')} = 0", sig)
+    return _delta2_from_texts(f"forall i. exists j. {agrees('S')} = 1",
+                              f"exists i. forall j. {agrees('C')} = 0", sig)
 
 
 # ---------------------------------------------------------------------------

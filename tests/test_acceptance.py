@@ -180,7 +180,7 @@ def test_criterion_5_permanent_exclusion():
 def attempt_false():
     from guessability.semantics import AttemptOutcome
 
-    return AttemptOutcome.success(False)
+    return AttemptOutcome(False)
 
 
 def test_criterion_6_diagonalizer():

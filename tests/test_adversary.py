@@ -1,5 +1,6 @@
 import itertools
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -273,6 +274,32 @@ def test_permutation_extender_that_remembers_matches_a_fresh_one(steps):
             assert (remembered is None) == (fresh is None)
             if fresh is not None:
                 assert take(remembered, 6) == take(fresh, 6)
+
+
+@given(st.lists(st.integers(0, 20), unique=True, max_size=16), st.integers(0, 16),
+       st.lists(st.integers(0, 20), max_size=3))
+def test_permutation_extender_follows_a_prefix_of_another_list(values, cut, tail):
+    """Handed a prefix of another list that extends its last one, the in-set side answers
+    as a new one would, and walks only the last one's entries to see that it extends them."""
+    shared = permutation_extenders().in_s
+    last = FinitePrefix(values[:cut])
+    shared(last)
+    longer = FinitePrefix((*values, *tail))
+    reads = [0]
+    iterate = FinitePrefix.__iter__
+
+    def counted(self):
+        for value in iterate(self):
+            reads[0] += 1
+            yield value
+
+    with mock.patch.object(FinitePrefix, "__iter__", counted):
+        remembered = shared(longer)
+    assert reads[0] <= len(last)
+    fresh = permutation_extenders().in_s(longer)
+    assert (remembered is None) == (fresh is None)
+    if fresh is not None:
+        assert take(remembered, 6) == take(fresh, 6)
 
 
 def test_permutation_adversary_reads_no_entry_twice(monkeypatch):

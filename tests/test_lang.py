@@ -192,7 +192,7 @@ def test_walks_finish_at_the_nesting_limit():
     assert substitute(open_, "x", Numeral(0)) == closed
     assert lang.is_quantifier_free(open_)
     assert eval_qf(closed, from_spec("const:0")) == EvalResult(value=True, queried=frozenset({0}))
-    assert attempt(closed, FinitePrefix((0,))) == AttemptOutcome.success(True)
+    assert attempt(closed, FinitePrefix((0,))) == AttemptOutcome(True)
     with pytest.raises(ParseError, match="nesting deeper than 100 levels"):
         parse("!" * 99 + "f(0) = 0")
 

@@ -189,10 +189,15 @@ def test_views_match_tuple_built_prefixes(start, steps):
         # every earlier view is unchanged by the growth after it
         for view, entries in zip(views, expected):
             assert_matches(view, entries)
+    # past is the tail after any prefix that this one is or extends, the empty one included,
+    # whether that prefix views this list, a fork of it, or a list of its own
     for longer, entries in zip(views, expected):
         for shorter, shorter_entries in zip(views, expected):
-            assert longer.extends(shorter) == (entries[:-1] == shorter_entries
-                                               and len(entries) == len(shorter_entries) + 1)
+            tail = list(entries[len(shorter_entries):])
+            if entries[:len(shorter_entries)] != shorter_entries:
+                tail = None
+            assert longer.past(shorter) == longer.past(FinitePrefix(shorter_entries)) == tail
+        assert longer.past(FinitePrefix()) == list(entries)
 
 
 @given(st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 3)), max_size=25))
@@ -210,14 +215,30 @@ def test_past_is_the_tail_after_a_view_it_extends(steps):
                 assert tail == list(entries[len(shorter_entries):])
 
 
-def test_past_needs_a_shorter_view_of_the_same_list():
+def test_past_is_none_for_a_longer_or_different_prefix():
     chain = [FinitePrefix((0,))]
     for value in range(1, 5):
         chain.append(chain[-1].extended(value))
     assert all(chain[j].past(chain[i]) == list(range(i + 1, j + 1))
                for j in range(5) for i in range(j + 1))
     assert chain[1].past(chain[3]) is None
-    assert chain[3].past(FinitePrefix((0, 1))) is None
+    assert chain[3].past(FinitePrefix((0, 1))) == [2, 3]
+    assert chain[3].past(FinitePrefix((0, 2))) is None
+    assert chain[3].past(FinitePrefix((0, 1, 2, 3, 4))) is None
+
+
+def test_past_compares_entries_only_of_another_list(monkeypatch):
+    chain = [FinitePrefix((0,))]
+    for value in range(1, 5):
+        chain.append(chain[-1].extended(value))
+
+    def walked(_):
+        raise AssertionError("compared entry by entry")
+
+    monkeypatch.setattr(oracle, "all", walked, raising=False)
+    assert chain[4].past(chain[1]) == [2, 3, 4]
+    with pytest.raises(AssertionError, match="entry by entry"):
+        chain[4].past(FinitePrefix((0, 1)))
 
 
 def test_equal_views_of_one_list_are_equal_without_a_walk(monkeypatch):
@@ -241,13 +262,13 @@ def test_equal_views_of_one_list_are_equal_without_a_walk(monkeypatch):
 
 def test_query_beyond_limit_names_the_index_and_the_limit():
     with pytest.raises(QueryBeyondLimit, match=r"^query at index 7 exceeds limit 3$"):
-        FinitePrefix((0, 1, 2, 3)).reader()(7)
+        FinitePrefix((0, 1, 2, 3)).read(7)
 
 
-def test_reader_checks_bounds_of_its_view():
+def test_read_checks_bounds_of_its_view():
     short = FinitePrefix((4, 5))
     short.extended(6)
-    read = short.reader()
+    read = short.read
     assert (read(0), read(1)) == (4, 5)
     with pytest.raises(QueryBeyondLimit) as err:
         read(2)

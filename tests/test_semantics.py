@@ -313,13 +313,13 @@ def test_memo_keeps_the_entries_before_a_failed_read(sig, monkeypatch):
 
     # entries 0..4 succeed, entry 5 reads past the prefix: same offending index
     plain, memoised, units = both(8)
-    assert plain == memoised == semantics.AttemptOutcome.failure(5)
+    assert plain == memoised == semantics.AttemptOutcome(None, 5)
     assert units == 6
     # a shorter bound finds its entries in the list and spends nothing
     plain, memoised, units = both(3)
     assert plain == memoised and memoised.truth is False
     assert units == 0
-    assert both(4)[:2] == (semantics.AttemptOutcome.success(True),) * 2
+    assert both(4)[:2] == (semantics.AttemptOutcome(True),) * 2
     # on an extension the longer bound evaluates only the entries past the list
     plain, memoised, units = both(8, FinitePrefix((1, 2, 3, 4, 5, 6, 7, 8, 9)))
     assert plain == memoised and memoised.truth is False
@@ -385,7 +385,15 @@ def test_a_memo_drops_its_tables_when_the_prefix_it_follows_moves_elsewhere(sig)
     assert [follow(p) for p in (*views[:3], views[2], FinitePrefix((1, 2, 0)), views[3])] == [1] * 6
     assert memo.tables[next(iter(memo.tables))][0] == views[3]
     # a shorter prefix, or one that differs, drops it: (5, 2) sums to 7 where the old table says 3
-    for elsewhere in (views[1], FinitePrefix((5, 2)), FinitePrefix((5, 2, 9, 9))):
+    for elsewhere in (views[1], FinitePrefix((5, 2))):
+        memo.follow(elsewhere)
+        assert not memo.tables
+        follow(elsewhere)
+    # one that extends the last by more than one entry, of another list, keeps the same tables
+    tables = list(memo.tables.values())
+    assert follow(FinitePrefix((5, 2, 9, 9))) == len(tables)
+    assert all(table is kept for table, kept in zip(memo.tables.values(), tables))
+    for elsewhere in (FinitePrefix((5,)), FinitePrefix((6, 2, 9, 9, 1))):
         memo.follow(elsewhere)
         assert not memo.tables
         follow(elsewhere)
@@ -513,8 +521,11 @@ def test_records_match_their_dataclass_twins():
         record_twins.check_against_twin(cls, args)
 
 
-def test_successful_attempts_share_their_outcomes():
-    outcome = semantics.AttemptOutcome
-    assert outcome.success(True) is outcome.success(1) is not outcome.success(False)
-    assert outcome.success(0) == outcome(False, None) and outcome.success(0).succeeded
-    assert outcome.failure(4) == outcome(None, 4) and outcome.failure(4).failed
+def test_successful_attempts_share_their_outcomes(sig):
+    holds, fails = parse("f(0) = 1", sig), parse("f(0) = 0", sig)
+    one = FinitePrefix((1,))
+    assert attempt(holds, one, sig) is attempt(holds, one.extended(0), sig) is not attempt(fails, one, sig)
+    assert attempt(fails, one, sig) is attempt(fails, one, sig) == semantics.AttemptOutcome(False, None)
+    assert attempt(fails, one, sig).succeeded
+    failed = attempt(holds, FinitePrefix(), sig)
+    assert failed == semantics.AttemptOutcome(None, 0) and failed.failed

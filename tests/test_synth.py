@@ -4,6 +4,7 @@ import random
 import re
 import dataclasses
 import operator
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +56,8 @@ from guessability.synth import (
 
 import formula_gen
 import record_twins
+
+INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +760,32 @@ def test_a_replay_pushes_the_prefix_it_answered_last_again(cz):
             assert stream(prefix) == mu_from_sigma2(sentence, prefix), (sentence.text(), entries)
     g = guesser_from_delta2(cz)
     assert [g(FinitePrefix(entries)) for entries in ((0,), (0, 1, 1))] == [1, 1]
+
+
+@pytest.mark.parametrize("name", ["mu", "Gz"])
+@pytest.mark.parametrize("seq", ["plantzero:3", "cycle:[1,2,3]"])
+def test_a_stream_called_at_sparse_lengths_makes_the_attempts_of_every_length(name, seq, monkeypatch):
+    """Prefixes of separate lists, 1, 2, 5, 17 and 40 entries long, push what each adds."""
+    sig = load_signature((INPUTS / "gz.sig").read_text())
+    sentence = Sigma2Sentence.from_formula(parse((INPUTS / f"{name}.sigma2.lg").read_text(), sig))
+    source = from_spec(seq)
+    entries = tuple(source.query(i) for i in range(40))
+    sparse = (1, 2, 5, 17, 40)
+    expected = [mu_from_sigma2(sentence, FinitePrefix(entries[:k]), sig) for k in sparse]
+    made = []
+
+    def counted(*args):
+        made[-1] += 1
+        return attempt(*args)
+
+    monkeypatch.setattr(synth, "attempt", counted)
+    answers = {}
+    for lengths in (sparse, range(1, 41)):
+        made.append(0)
+        stream = MuStream(sentence, sig)
+        answers[lengths] = [stream(FinitePrefix(entries[:k])) for k in lengths]
+    assert made[0] == made[1], made
+    assert answers[sparse] == expected == [answers[range(1, 41)][k - 1] for k in sparse]
 
 
 def test_streamed_guessers_replay_prefixes_that_do_not_extend():
