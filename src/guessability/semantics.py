@@ -66,7 +66,6 @@ class EllipsisMemo:
         self._keys: dict[int, tuple[EllipsisApp, int, tuple[str, ...]]] = {}
         self._first: dict[EllipsisApp, tuple[int, tuple[str, ...]]] = {}
         self.tables: dict[tuple[int, ...], list] = defaultdict(lambda: [FinitePrefix(), {}])
-        self.prefix: FinitePrefix | None = None  # the last prefix followed
 
     def table(self, term: EllipsisApp, s: Mapping[str, int]) -> list:
         """``[prefix, values]`` for the term under ``s``: its entries so far, its host values by size."""
@@ -76,13 +75,6 @@ class EllipsisMemo:
             key = self._keys[id(term)] = (term, *self._first.setdefault(term, (id(term), names)))
         _, node, names = key
         return self.tables[(node, *(s.get(name, 0) for name in names))]
-
-    def follow(self, prefix: FinitePrefix) -> None:
-        """Evaluate over ``prefix`` from now on: unless it is or extends the last one, by any number of
-        entries, drop every table."""
-        if self.prefix is not None and prefix.past(self.prefix) is None:
-            self.tables.clear()
-        self.prefix = prefix
 
 
 class EvalResult(Record):
@@ -257,9 +249,10 @@ def attempt(formula: Formula, prefix: FinitePrefix, sig: Signature | None = None
     With no assignment the formula is read as a closed sentence.  Fails the
     moment any query goes past the prefix's last index, so the padding is
     never read; an empty prefix fails on the first query.  A memo must only
-    see the formulas that share it over prefixes that extend one another (see
-    ``EllipsisMemo.follow``); an ellipsis value or entry found in it is not
-    evaluated again, and one that evaluates without raising is stored.
+    see the formulas that share it over prefixes that extend one another; a
+    caller that moves elsewhere takes a fresh memo or clears its ``tables``,
+    as a restarting ``MuStream`` does.  An ellipsis value or entry found in it
+    is not evaluated again, and one that evaluates without raising is stored.
     """
     evaluation = _Evaluation(prefix.read, sig, memo)
     try:

@@ -151,8 +151,8 @@ class MuStream:
     reaches that index.  A refuted witness therefore stays refuted, and mu
     never decreases.  For the same reason each ellipsis entry is evaluated
     once for each value of the body's free variables (see EllipsisMemo), which
-    assumes deterministic hosts; the memo follows each observed prefix, so
-    streams that observe the same prefixes can share it.
+    assumes deterministic hosts; a restart clears the memo, so streams may
+    share it while the prefixes they evaluate over extend one another.
 
     Both searches take their attempts from one loop (_decided), which tries
     each inner ``b`` when it first appears or, once failed, falls due, and
@@ -180,22 +180,23 @@ class MuStream:
         self._thresholds = _thresholds(sentence.matrix, sentence.outer, self.sig)
         self._memo = EllipsisMemo()
         self._restart()
-        self._answered = self.prefix, math.inf  # the last prefix observed without raising, and mu; none yet
 
     def _restart(self) -> None:
         self.prefix = FinitePrefix(())
+        self._answered = self.prefix, math.inf  # the last prefix observed without raising, and mu; none yet
         self._a = 0  # on the interval path, math.inf once every witness is refuted
         self._next_b = 0
         self._failed: list[tuple[int, int]] = []  # heap of (offending index, b) for failed b
         self._refuted: list[tuple[int, float]] = []  # heap of refuted [lo, hi) witness intervals
+        self._memo.tables.clear()
 
     def __call__(self, prefix: FinitePrefix) -> int:
         """mu for a nonempty prefix: the last answer if it equals the last prefix
         pushed or answered, else mu once each entry it adds to the last observed is pushed.
 
         A prefix that adds nothing to the last observed (another prefix, or that one
-        unanswered) restarts the stream from the first entry, and the memo drops its
-        tables.  A call that raised answered nothing.
+        unanswered) restarts the stream from the first entry.  A call that raised
+        answered nothing.
         """
         if len(prefix) == 0:
             raise ValueError("mu needs at least one observed entry")
@@ -216,7 +217,6 @@ class MuStream:
     def _observe(self, prefix: FinitePrefix) -> int:
         """Take prefix, which extends the last one by one entry, as the prefix seen so far, and answer it."""
         self.prefix = prefix
-        self._memo.follow(prefix)
         if self._thresholds is not None:
             self._refute_intervals(prefix)
         else:
@@ -292,7 +292,9 @@ def complement_sigma2(spec: Delta2Spec) -> Sigma2Sentence:
 
 def guesser_from_delta2(spec: Delta2Spec, sig: Signature | None = None) -> Guesser:
     """Guess 1 exactly when mu for the set stays at or below mu for the complement; both
-    streams observe each prefix and share one memo, so a term both sentences write is evaluated once."""
+    streams share one memo, so a term both sentences write is evaluated once.  Between calls both
+    stand at one prefix, and every table entry was evaluated over a prefix of it; replaying to the
+    next, the stream asked second may read entries past where it stands, so a raise restarts both."""
     mu = MuStream(spec.sigma2, sig)
     nu = MuStream(complement_sigma2(spec), sig)
     nu._memo = mu._memo
@@ -300,8 +302,11 @@ def guesser_from_delta2(spec: Delta2Spec, sig: Signature | None = None) -> Guess
     def evaluate(prefix: FinitePrefix) -> int:
         try:
             return 1 if mu(prefix) <= nu(prefix) else 0
-        except Exception as exc:  # what no host tagged is a fault of the package, not of this guesser
-            exc.__dict__.setdefault("raised_by", None)
+        except BaseException as exc:
+            mu._restart()
+            nu._restart()
+            if isinstance(exc, Exception):  # what no host tagged is a fault of the package, not of this guesser
+                exc.__dict__.setdefault("raised_by", None)
             raise
 
     return Guesser(

@@ -366,39 +366,6 @@ def test_a_memo_holds_every_node_it_resolved(sig):
     assert node() is not None
 
 
-def test_a_memo_drops_its_tables_when_the_prefix_it_follows_moves_elsewhere(sig):
-    matrix = parse("G[ f(z) : z .. y ] = x", sig)
-    memo = EllipsisMemo()
-
-    def follow(prefix):
-        memo.follow(prefix)
-        for y in range(len(prefix) + 1):
-            for x in range(13):
-                s = {"x": x, "y": y}
-                assert attempt(matrix, prefix, sig, s, memo) == attempt(matrix, prefix, sig, s), (prefix, s)
-        return len(memo.tables)
-
-    views = [FinitePrefix((1,))]
-    for value in (2, 0, 4):
-        views.append(views[-1].extended(value))
-    # the same prefix, an equal one of another list, and one longer by one entry keep the table
-    assert [follow(p) for p in (*views[:3], views[2], FinitePrefix((1, 2, 0)), views[3])] == [1] * 6
-    assert memo.tables[next(iter(memo.tables))][0] == views[3]
-    # a shorter prefix, or one that differs, drops it: (5, 2) sums to 7 where the old table says 3
-    for elsewhere in (views[1], FinitePrefix((5, 2))):
-        memo.follow(elsewhere)
-        assert not memo.tables
-        follow(elsewhere)
-    # one that extends the last by more than one entry, of another list, keeps the same tables
-    tables = list(memo.tables.values())
-    assert follow(FinitePrefix((5, 2, 9, 9))) == len(tables)
-    assert all(table is kept for table, kept in zip(memo.tables.values(), tables))
-    for elsewhere in (FinitePrefix((5,)), FinitePrefix((6, 2, 9, 9, 1))):
-        memo.follow(elsewhere)
-        assert not memo.tables
-        follow(elsewhere)
-
-
 def test_memo_spends_budget_only_on_new_entries(sig):
     half = MAX_BOUNDED_INSTANCES // 2 + 1
     matrix = parse("G[ f(z) : z .. y ] = 0", sig)

@@ -10,6 +10,11 @@ bench's ``mu.sigma2.lg``, and both sentences of the bench's ``Gz`` pair with
 - ``mu`` never decreases from a word to a one-entry extension;
 - an attempt that succeeded on a word, for any outer and inner value up to
   its length, gives the same truth on every one-entry extension (locality).
+
+For the ``contains_zero_delta2()`` pair and the bench's ``Gz`` pair, one
+``guesser_from_delta2``, whose two streams share one memo, asked about each
+word in walk order guesses 1 exactly when ``mu_from_sigma2`` of the set's
+sentence is at most that of the complement's.
 """
 
 from pathlib import Path
@@ -24,6 +29,7 @@ from guessability.synth import (
     _delta2_from_texts,
     complement_sigma2,
     contains_zero_delta2,
+    guesser_from_delta2,
     mu_from_sigma2,
 )
 
@@ -32,14 +38,18 @@ ALPHABET = (0, 1, 2)
 DEPTH = 6  # 1,092 words, about 4 s on a shared 2-vCPU VM; DEPTH 7 took 16 s there
 
 
-def sentences():
-    """(id, sentence, signature) for each sentence the walk checks."""
-    cz = contains_zero_delta2()
+def pairs():
+    """(id, Delta2 pair, signature) for each pair the walk checks."""
     gz_sig = lang.load_signature((INPUTS / "gz.sig").read_text())
     gz = _delta2_from_texts(*((INPUTS / f"Gz.{kind}.lg").read_text() for kind in ("pi2", "sigma2")),
                             gz_sig)
+    return [("contains-zero", contains_zero_delta2(), lang.default_signature()), ("gz", gz, gz_sig)]
+
+
+def sentences():
+    """(id, sentence, signature) for each sentence the walk checks."""
+    (_, cz, sig), (_, gz, gz_sig) = pairs()
     mu_sentence = lang.Sigma2Sentence.from_formula(lang.parse((INPUTS / "mu.sigma2.lg").read_text()))
-    sig = lang.default_signature()
     return [("contains-zero", cz.sigma2, sig), ("contains-zero-complement", complement_sigma2(cz), sig),
             ("bench-mu", mu_sentence, sig), ("gz", gz.sigma2, gz_sig),
             ("gz-complement", complement_sigma2(gz), gz_sig)]
@@ -50,7 +60,16 @@ def outcomes(sentence, prefix, sig, pairs):
             for a, b in pairs}
 
 
-CASES = sentences()
+def words(prefix: FinitePrefix = FinitePrefix()):
+    """Every word over ALPHABET of length 1..DEPTH below ``prefix``, depth first."""
+    for value in ALPHABET:
+        word = prefix.extended(value)
+        yield word
+        if len(word) < DEPTH:
+            yield from words(word)
+
+
+CASES, PAIRS = sentences(), pairs()
 
 
 @pytest.mark.parametrize("sentence, sig", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
@@ -78,3 +97,11 @@ def test_every_short_word_keeps_the_contracts(sentence, sig):
 
     walk(FinitePrefix(), 0, {})
     assert words == sum(len(ALPHABET) ** k for k in range(1, DEPTH + 1))
+
+
+@pytest.mark.parametrize("spec, sig", [case[1:] for case in PAIRS], ids=[case[0] for case in PAIRS])
+def test_a_delta2_guesser_with_one_memo_guesses_every_short_word(spec, sig):
+    guesser, complement = guesser_from_delta2(spec, sig), complement_sigma2(spec)
+    for word in words():
+        expected = 1 if mu_from_sigma2(spec.sigma2, word, sig) <= mu_from_sigma2(complement, word, sig) else 0
+        assert guesser(word) == expected, word.entries

@@ -704,6 +704,80 @@ def test_a_stream_survives_a_host_that_raises_once(text):
     assert raised
 
 
+JUMP = ((1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 3), (1, 0, 9, 9, 0), (1, 0, 9, 9, 0, 0))
+PAST = ((1, 0), (1, 0, 9), (1, 0, 9, 9, 0))
+
+
+@pytest.mark.parametrize("shift, symbol, at, calls, asked, expected", [
+    (2, "M", 2, 2, JUMP, [0, 0, 1, 1]),
+    (2, "N", 2, 2, JUMP, [0, 0, 1, 1]),
+    (2, "M", 3, 1, PAST, [0, 1, 1]),
+    (2, "N", 3, 1, PAST, [0, 1, 1]),
+    (0, "M", 3, 1, PAST, [1, 1, 1]),
+], ids=["inside-mu", "inside-nu", "inside-mu-past-a-prefix", "inside-nu-past-a-prefix",
+        "equal-sets-inside-mu-past-a-prefix"])
+def test_a_delta2_guesser_survives_a_host_that_raises_once(shift, symbol, at, calls, asked, expected):
+    # Both sentences write one term, the sum of f up to one entry past y, mu's plus shift.
+    # M is asked only inside mu and N only inside nu; the armed one raises on its calls-th
+    # call at y = at while the guesser jumps from (1,) to (1, 0, 9, 9, 0).  Replaying the
+    # jump, nu finds sums over (1, 0, 9) in the memo mu filled: 19 at y = 2 on (1, 0), which
+    # must not refute witnesses for (1, 0, 0, 0, 0), and 10 at y = 1, which must not leave
+    # nu's answer for (1, 0) standing when it raises at y = 3 on (1, 0, 9).  With shift 0 the
+    # two sets are equal, and the same stale answer would show in mu were it asked second.
+    sig = default_signature()
+    sig.register_seq_function("G", sum)
+    countdown = {}
+
+    def host(name):
+        def flaky(y):
+            if y == at and countdown.get(name):
+                countdown[name] -= 1
+                if not countdown[name]:
+                    raise RuntimeError(f"{name} on {at}")
+            return 0
+
+        return flaky
+
+    for name in "MN":
+        sig.register_function(name, 1, host(name))
+    spec = Delta2Spec(
+        pi2=Pi2Sentence.from_formula(parse(
+            "forall x. exists y. !(G[ f(z) : z .. add(y, 1) ] <= x & N(y) = 0)", sig)),
+        sigma2=Sigma2Sentence.from_formula(parse(
+            f"exists x. forall y. (add(G[ f(z) : z .. add(y, 1) ], {shift}) <= x & M(y) = 0)", sig)))
+    guesser = guesser_from_delta2(spec, sig)
+    assert guesser(FinitePrefix((1,))) == 1
+    countdown[symbol] = calls
+    with pytest.raises(RuntimeError, match=f"^{symbol} on {at}$"):
+        guesser(FinitePrefix((1, 0, 9, 9, 0)))
+    later = [FinitePrefix(entries) for entries in asked]
+    answers = [guesser(p) for p in later]
+    assert answers == [guesser_from_delta2(spec, sig)(p) for p in later] == expected
+
+
+def test_a_stream_clears_its_memo_when_it_restarts():
+    sig = default_signature()
+    sig.register_seq_function("G", sum)
+    sentence = Sigma2Sentence.from_formula(parse("exists x. forall y. G[ f(z) : z .. y ] <= x", sig))
+    stream = MuStream(sentence, sig)
+
+    def tables(entries):
+        prefix = FinitePrefix(entries)
+        assert stream(prefix) == mu_from_sigma2(sentence, prefix, sig), entries
+        found = list(stream._memo.tables.values())
+        # every table holds entries of this prefix only
+        assert found and all(prefix.past(entries_so_far) is not None for entries_so_far, _ in found)
+        return found
+
+    kept = tables((5, 2))
+    # one that extends the last by more than one entry, of another list, keeps the same tables
+    same = tables((5, 2, 9, 9))
+    assert len(same) == len(kept) and all(map(operator.is_, same, kept))
+    for elsewhere in ((5,), (6, 2, 9, 9, 1)):  # a shorter prefix, or one that differs, clears them
+        kept, old = tables(elsewhere), kept
+        assert not any(table is gone for table in kept for gone in old)
+
+
 def test_a_prefix_that_raised_is_not_answered_from_the_last_success():
     sig = default_signature()
     raised = []

@@ -266,7 +266,6 @@ def test_topology_pairs_match_the_reference(for_set, for_complement, entries):
     for p in views_of(entries):
         outcomes = []
         for _, sig, memo, sentences in sides:
-            memo.follow(p)  # one memo for both sentences over the growing prefix, as a guesser shares it
             outcomes.append([
                 attempt(sentence.matrix, p, sig, s, shared)
                 for sentence in sentences for i in range(4) for j in range(len(p) + 2)
