@@ -248,11 +248,11 @@ def attempt(formula: Formula, prefix: FinitePrefix, sig: Signature | None = None
 
     With no assignment the formula is read as a closed sentence.  Fails the
     moment any query goes past the prefix's last index, so the padding is
-    never read; an empty prefix fails on the first query.  A memo must only
-    see the formulas that share it over prefixes that extend one another; a
-    caller that moves elsewhere takes a fresh memo or clears its ``tables``,
-    as a restarting ``MuStream`` does.  An ellipsis value or entry found in it
-    is not evaluated again, and one that evaluates without raising is stored.
+    never read; an empty prefix fails on the first query.  A memo must only see
+    the formulas that share it over prefixes that extend one another; a caller
+    that moves elsewhere takes a fresh memo or clears its ``tables``, as a
+    restarting ``MuStream`` does, for the two searches of a Delta2 guesser too.
+    An ellipsis value or entry found in it is not evaluated again; one evaluated without raising is stored.
     """
     evaluation = _Evaluation(prefix.read, sig, memo)
     try:

@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterator
 
 from . import pairing
 from .lang import (
-    BINARY,
+    Eq,
     Formula,
     LangError,
     Not,
@@ -110,9 +110,6 @@ def mu_from_sigma2(sentence: Sigma2Sentence, prefix: FinitePrefix,
     return len(prefix)
 
 
-_CONNECTIVES = (Not, *(connective for connective, _, _ in BINARY))
-
-
 def _thresholds(matrix: Formula, var: str, sig: Signature) -> list[Term] | None:
     """The terms ``var`` is compared with, if it occurs only as a whole comparison operand.
 
@@ -124,7 +121,7 @@ def _thresholds(matrix: Formula, var: str, sig: Signature) -> list[Term] | None:
     found: list[Term] = []
 
     def only_compared(node: Formula) -> bool:
-        if isinstance(node, _CONNECTIVES):
+        if not isinstance(node, (Eq, Pred)):  # a connective: the matrix is quantifier-free
             return all(map(only_compared, children(node)))
         if var not in free_vars(node):
             return True
@@ -151,10 +148,9 @@ class MuStream:
     reaches that index.  A refuted witness therefore stays refuted, and mu
     never decreases.  For the same reason each ellipsis entry is evaluated
     once for each value of the body's free variables (see EllipsisMemo), which
-    assumes deterministic hosts; a restart clears the memo, so streams may
-    share it while the prefixes they evaluate over extend one another.
+    assumes deterministic hosts; a restart clears the memo.
 
-    Both searches take their attempts from one loop (_decided), which tries
+    Both ways of searching take their attempts from one loop (_decided), which tries
     each inner ``b`` when it first appears or, once failed, falls due, and
     yields the truth of each attempt that succeeds.  When the outer variable
     occurs only as a whole operand of a comparison (see _thresholds), which
@@ -183,7 +179,7 @@ class MuStream:
 
     def _restart(self) -> None:
         self.prefix = FinitePrefix(())
-        self._answered = self.prefix, math.inf  # the last prefix observed without raising, and mu; none yet
+        self._answered = self.prefix, math.inf  # the last prefix answered, and its answer; none yet
         self._a = 0  # on the interval path, math.inf once every witness is refuted
         self._next_b = 0
         self._failed: list[tuple[int, int]] = []  # heap of (offending index, b) for failed b
@@ -208,14 +204,17 @@ class MuStream:
             added = prefix.past(self.prefix)
         for value in added[:-1]:
             self.push(value)
-        return self._observe(prefix)
+        self._answered = prefix, self._observe(prefix)
+        return self._answered[1]
 
     def push(self, value: int) -> int:
         """Observe the next entry and return mu for the prefix seen so far, answering it as __call__ does."""
-        return self._observe(self.prefix.extended(value))
+        prefix = self.prefix.extended(value)
+        self._answered = prefix, self._observe(prefix)
+        return self._answered[1]
 
     def _observe(self, prefix: FinitePrefix) -> int:
-        """Take prefix, which extends the last one by one entry, as the prefix seen so far, and answer it."""
+        """Take prefix, one entry past the last, as the prefix seen so far, and return mu for it."""
         self.prefix = prefix
         if self._thresholds is not None:
             self._refute_intervals(prefix)
@@ -225,8 +224,7 @@ class MuStream:
                 self._a += 1
                 self._next_b = 0
                 self._failed = []
-        self._answered = prefix, min(self._a, len(prefix))
-        return self._answered[1]
+        return min(self._a, len(prefix))
 
     def _due(self, prefix: FinitePrefix) -> Iterator[int]:
         """Each failed b whose offending index the prefix reaches, then each b not yet tried.
@@ -290,29 +288,35 @@ def complement_sigma2(spec: Delta2Spec) -> Sigma2Sentence:
     return Sigma2Sentence(spec.pi2.outer, spec.pi2.inner, Not(spec.pi2.matrix))
 
 
-def guesser_from_delta2(spec: Delta2Spec, sig: Signature | None = None) -> Guesser:
-    """Guess 1 exactly when mu for the set stays at or below mu for the complement; both
-    streams share one memo, so a term both sentences write is evaluated once.  Between calls both
-    stand at one prefix, and every table entry was evaluated over a prefix of it; replaying to the
-    next, the stream asked second may read entries past where it stands, so a raise restarts both."""
-    mu = MuStream(spec.sigma2, sig)
-    nu = MuStream(complement_sigma2(spec), sig)
-    nu._memo = mu._memo
+class _Delta2Stream(MuStream):
+    """A Delta2 guesser: mu's search for the set, then nu's for its complement, take each entry of
+    one prefix before it is answered, 1 exactly when mu <= nu, else 0.  One memo serves both, so
+    a term both sentences write is evaluated once, and one restart clears it and both searches."""
 
-    def evaluate(prefix: FinitePrefix) -> int:
+    def __init__(self, spec: Delta2Spec, sig: Signature | None):
+        self._nu = MuStream(complement_sigma2(spec), sig)  # only its search runs, on this stream's prefix
+        super().__init__(spec.sigma2, sig)
+        self._nu._memo = self._memo
+
+    def __call__(self, prefix: FinitePrefix) -> int:
         try:
-            return 1 if mu(prefix) <= nu(prefix) else 0
-        except BaseException as exc:
-            mu._restart()
-            nu._restart()
-            if isinstance(exc, Exception):  # what no host tagged is a fault of the package, not of this guesser
-                exc.__dict__.setdefault("raised_by", None)
+            return super().__call__(prefix)
+        except Exception as exc:  # what no host tagged is a fault of the package, not of this guesser
+            exc.__dict__.setdefault("raised_by", None)
             raise
 
-    return Guesser(
-        evaluate=evaluate,
-        provenance=f"mu<=nu for sigma2={spec.sigma2.text()!r} pi2={spec.pi2.text()!r}",
-    )
+    def _restart(self) -> None:
+        super()._restart()
+        self._nu._restart()
+
+    def _observe(self, prefix: FinitePrefix) -> int:
+        return 1 if super()._observe(prefix) <= self._nu._observe(prefix) else 0
+
+
+def guesser_from_delta2(spec: Delta2Spec, sig: Signature | None = None) -> Guesser:
+    """Guess 1 exactly when mu for the set stays at or below mu for the complement (see _Delta2Stream)."""
+    return Guesser(evaluate=_Delta2Stream(spec, sig),
+                   provenance=f"mu<=nu for sigma2={spec.sigma2.text()!r} pi2={spec.pi2.text()!r}")
 
 
 # ---------------------------------------------------------------------------

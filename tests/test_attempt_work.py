@@ -73,7 +73,7 @@ def test_a_warm_guess_step_of_the_bench_gz_guesser(seq):
         prefix = prefix.extended(source.query(i))
         guesser(prefix)
     prefix = prefix.extended(source.query(40))
-    assert calls_of(guesser, prefix) <= 187
+    assert calls_of(guesser, prefix) <= 183
 
 
 def test_a_warm_push_of_the_bench_mu_stream():

@@ -2,7 +2,7 @@
 an overguesser through ``mu_prime_host``) reads the memo's own prefix view, and
 the memo asks it once per size, so the paper's round trip guesser -> Delta2
 sentences -> guesser pushes its inner streams instead of replaying them, and
-keeps the original guesser's final guess.  Equal ellipsis terms share a table, and a Delta2 guesser's two streams
+keeps the original guesser's final guess.  Equal ellipsis terms share a table, and a Delta2 guesser's two searches
 share one memo, so each host is asked once per size, always about views of one
 list.  A host that extends its view, or a stream it feeds, leaves the memo's
 entries alone, and a body value below 0 is an error whatever the host."""

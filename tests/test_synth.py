@@ -708,17 +708,26 @@ JUMP = ((1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 3), (1, 0, 9, 9, 0), (1, 0, 9, 9, 0, 0)
 PAST = ((1, 0), (1, 0, 9), (1, 0, 9, 9, 0))
 
 
-@pytest.mark.parametrize("shift, symbol, at, calls, asked, expected", [
-    (2, "M", 2, 2, JUMP, [0, 0, 1, 1]),
-    (2, "N", 2, 2, JUMP, [0, 0, 1, 1]),
-    (2, "M", 3, 1, PAST, [0, 1, 1]),
-    (2, "N", 3, 1, PAST, [0, 1, 1]),
-    (0, "M", 3, 1, PAST, [1, 1, 1]),
+class Interrupted(BaseException):
+    """Raised as an interrupt is, past every ``except Exception``."""
+
+
+@pytest.mark.parametrize("shift, symbol, at, calls, asked, expected, error", [
+    (2, "M", 2, 2, JUMP, [0, 0, 1, 1], RuntimeError),
+    (2, "N", 2, 2, JUMP, [0, 0, 1, 1], RuntimeError),
+    (2, "M", 3, 1, PAST, [0, 1, 1], RuntimeError),
+    (2, "N", 3, 1, PAST, [0, 1, 1], RuntimeError),
+    (0, "M", 3, 1, PAST, [1, 1, 1], RuntimeError),
+    (2, "M", 2, 2, JUMP, [0, 0, 1, 1], Interrupted),
+    (2, "N", 2, 2, JUMP, [0, 0, 1, 1], Interrupted),
+    (2, "M", 3, 1, PAST, [0, 1, 1], Interrupted),
+    (2, "N", 3, 1, PAST, [0, 1, 1], Interrupted),
 ], ids=["inside-mu", "inside-nu", "inside-mu-past-a-prefix", "inside-nu-past-a-prefix",
-        "equal-sets-inside-mu-past-a-prefix"])
-def test_a_delta2_guesser_survives_a_host_that_raises_once(shift, symbol, at, calls, asked, expected):
+        "equal-sets-inside-mu-past-a-prefix", "interrupted-inside-mu", "interrupted-inside-nu",
+        "interrupted-inside-mu-past-a-prefix", "interrupted-inside-nu-past-a-prefix"])
+def test_a_delta2_guesser_survives_a_host_that_raises_once(shift, symbol, at, calls, asked, expected, error):
     # Both sentences write one term, the sum of f up to one entry past y, mu's plus shift.
-    # M is asked only inside mu and N only inside nu; the armed one raises on its calls-th
+    # M is asked only inside mu and N only inside nu; the armed one raises error on its calls-th
     # call at y = at while the guesser jumps from (1,) to (1, 0, 9, 9, 0).  Replaying the
     # jump, nu finds sums over (1, 0, 9) in the memo mu filled: 19 at y = 2 on (1, 0), which
     # must not refute witnesses for (1, 0, 0, 0, 0), and 10 at y = 1, which must not leave
@@ -733,7 +742,7 @@ def test_a_delta2_guesser_survives_a_host_that_raises_once(shift, symbol, at, ca
             if y == at and countdown.get(name):
                 countdown[name] -= 1
                 if not countdown[name]:
-                    raise RuntimeError(f"{name} on {at}")
+                    raise error(f"{name} on {at}")
             return 0
 
         return flaky
@@ -748,11 +757,35 @@ def test_a_delta2_guesser_survives_a_host_that_raises_once(shift, symbol, at, ca
     guesser = guesser_from_delta2(spec, sig)
     assert guesser(FinitePrefix((1,))) == 1
     countdown[symbol] = calls
-    with pytest.raises(RuntimeError, match=f"^{symbol} on {at}$"):
+    with pytest.raises(error, match=f"^{symbol} on {at}$"):
         guesser(FinitePrefix((1, 0, 9, 9, 0)))
     later = [FinitePrefix(entries) for entries in asked]
     answers = [guesser(p) for p in later]
     assert answers == [guesser_from_delta2(spec, sig)(p) for p in later] == expected
+
+
+def test_a_delta2_guesser_that_jumps_pays_the_host_calls_of_a_fresh_one():
+    # one restart clears the one memo, and nu reads the entries mu evaluated again after it
+    sig = default_signature()
+    calls = []
+
+    def counted(t):
+        calls.append(len(t))
+        return SEQ_BUILTINS["contains0"](t)
+
+    sig.register_seq_function("Gz", counted)
+    spec = synth._delta2_from_texts(*((INPUTS / f"Gz.{kind}.lg").read_text() for kind in ("pi2", "sigma2")), sig)
+
+    def cost(guesser, entries):
+        calls.clear()
+        return guesser(FinitePrefix(entries)), len(calls)
+
+    guesser = guesser_from_delta2(spec, sig)
+    cost(guesser, (1,) * 30)
+    for entries, host_calls in (((1,) * 29 + (0,), 30), ((1,) * 29, 29), ((0,) * 30, 30)):
+        answer, made = cost(guesser, entries)
+        assert (answer, made) == cost(guesser_from_delta2(spec, sig), entries), entries
+        assert made == host_calls, entries
 
 
 def test_a_stream_clears_its_memo_when_it_restarts():
