@@ -77,7 +77,6 @@ from .synth import (
     guesser_sentence_texts,
     mu_from_sigma2,
     mu_prime_host,
-    overguesser_from_sigma2,
     overguesser_sentence_text,
     sentences_from_guesser,
     sigma2_from_countable_family,

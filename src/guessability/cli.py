@@ -7,11 +7,11 @@ guesser over growing prefixes), ``mu`` (trace an overguesser), ``adversary``
 sequence, the guessers guess). ``build_parser`` makes the one argparse parser
 of the command line from one table, ``COMMANDS``, which also renders ``--help``.
 
-Exit codes: 0 ok, 2 parse or signature error, 3 adversary or evaluation budget
-exhausted, 4 density violation (no suitable extension at some prefix), 5 a host
-or guesser raised, not ``ValueError`` (``error:`` names it), 74 standard output
-not writable (as on a full disk), 141 standard output closed early (as by
-``| head``).  A standard error that cannot be written loses its lines but changes no exit code.
+Exit codes: 0 ok, 2 parse or signature error, 3 adversary or evaluation budget exhausted, 4
+density violation (no suitable extension at some prefix), 5 a host or guesser raised, not
+``ValueError`` (``error:`` names it), 74 standard output not writable (as on a full disk), 130
+interrupted (as by Ctrl-C), 141 standard output closed early (as by ``| head``).  A standard
+error that cannot be written loses its lines but changes no exit code.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ EXIT_BUDGET = 3
 EXIT_DENSITY = 4
 EXIT_HOST = 5
 EXIT_OUTPUT = 74  # EX_IOERR of sysexits.h
+EXIT_INTERRUPT = 130  # what a shell reports for a process killed by SIGINT
 EXIT_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
 
 
@@ -42,24 +43,19 @@ class CliError(Exception):
 
 
 class GuessTrace(lang.Record):
-    """Guesses at prefix lengths 1..horizon with the observed settling point.
+    """The last guess of a trace, and the least length from which every guess equals it."""
 
-    stable_from is the least length from which the guesses stay constant
-    through the horizon; it never claims anything beyond the horizon.
-    """
+    final: int
+    stable_from: int
 
-    guesses: tuple[int, ...]
-
-    @property
-    def final(self) -> int:
-        return self.guesses[-1]
-
-    @property
-    def stable_from(self) -> int:
-        settle = len(self.guesses)
-        while settle > 1 and self.guesses[settle - 2] == self.guesses[-1]:
-            settle -= 1
-        return settle
+    @classmethod
+    def of(cls, guesses) -> GuessTrace:
+        """The trace of an iterable of the guesses at lengths 1, 2, ..., keeping none of them."""
+        final = stable_from = None
+        for length, guess in enumerate(guesses, start=1):
+            if guess != final:
+                final, stable_from = guess, length
+        return cls(final, stable_from)
 
 
 def trace_guesser(guesser: synth.Guesser, source: oracle.SequenceOracle,
@@ -67,11 +63,7 @@ def trace_guesser(guesser: synth.Guesser, source: oracle.SequenceOracle,
     if horizon < 1:
         raise CliError("horizon must be at least 1")
     prefix = oracle.FinitePrefix()
-    guesses = []
-    for i in range(horizon):
-        prefix = prefix.extended(source.query(i))
-        guesses.append(guesser(prefix))
-    return GuessTrace(tuple(guesses))
+    return GuessTrace.of(guesser(prefix := prefix.extended(source.query(i))) for i in range(horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +207,26 @@ def cmd_guess(args) -> int:
     sig = _load_signature(args.sig)
     spec = _guess_spec_from_args(args, sig)
     guesser = synth.guesser_from_delta2(spec, sig)
-    trace = trace_guesser(guesser, oracle.from_spec(args.seq), args.horizon)
+    guesses, opened = [], False  # only --json keeps the guesses; the text prints each on one line
+
+    def shown(prefix: oracle.FinitePrefix) -> int:
+        nonlocal opened
+        guess = guesser(prefix)
+        if args.json:
+            guesses.append(guess)
+        else:
+            print(f" {guess}" if opened else f"trace: {guess}", end="")
+            opened = True
+        return guess
+
+    try:
+        trace = trace_guesser(shown, oracle.from_spec(args.seq), args.horizon)
+    finally:
+        if opened:  # also when a later guess raised, so the error comes after a whole line
+            print()
     if args.json:
-        _json({"trace": list(trace.guesses), "stable_from": trace.stable_from,
-               "final": trace.final})
+        _json({"trace": guesses, "stable_from": trace.stable_from, "final": trace.final})
     else:
-        print("trace: " + " ".join(str(g) for g in trace.guesses))
         print(f"stable_from: {trace.stable_from}")
         print(f"final: {trace.final}")
     return EXIT_OK
@@ -233,12 +239,11 @@ def cmd_mu(args) -> int:
     sentence = _load_sentence(args.sentence, sig, lang.Sigma2Sentence.from_formula)
     source = oracle.from_spec(args.seq)
     stream = synth.MuStream(sentence, sig)
-    rows = [stream.push(source.query(i)) for i in range(args.horizon)]
     if args.json:
-        _json({"mu": rows})
+        _json({"mu": [stream.push(source.query(i)) for i in range(args.horizon)]})
     else:
-        for length, value in enumerate(rows, start=1):
-            print(f"len={length} mu={value}")
+        for i in range(args.horizon):
+            print(f"len={i + 1} mu={stream.push(source.query(i))}")
     return EXIT_OK
 
 
@@ -361,7 +366,7 @@ def cmd_play(args) -> int:
             if line == ":trace":
                 for name, _, trace in rows:
                     if trace:
-                        gt = GuessTrace(tuple(trace))
+                        gt = GuessTrace.of(trace)
                         print(f"{name}: trace={' '.join(map(str, trace))} "
                               f"stable_from={gt.stable_from} final={gt.final}")
                     else:
@@ -380,7 +385,7 @@ def cmd_play(args) -> int:
         print(f"sequence so far: {oracle.prefix_spec(prefix)}")
         for name, _, trace in rows:
             if trace:
-                gt = GuessTrace(tuple(trace))
+                gt = GuessTrace.of(trace)
                 print(f"{name}: final={gt.final} stable_from={gt.stable_from}")
     return EXIT_OK
 
@@ -492,6 +497,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except CliError as exc:
         code, message = exc.code, str(exc)
+    except KeyboardInterrupt:  # what was printed stays
+        code, message = EXIT_INTERRUPT, "interrupted"
     except semantics.EvaluationBudgetExhausted as exc:
         code, message = EXIT_BUDGET, f"budget exhausted: {exc}"
     except adv.ExtensionUnavailable as exc:

@@ -273,12 +273,6 @@ class MuStream:
             self._a = max(self._a, heapq.heappop(self._refuted)[1])
 
 
-def overguesser_from_sigma2(sentence: Sigma2Sentence,
-                            sig: Signature | None = None) -> MuStream:
-    """mu for a sentence as a prefix-indexed overguesser: the stream is the overguesser."""
-    return MuStream(sentence, sig)
-
-
 # ---------------------------------------------------------------------------
 # Guesser from a Delta2 pair
 

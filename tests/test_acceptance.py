@@ -29,6 +29,7 @@ from guessability.oracle import FinitePrefix, SequenceOracle, from_spec, prefix_
 from guessability.semantics import attempt, eval_qf
 from guessability.synth import (
     Guesser,
+    MuStream,
     contains_zero_delta2,
     contains_zero_guesser,
     delta2_from_topology,
@@ -36,7 +37,6 @@ from guessability.synth import (
     guesser_sentence_texts,
     mu_from_sigma2,
     mu_prime_host,
-    overguesser_from_sigma2,
     overguesser_sentence_text,
     sentences_from_guesser,
     sigma2_from_countable_family,
@@ -229,7 +229,7 @@ MEMBER_BOUND = 15
 def test_criterion_8_overguesser_round_trip():
     sig = load_signature("fn g 2 constfam\n")
     family_sentence = sigma2_from_countable_family("g", sig)
-    over = overguesser_from_sigma2(family_sentence, sig)
+    over = MuStream(family_sentence, sig)
     sig.register_seq_function("Mu", mu_prime_host(over))
     rebuilt_sentence = sigma2_from_overguesser("Mu", sig)
     grid = (10, 30, 60, 90, 120, 150)
@@ -283,7 +283,7 @@ def test_criterion_9_topology_construction():
         for source in group:
             trace = trace_guesser(guesser, source, horizon=8)
             if trace.final != label or trace.stable_from != 1:
-                failures.append((source.describe, label, trace.guesses))
+                failures.append((source.describe, label, trace))
     report(9, "first-entry topology tables give an immediately stable guesser", failures)
 
 
@@ -291,7 +291,7 @@ def test_criterion_10_parser_round_trip():
     sig = default_signature()
     sig.register_seq_function("G", lambda t: sum(t))
     sig.register_seq_function("Gz", contains_zero_guesser())
-    over = overguesser_from_sigma2(contains_zero_delta2().sigma2, sig)
+    over = MuStream(contains_zero_delta2().sigma2, sig)
     sig.register_seq_function("Mu", mu_prime_host(over))
 
     corpus = [

@@ -101,7 +101,7 @@ def test_a_repeated_overguesser_host_call_on_a_view_it_answered():
     """The ``mu_prime_host`` host of a stream, called again on the view it answered last."""
     sentence = lang.Sigma2Sentence.from_formula(
         lang.parse((INPUTS / "mu.sigma2.lg").read_text()))
-    host = synth.mu_prime_host(synth.overguesser_from_sigma2(sentence))
+    host = synth.mu_prime_host(synth.MuStream(sentence))
     prefix = FinitePrefix((1, 1, 1, 0, 0))
     host(prefix)
     assert calls_of(host, prefix) <= 4

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -364,11 +366,23 @@ def test_guess_unknown_builtin(capsys):
     assert "unknown builtin" in err
 
 
+def settled_after_the_whole_trace(guesses: list[int]) -> GuessTrace:
+    """The reference: the trace read back from its last guess, once every guess is kept."""
+    settle = len(guesses)
+    while settle > 1 and guesses[settle - 2] == guesses[-1]:
+        settle -= 1
+    return GuessTrace(guesses[-1], settle)
+
+
 def test_guess_trace_stable_from():
-    assert GuessTrace((0, 0, 1, 1)).stable_from == 3
-    assert GuessTrace((1, 1)).stable_from == 1
-    assert GuessTrace((0, 1, 0)).stable_from == 3
-    assert GuessTrace((1,)).final == 1
+    """The fold reads each guess once, as it arrives."""
+    for guesses, stable_from in (((0, 0, 1, 1), 3), ((1, 1), 1), ((0, 1, 0), 3), ((1,), 1)):
+        assert GuessTrace.of(iter(guesses)) == GuessTrace(guesses[-1], stable_from), guesses
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=40))
+def test_the_guess_trace_fold_agrees_with_the_whole_trace(guesses):
+    assert GuessTrace.of(iter(guesses)) == settled_after_the_whole_trace(guesses)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +400,45 @@ def test_mu_plain_lines(capsys, s2_file):
     code, out, _ = run(capsys, "mu", s2_file, "--seq", "plantzero:1", "--horizon", "3")
     assert code == 0
     assert out.splitlines() == ["len=1 mu=1", "len=2 mu=1", "len=3 mu=1"]
+
+
+def peak_growth_per_step(run) -> float:
+    """Peak traced bytes per step of ``run(horizon)`` from 10,000 steps to 20,000, after
+    a short run has filled every cache that is built once."""
+    def peak(horizon: int) -> int:
+        tracemalloc.start()
+        try:
+            run(horizon)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)
+    return (peak(20_000) - peak(10_000)) / 10_000
+
+
+def read_into_a_prefix(horizon: int) -> None:
+    source, prefix = oracle.from_spec("const:1"), oracle.FinitePrefix()
+    for i in range(horizon):
+        prefix = prefix.extended(source.query(i))
+
+
+@pytest.mark.parametrize("argv", [
+    ["mu", "{sentence}", "--seq", "cycle:[1]"],
+    ["guess", "--spec", "contains-zero", "--seq", "const:1"],
+], ids=["mu", "guess"])
+def test_a_trace_keeps_no_rows(tmp_path, argv):
+    """Per step, a trace holds what the sequence oracle's memo and the prefix hold (about
+    70 bytes), and less than the 8 bytes more that a list of the rows would hold."""
+    sentence = tmp_path / "mu.lg"
+    sentence.write_text("exists x. forall y. ((y > x) -> f(y) = 0)")
+    argv = [arg.format(sentence=sentence) for arg in argv]
+
+    def command(horizon: int) -> None:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert cli.main([*argv, "--horizon", str(horizon)]) == 0
+
+    assert peak_growth_per_step(command) - peak_growth_per_step(read_into_a_prefix) < 8
 
 
 def test_mu_requires_prenex_sentence(capsys, qf_file):
@@ -1006,6 +1059,23 @@ def test_play_quits_on_eof(capsys, monkeypatch):
     assert cli.main(["play"]) == 0
 
 
+def test_play_interrupted_at_the_prompt_prints_its_summary_and_exits_130(capsys, monkeypatch):
+    feed = iter(["3", "0"])
+
+    def typed(prompt=""):
+        line = next(feed, None)
+        if line is None:
+            raise KeyboardInterrupt
+        return line
+
+    monkeypatch.setattr("builtins.input", typed)
+    code, out, err = run(capsys, "play")
+    assert (code, err) == (cli.EXIT_INTERRUPT, "error: interrupted\n")
+    assert out.splitlines()[1:] == ["contains-zero: 0", "contains-zero: 1",
+                                    "sequence so far: prefix:[3,0]:pad0",
+                                    "contains-zero: final=1 stable_from=2"]
+
+
 # ---------------------------------------------------------------------------
 # hosts and guessers that raise
 
@@ -1049,6 +1119,20 @@ def test_mu_and_guess_name_the_host_that_raised(capsys, raising):
     for argv in (["mu", raising["sigma2"]], ["guess", "--sigma2", raising["sigma2"], "--pi2", raising["pi2"]]):
         code, out, err = run(capsys, *argv, "--sig", raising["sig"], "--seq", "id", "--horizon", "3")
         assert (code, out, err) == (5, "", HOST_B), argv
+
+
+def test_mu_and_guess_keep_the_rows_printed_before_a_host_raised(capsys, monkeypatch, raising):
+    """``B`` raises once it is handed four entries, first asked at length 4, so rows 1..3 are
+    printed; the open ``trace:`` line is ended before the error."""
+    def late(view):
+        return kaboom() if len(view) >= 4 else 0
+
+    monkeypatch.setitem(lang.SEQ_BUILTINS, "boom", late)
+    mu = run(capsys, "mu", raising["sigma2"], "--sig", raising["sig"], "--seq", "id", "--horizon", "9")
+    assert mu == (5, "len=1 mu=0\nlen=2 mu=0\nlen=3 mu=0\n", HOST_B)
+    guess = run(capsys, "guess", "--sigma2", raising["sigma2"], "--pi2", raising["pi2"],
+                "--sig", raising["sig"], "--seq", "id", "--horizon", "9")
+    assert guess == (5, "trace: 1 1 1\n", HOST_B)
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "permutation", "cantor"])
@@ -1181,5 +1265,5 @@ def test_option_numerals_are_decimal_naturals(capsys, qf_file, argv, flag):
 
 
 def test_records_match_their_dataclass_twins():
-    record_twins.check_against_twin(GuessTrace, [((1, 0, 1),), ((0,),), ((1, 0, 1),)])
+    record_twins.check_against_twin(GuessTrace, [(1, 3), (0, 1), (1, 3)])
     assert record_twins.defined_in(cli) == {GuessTrace}

@@ -6,6 +6,8 @@ import contextlib
 import gc
 import io
 import os
+import select
+import signal
 import subprocess
 import sys
 import textwrap
@@ -84,6 +86,30 @@ def test_a_closed_pipe_ends_with_exit_141_and_nothing_on_stderr(monkeypatch):
         proc.stderr.close()
         assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141, mode
         assert err == b"", mode
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["mu", str(ROOT / "bench" / "inputs" / "mu.sigma2.lg"), "--seq", "cycle:[1]"], b"len=1 mu="),
+    (["guess", "--spec", "contains-zero", "--seq", "const:1"], b"trace: 0"),
+], ids=["mu", "guess"])
+def test_an_interrupt_keeps_what_was_printed_and_exits_130(argv, first, monkeypatch):
+    """A trace too long to end prints its rows as they are decided, so the first
+    arrive at once, a buffer at a time when buffered; SIGINT then ends it with
+    one error line and no traceback."""
+    for mode in buffering_modes(monkeypatch):
+        proc = child([*argv, "--horizon", "9" * 23], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                     preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))  # as from a shell
+        try:
+            assert select.select([proc.stdout], [], [], 2)[0], f"{mode}: no output within 2 s"
+            head = os.read(proc.stdout.fileno(), len(first))
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert head == first, mode
+        assert (proc.returncode, err) == (cli.EXIT_INTERRUPT, b"error: interrupted\n"), mode
+    assert cli.EXIT_INTERRUPT == 130
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -27,7 +27,6 @@ from guessability.synth import (
     guesser_not,
     guesser_or,
     mu_prime_host,
-    overguesser_from_sigma2,
     sentences_from_guesser,
     sigma2_from_overguesser,
 )
@@ -180,7 +179,7 @@ def test_a_gz_guesser_asks_gz_once_per_size_about_views_of_one_list():
 
 
 def test_the_overguesser_sentence_asks_its_host_once_per_size():
-    inner = overguesser_from_sigma2(Sigma2Sentence.from_formula(
+    inner = MuStream(Sigma2Sentence.from_formula(
         parse("exists x. forall y. ((y > x) -> f(y) = 0)")))
     sig, views, horizon = default_signature(), [], 150
     sig.register_seq_function("Mu", recording(mu_prime_host(inner), views))

@@ -48,7 +48,6 @@ from guessability.synth import (
     guesser_sentence_texts,
     mu_from_sigma2,
     mu_prime_host,
-    overguesser_from_sigma2,
     sentences_from_guesser,
     sigma2_from_countable_family,
     sigma2_from_overguesser,
@@ -128,7 +127,7 @@ def test_mu_stream_rejects_empty_prefix(cz):
 
 
 def test_overguesser_wrapper_matches_mu(cz):
-    over = overguesser_from_sigma2(cz.sigma2)
+    over = MuStream(cz.sigma2)
     p = FinitePrefix((3, 0, 2))
     assert over(p) == mu_from_sigma2(cz.sigma2, p)
     assert over.sentence.text() == cz.sigma2.text()
@@ -206,7 +205,7 @@ def test_guesser_sentences_define_the_guessed_set():
 
 def test_sigma2_from_overguesser_shape():
     sig = default_signature()
-    over = overguesser_from_sigma2(contains_zero_delta2().sigma2, sig)
+    over = MuStream(contains_zero_delta2().sigma2, sig)
     sig.register_seq_function("Mu", mu_prime_host(over))
     sentence = sigma2_from_overguesser("Mu", sig)
     assert Sigma2Sentence.from_formula(sentence.formula()) == sentence
@@ -656,7 +655,7 @@ def test_interval_path_is_chosen_by_the_shape_of_the_matrix(text, thresholds):
 def test_sentences_that_do_not_qualify_keep_the_witness_by_witness_search(cz, monkeypatch):
     # contains-zero reads f at the witness; the overguesser sentence passes it to d2
     sig = default_signature()
-    sig.register_seq_function("Mu", mu_prime_host(overguesser_from_sigma2(cz.sigma2)))
+    sig.register_seq_function("Mu", mu_prime_host(MuStream(cz.sigma2)))
     assert MuStream(sigma2_from_overguesser("Mu", sig), sig)._thresholds is None
     witnesses = []
 
@@ -902,7 +901,7 @@ def test_streamed_guessers_replay_prefixes_that_do_not_extend():
         spec = Delta2Spec(pi2=Pi2Sentence("x", "y", _matrix(rnd)),
                           sigma2=Sigma2Sentence("x", "y", _matrix(rnd)))
         g = guesser_from_delta2(spec, gsig)
-        over = overguesser_from_sigma2(spec.sigma2, gsig)
+        over = MuStream(spec.sigma2, gsig)
         runs = [tuple(o.query(i) for i in range(10))
                 for o in (formula_gen.random_oracle(rnd), formula_gen.random_oracle(rnd))]
         # jumps between runs and lengths, then one run extended entry by entry

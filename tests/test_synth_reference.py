@@ -30,7 +30,6 @@ from guessability.synth import (
     contains_zero_delta2,
     guesser_from_delta2,
     guesser_not,
-    overguesser_from_sigma2,
 )
 
 GEN_SIG = formula_gen.generator_signature()
@@ -64,7 +63,7 @@ def generated_delta2(seed: int) -> Guesser:
 
 
 def generated_stream(seed: int) -> MuStream:
-    return overguesser_from_sigma2(formula_gen.gen_sigma2(random.Random(seed), 2), GEN_SIG)
+    return MuStream(formula_gen.gen_sigma2(random.Random(seed), 2), GEN_SIG)
 
 
 # each factory makes a fresh construction, so the two hosts never share a stream
