@@ -8,92 +8,29 @@ evaluation over lazy sequence oracles, synthesis of overguessers and guessers
 from prenex exists-forall / forall-exists sentence pairs, sentence generation
 from guessers, overguessers, countable families and finite topology tables,
 and diagonalizing adversaries that defeat candidate guessers.
+
+The package re-exports the names README.md documents; every other name is
+imported from its module, as ``guessability.lang.Eq``.
 """
 
-from .oracle import (
-    FinitePrefix,
-    QueryBeyondLimit,
-    SequenceOracle,
-    from_spec,
-    prefix_of,
-    prefix_spec,
-    zero_pad,
-)
-from .lang import (
-    And,
-    CaptureError,
-    EllipsisApp,
-    Eq,
-    Exists,
-    FixedApp,
-    Forall,
-    Formula,
-    Implies,
-    LangError,
-    Not,
-    Numeral,
-    Or,
-    ParseError,
-    Pi2Sentence,
-    Pred,
-    SeqApp,
-    Signature,
-    SignatureError,
-    Sigma2Sentence,
-    Term,
-    Variable,
-    default_signature,
-    free_vars,
-    load_signature,
-    parse,
-    parse_term,
-    print_formula,
-    print_term,
-    substitute,
-)
-from .semantics import (
-    AttemptOutcome,
-    EvalResult,
-    EvaluationBudgetExhausted,
-    MisplacedQuantifierError,
-    attempt,
-    eval_bounded,
-    eval_qf,
-    eval_term,
-)
+from .oracle import FinitePrefix, from_spec, zero_pad
+from .lang import free_vars, substitute
+from .semantics import AttemptOutcome, EvaluationBudgetExhausted, eval_bounded
 from .synth import (
-    Delta2Spec,
-    Guesser,
     MuStream,
-    TopologySpec,
     contains_zero_delta2,
-    contains_zero_guesser,
-    complement_sigma2,
-    delta2_from_topology,
-    guesser_and,
     guesser_from_delta2,
-    guesser_not,
-    guesser_or,
-    guesser_sentence_texts,
     mu_from_sigma2,
     mu_prime_host,
-    overguesser_sentence_text,
     sentences_from_guesser,
-    sigma2_from_countable_family,
-    sigma2_from_overguesser,
 )
-from .adversary import (
-    ExtensionOracles,
-    ExtensionUnavailable,
-    FlipTrace,
-    cantor_adversary,
-    cantor_extenders,
-    contains_zero_extenders,
-    diagonalize,
-    format_trace,
-    infinitely_many_zeros_extenders,
-    permutation_adversary,
-    permutation_extenders,
-)
+from .adversary import ExtensionOracles
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "FinitePrefix", "from_spec", "zero_pad",
+    "free_vars", "substitute",
+    "AttemptOutcome", "EvaluationBudgetExhausted", "eval_bounded",
+    "MuStream", "contains_zero_delta2", "guesser_from_delta2", "mu_from_sigma2",
+    "mu_prime_host", "sentences_from_guesser",
+    "ExtensionOracles",
+]

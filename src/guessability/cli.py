@@ -242,8 +242,11 @@ def cmd_mu(args) -> int:
     if args.json:
         _json({"mu": [stream.push(source.query(i)) for i in range(args.horizon)]})
     else:
+        out = sys.stdout  # None when started with standard output closed (>&-)
         for i in range(args.horizon):
-            print(f"len={i + 1} mu={stream.push(source.query(i))}")
+            row = f"len={i + 1} mu={stream.push(source.query(i))}\n"
+            if out is not None:
+                out.write(row)  # row and newline in one write, so an interrupt never splits a row
     return EXIT_OK
 
 

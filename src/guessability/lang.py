@@ -726,11 +726,6 @@ def parse(text: str, sig: Signature | None = None) -> Formula:
     return _parse_whole(text, sig, _Parser.parse_formula)
 
 
-def parse_term(text: str, sig: Signature | None = None) -> Term:
-    """Parse DSL text as a bare term."""
-    return _parse_whole(text, sig, _Parser.parse_term)
-
-
 def _height(node: Term | Formula) -> int:
     """Levels below the root of a syntax tree, counted without recursion."""
     height, level = 0, [node]

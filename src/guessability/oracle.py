@@ -169,13 +169,6 @@ def zero_pad(prefix: FinitePrefix) -> SequenceOracle:
                           describe="zero-padded prefix")
 
 
-def prefix_of(oracle: SequenceOracle, k: int) -> FinitePrefix:
-    """The tuple of oracle values at indices 0..k."""
-    if k < 0:
-        raise ValueError("prefix_of needs k >= 0")
-    return FinitePrefix(tuple(oracle.query(i) for i in range(k + 1)))
-
-
 def from_spec(text: str) -> SequenceOracle:
     """Build an oracle from a sequence spec string.
 

@@ -5,18 +5,12 @@ from __future__ import annotations
 import math
 
 
-def encode(a: int, b: int) -> int:
-    """Index of (a, b) in the diagonal enumeration of pairs.
-
-    Pairs are laid out diagonal by diagonal: (0,0), (1,0), (0,1),
-    (2,0), (1,1), (0,2), ...
-    """
-    s = a + b
-    return s * (s + 1) // 2 + b
-
-
 def decode(n: int) -> tuple[int, int]:
-    """Inverse of encode; total on the naturals."""
+    """The pair at index n of the diagonal enumeration; total on the naturals.
+
+    Pairs are laid out diagonal by diagonal, (0,0), (1,0), (0,1), (2,0),
+    (1,1), (0,2), ..., so (a, b) sits at index (a+b)(a+b+1)/2 + b.
+    """
     if n < 0:
         raise ValueError("pair codes are naturals")
     w = (math.isqrt(8 * n + 1) - 1) // 2

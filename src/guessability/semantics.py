@@ -2,12 +2,12 @@
 
 One evaluator serves every entry point; they differ in how an entry is read.
 Each evaluates under an assignment, a mapping from variable names to
-naturals, in which a name it does not map reads as 0.  ``eval_term`` and
-``eval_qf`` read an oracle and report which indices they read.  ``attempt``
-reads a finite prefix and fails the moment a read would look past its last
-index; given an ``EllipsisMemo`` it evaluates each entry of an ellipsis term,
-or of any equal one, once for each value of the body's free variables along a
-growing prefix, whatever the bounds that ask for it.  A sequence host gets the
+naturals, in which a name it does not map reads as 0.  ``eval_qf`` reads
+an oracle and reports which indices it read.  ``attempt`` reads a finite
+prefix and fails the moment a read would look past its last index; given an
+``EllipsisMemo`` it evaluates each entry of an ellipsis term, or of any equal
+one, once for each value of the body's free variables along a growing prefix,
+whatever the bounds that ask for it.  A sequence host gets the
 body values as a ``FinitePrefix`` view (call ``tuple(t)`` for a tuple), so one
 below 0 raises; what a host raises gets ``raised_by``, "the host of 'B'" for the
 innermost.  ``eval_bounded`` restricts quantifiers to 0..bound.  Connectives are never
@@ -216,9 +216,9 @@ class _Evaluation:
         raise TypeError(f"not a formula: {formula!r}")
 
 
-def _recorded(evaluate: Callable, node: Term | Formula, oracle: SequenceOracle,
-              s: Mapping[str, int] | None, sig: Signature | None) -> EvalResult:
-    """Run ``evaluate`` (``_Evaluation.value`` or ``.truth``) over the oracle, noting each index read."""
+def eval_qf(formula: Formula, oracle: SequenceOracle, s: Mapping[str, int] | None = None,
+            sig: Signature | None = None) -> EvalResult:
+    """Truth of a quantifier-free formula, with the oracle indices this evaluation read."""
     queried: set[int] = set()
 
     def read(index: int) -> int:
@@ -226,20 +226,8 @@ def _recorded(evaluate: Callable, node: Term | Formula, oracle: SequenceOracle,
         queried.add(index)
         return value
 
-    value = evaluate(_Evaluation(read, sig), node, s or {})
-    return EvalResult(value=value, queried=frozenset(queried))
-
-
-def eval_term(term: Term, oracle: SequenceOracle, s: Mapping[str, int] | None = None,
-              sig: Signature | None = None) -> EvalResult:
-    """Value of a term, with the oracle indices this evaluation read."""
-    return _recorded(_Evaluation.value, term, oracle, s, sig)
-
-
-def eval_qf(formula: Formula, oracle: SequenceOracle, s: Mapping[str, int] | None = None,
-            sig: Signature | None = None) -> EvalResult:
-    """Truth of a quantifier-free formula, with the oracle indices this evaluation read."""
-    return _recorded(_Evaluation.truth, formula, oracle, s, sig)
+    truth = _Evaluation(read, sig).truth(formula, s or {})
+    return EvalResult(value=truth, queried=frozenset(queried))
 
 
 def attempt(formula: Formula, prefix: FinitePrefix, sig: Signature | None = None,

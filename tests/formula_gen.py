@@ -1,9 +1,11 @@
-"""Seeded random generators for terms, sentences, and oracles used across suites."""
+"""Seeded random generators for terms, sentences, and oracles used across suites,
+and ``parse_term``, which reads DSL text as a bare term."""
 
 from __future__ import annotations
 
 import random
 
+from guessability import lang
 from guessability.lang import (
     And,
     EllipsisApp,
@@ -28,6 +30,11 @@ def generator_signature() -> Signature:
     sig.register_seq_function("S", lambda t: sum(t))
     sig.register_seq_function("M", lambda t: max(t))
     return sig
+
+
+def parse_term(text: str, sig: Signature | None = None):
+    """The term the parser's term rule reads from all of ``text``, with ``lang.parse``'s checks."""
+    return lang._parse_whole(text, sig, lang._Parser.parse_term)
 
 
 def random_oracle(rnd: random.Random, span: int = 5) -> SequenceOracle:

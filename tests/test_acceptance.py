@@ -25,7 +25,7 @@ from guessability.lang import (
     print_formula,
     substitute,
 )
-from guessability.oracle import FinitePrefix, SequenceOracle, from_spec, prefix_of
+from guessability.oracle import FinitePrefix, SequenceOracle, from_spec
 from guessability.semantics import attempt, eval_qf
 from guessability.synth import (
     Guesser,
@@ -139,12 +139,12 @@ def test_criterion_4_bounded_mu_contract():
     failures = []
     h3 = from_spec("const:3")
     for k in range(3, 101):
-        got = mu_from_sigma2(sentence, prefix_of(h3, k), sig)
+        got = mu_from_sigma2(sentence, FinitePrefix(h3.query(i) for i in range(k + 1)), sig)
         if got != 3:
             failures.append(("h3", k, got))
     ident = from_spec("id")
     for k in range(1, 101):
-        got = mu_from_sigma2(sentence, prefix_of(ident, k), sig)
+        got = mu_from_sigma2(sentence, FinitePrefix(ident.query(i) for i in range(k + 1)), sig)
         if got != k + 1:
             failures.append(("identity", k, got))
     report(4, "bounded mu: constant on members, unbounded off them", failures)
@@ -237,12 +237,14 @@ def test_criterion_8_overguesser_round_trip():
     members = [("h3", from_spec("const:3")), ("h0", from_spec("const:0"))]
     for name, source in members:
         for m in grid:
-            got = mu_from_sigma2(rebuilt_sentence, prefix_of(source, m - 1), sig)
+            prefix = FinitePrefix(source.query(i) for i in range(m))
+            got = mu_from_sigma2(rebuilt_sentence, prefix, sig)
             if got > MEMBER_BOUND:
                 failures.append((name, m, got))
     nonmembers = [("identity", from_spec("id")), ("cycle01", from_spec("cycle:[0,1]"))]
     for name, source in nonmembers:
-        values = [mu_from_sigma2(rebuilt_sentence, prefix_of(source, m - 1), sig)
+        values = [mu_from_sigma2(rebuilt_sentence,
+                                 FinitePrefix(source.query(i) for i in range(m)), sig)
                   for m in grid]
         finite = [v for v in values if v != math.inf]
         if len(finite) == len(values):

@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import sys
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -400,6 +402,15 @@ def test_mu_plain_lines(capsys, s2_file):
     code, out, _ = run(capsys, "mu", s2_file, "--seq", "plantzero:1", "--horizon", "3")
     assert code == 0
     assert out.splitlines() == ["len=1 mu=1", "len=2 mu=1", "len=3 mu=1"]
+
+
+def test_mu_writes_each_row_with_its_newline_in_one_write(monkeypatch, s2_file):
+    """So an interrupt between two writes to an unbuffered stdout never ends the output
+    in the middle of a row."""
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert cli.main(["mu", s2_file, "--seq", "plantzero:1", "--horizon", "3"]) == 0
+    assert writes == ["len=1 mu=1\n", "len=2 mu=1\n", "len=3 mu=1\n"]
 
 
 def peak_growth_per_step(run) -> float:

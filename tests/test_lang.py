@@ -29,7 +29,6 @@ from guessability.lang import (
     free_vars,
     load_signature,
     parse,
-    parse_term,
     print_formula,
     print_term,
     substitute,
@@ -41,11 +40,11 @@ from guessability.semantics import (
     EvalResult,
     attempt,
     eval_qf,
-    eval_term,
 )
 
 import formula_gen
 import record_twins
+from formula_gen import parse_term
 
 
 @pytest.fixture
@@ -164,7 +163,7 @@ def test_children_are_the_subtrees_in_field_order():
     (print_term, "not a term"),
     (print_formula, "not a formula"),
     (lang.is_quantifier_free, "not a formula"),
-    (lambda node: eval_term(node, from_spec("id")), "not a term"),
+    (lambda node: eval_qf(Eq(node, Numeral(0)), from_spec("id")), "not a term"),
     (lambda node: eval_qf(node, from_spec("id")), "not a formula"),
 ], ids=["children", "free_vars", "substitute", "print_term", "print_formula",
         "is_quantifier_free", "eval_term", "eval_qf"])

@@ -11,7 +11,6 @@ from guessability.oracle import (
     SequenceOracle,
     SequenceSpecError,
     from_spec,
-    prefix_of,
     prefix_spec,
     zero_pad,
 )
@@ -48,20 +47,18 @@ def test_zero_pad_single_entry():
 
 
 def test_prefix_of_identity():
-    assert prefix_of(from_spec("id"), 3) == FinitePrefix((0, 1, 2, 3))
+    source = from_spec("id")
+    assert FinitePrefix(source.query(i) for i in range(4)) == FinitePrefix((0, 1, 2, 3))
 
 
 def test_prefix_of_constant():
-    assert prefix_of(from_spec("const:7"), 0) == FinitePrefix((7,))
+    source = from_spec("const:7")
+    assert FinitePrefix(source.query(i) for i in range(1)) == FinitePrefix((7,))
 
 
 def test_prefix_of_zero_padded():
-    assert prefix_of(zero_pad(FinitePrefix((3, 0, 2))), 4) == FinitePrefix((3, 0, 2, 0, 0))
-
-
-def test_prefix_of_rejects_a_negative_length():
-    with pytest.raises(ValueError, match="^prefix_of needs k >= 0$"):
-        prefix_of(from_spec("id"), -1)
+    source = zero_pad(FinitePrefix((3, 0, 2)))
+    assert FinitePrefix(source.query(i) for i in range(5)) == FinitePrefix((3, 0, 2, 0, 0))
 
 
 @given(entry_lists)
@@ -69,7 +66,8 @@ def test_zero_pad_round_trips_through_prefix_of(entries):
     prefix = FinitePrefix(tuple(entries))
     if len(prefix) == 0:
         return
-    assert prefix_of(zero_pad(prefix), len(prefix) - 1) == prefix
+    source = zero_pad(prefix)
+    assert FinitePrefix(source.query(i) for i in range(len(prefix))) == prefix
 
 
 @given(entry_lists, st.integers(0, 50))
@@ -141,7 +139,8 @@ def test_from_spec_prefix_empty():
 def test_prefix_spec_round_trip():
     p = FinitePrefix((3, 0, 2))
     assert prefix_spec(p) == "prefix:[3,0,2]:pad0"
-    assert prefix_of(from_spec(prefix_spec(p)), 2) == p
+    source = from_spec(prefix_spec(p))
+    assert FinitePrefix(source.query(i) for i in range(3)) == p
     assert from_spec(prefix_spec(p)).describe == "prefix:[3,0,2]:pad0"
 
 

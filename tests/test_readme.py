@@ -1,15 +1,18 @@
 """The README's examples run and give the values the README states.
 
 The library quick start states each expression's value in the comment that
-follows it (``# <value>: ...``); the CLI block states an ``eval`` example's
-output in the ``# -> <output>`` line below the command.
+follows it (``# <value>: ...``), and lists the package's top-level exports by
+module; the CLI block states an ``eval`` example's output in the ``# -> <output>``
+line below the command.
 """
 
 import ast
+import importlib
 import re
 import shlex
 from pathlib import Path
 
+import guessability
 from guessability import cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -36,6 +39,16 @@ def test_library_quick_start_values():
         stated.append(comment.split(":", 1)[0].strip())
     assert stated == ["0", "1", "5"]
     assert got == stated
+
+
+def test_the_readme_lists_every_top_level_export_under_its_module():
+    section = README.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- (\w+): (.*)$", section.replace("\n  ", " "), re.M)
+    listed = {name: module for module, names in bullets for name in re.findall(r"`(\w+)`", names)}
+    assert sorted(listed) == sorted(guessability.__all__)
+    for name, module in listed.items():
+        assert getattr(importlib.import_module(f"guessability.{module}"), name) \
+            is getattr(guessability, name), name
 
 
 def test_cli_eval_examples(capsys, monkeypatch, tmp_path):

@@ -29,7 +29,7 @@ from guessability.lang import (
     parse,
     print_formula,
 )
-from guessability.oracle import FinitePrefix, from_spec, prefix_of
+from guessability.oracle import FinitePrefix, from_spec
 from guessability.semantics import attempt
 from guessability.lang import Numeral, Pi2Sentence, Sigma2Sentence, substitute
 from guessability.synth import (
@@ -63,6 +63,12 @@ INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 # pairing codec
 
 
+def encode(a: int, b: int) -> int:
+    """Index of (a, b) in the diagonal enumeration that ``pairing.decode`` inverts."""
+    s = a + b
+    return s * (s + 1) // 2 + b
+
+
 def test_codec_base_case():
     assert pairing.decode(0) == (0, 0)
 
@@ -74,7 +80,7 @@ def test_codec_enumeration_order():
 def test_codec_round_trip_and_onto_bound():
     for a in range(15):
         for b in range(15):
-            n = pairing.encode(a, b)
+            n = encode(a, b)
             assert pairing.decode(n) == (a, b)
             assert n <= (a + b + 1) ** 2
 
@@ -82,7 +88,7 @@ def test_codec_round_trip_and_onto_bound():
 @given(st.integers(0, 10 ** 6))
 def test_codec_decode_then_encode(n):
     a, b = pairing.decode(n)
-    assert pairing.encode(a, b) == n
+    assert encode(a, b) == n
 
 
 def test_decode_rejects_a_negative_code():
@@ -157,9 +163,10 @@ def test_guesser_from_delta2_tracks_contains_zero(cz):
 
 def test_guesser_trace_stabilises_on_labeled_oracles(cz):
     g = guesser_from_delta2(cz)
-    by_five = [g(prefix_of(from_spec("plantzero:5"), k)) for k in range(12)]
+    five, one = from_spec("plantzero:5"), from_spec("const:1")
+    by_five = [g(FinitePrefix(five.query(i) for i in range(k + 1))) for k in range(12)]
     assert by_five == [0] * 5 + [1] * 7
-    no_zero = [g(prefix_of(from_spec("const:1"), k)) for k in range(12)]
+    no_zero = [g(FinitePrefix(one.query(i) for i in range(k + 1))) for k in range(12)]
     assert no_zero == [0] * 12
 
 
@@ -195,8 +202,11 @@ def test_guesser_sentences_define_the_guessed_set():
     sig.register_seq_function("Gz", contains_zero_guesser())
     spec = sentences_from_guesser("Gz", sig)
     rebuilt = guesser_from_delta2(spec, sig)
-    assert [rebuilt(prefix_of(from_spec("plantzero:3"), k)) for k in range(8, 12)] == [1] * 4
-    assert [rebuilt(prefix_of(from_spec("const:2"), k)) for k in range(8, 12)] == [0] * 4
+    three, two = from_spec("plantzero:3"), from_spec("const:2")
+    assert [rebuilt(FinitePrefix(three.query(i) for i in range(k + 1)))
+            for k in range(8, 12)] == [1] * 4
+    assert [rebuilt(FinitePrefix(two.query(i) for i in range(k + 1)))
+            for k in range(8, 12)] == [0] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +287,8 @@ def test_family_mu_grows_on_the_identity_sequence():
     sentence = sigma2_from_countable_family("g", sig)
     ident = from_spec("id")
     for k in (1, 2, 7, 20):
-        assert mu_from_sigma2(sentence, prefix_of(ident, k), sig) == k + 1
+        prefix = FinitePrefix(ident.query(i) for i in range(k + 1))
+        assert mu_from_sigma2(sentence, prefix, sig) == k + 1
 
 
 def test_family_custom_name():
@@ -337,8 +348,8 @@ def test_topology_guesser_stabilises_from_first_entry():
     g = guesser_from_delta2(spec, sig)
     member = from_spec("prefix:[7,4,9]:pad0")
     nonmember = from_spec("prefix:[1,7,7]:pad0")
-    assert [g(prefix_of(member, k)) for k in range(6)] == [1] * 6
-    assert [g(prefix_of(nonmember, k)) for k in range(6)] == [0] * 6
+    assert [g(FinitePrefix(member.query(i) for i in range(k + 1))) for k in range(6)] == [1] * 6
+    assert [g(FinitePrefix(nonmember.query(i) for i in range(k + 1))) for k in range(6)] == [0] * 6
 
 
 @settings(max_examples=12, deadline=None)
@@ -518,7 +529,7 @@ def test_mu_eventually_bounded_on_members(cz):
     for p in (0, 2, 5, 11):
         source = from_spec(f"plantzero:{p}")
         for k in range(p, 30):
-            mu = mu_from_sigma2(cz.sigma2, prefix_of(source, k))
+            mu = mu_from_sigma2(cz.sigma2, FinitePrefix(source.query(i) for i in range(k + 1)))
             assert mu <= p
 
 
@@ -527,7 +538,7 @@ def test_mu_outgrows_every_threshold_off_members(cz):
     for threshold in (0, 5, 13, 20):
         k = threshold + 1
         for longer in range(k, 40, 4):
-            mu = mu_from_sigma2(cz.sigma2, prefix_of(source, longer))
+            mu = mu_from_sigma2(cz.sigma2, FinitePrefix(source.query(i) for i in range(longer + 1)))
             assert threshold < mu
 
 
