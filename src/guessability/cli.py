@@ -58,8 +58,8 @@ class GuessTrace(lang.Record):
         return cls(final, stable_from)
 
 
-def trace_guesser(guesser: synth.Guesser, source: oracle.SequenceOracle,
-                  horizon: int) -> GuessTrace:
+def trace_guesser(guesser: Callable[[oracle.FinitePrefix], int],
+                  source: oracle.SequenceOracle, horizon: int) -> GuessTrace:
     if horizon < 1:
         raise CliError("horizon must be at least 1")
     prefix = oracle.FinitePrefix()

@@ -1,8 +1,10 @@
-"""Finite prefixes and lazy infinite sequences with memoised access.
+"""Finite prefixes and lazy infinite sequences.
 
-A SequenceOracle wraps a total rule index -> natural.  Values are produced
-lazily and memoised forever.  Which indices an evaluation read is tracked by
-the evaluation itself (see ``semantics``), not by the oracle.
+A SequenceOracle wraps a total rule index -> natural and calls it on every
+read, so the rule must be deterministic, as a host must: what keeps a trace
+consistent is the prefix it reads each index into once.  Which indices an
+evaluation read is tracked by the evaluation itself (see ``semantics``), not
+by the oracle.
 """
 
 from __future__ import annotations
@@ -137,26 +139,20 @@ def _copy(items: list[int], span: range) -> list[int]:
 
 
 class SequenceOracle:
-    """Lazy, memoised view of a total deterministic rule index -> natural.
-
-    The memo makes the first answer authoritative: even if a user-supplied
-    rule misbehaves, repeated queries at one index return identical values.
-    """
+    """Lazy view of a total rule index -> natural, which must be deterministic."""
 
     def __init__(self, rule: Callable[[int], int], describe: str = "oracle"):
         self._rule = rule
-        self._memo: dict[int, int] = {}
         self.describe = describe
 
     def query(self, index: int) -> int:
+        """The rule's value at ``index``, computed on each call; ValueError for a negative index or value."""
         if index < 0:
             raise ValueError(f"oracle index must be a natural, got {index}")
-        if index not in self._memo:
-            value = int(self._rule(index))
-            if value < 0:
-                raise ValueError(f"oracle rule returned {value} at {index}; values must be naturals")
-            self._memo[index] = value
-        return self._memo[index]
+        value = int(self._rule(index))
+        if value < 0:
+            raise ValueError(f"oracle rule returned {value} at {index}; values must be naturals")
+        return value
 
     def __repr__(self):
         return f"SequenceOracle({self.describe})"

@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from guessability import oracle
+from guessability import cli, oracle
 from guessability.oracle import (
     FinitePrefix,
     QueryBeyondLimit,
@@ -76,17 +76,27 @@ def test_repeated_queries_agree(entries, index):
     assert o.query(index) == o.query(index)
 
 
-def test_memo_pins_a_misbehaving_rule():
-    calls = {"n": 0}
+def test_a_trace_reads_each_index_once_into_its_prefix():
+    """The oracle keeps no values, so the prefix is what keeps a trace consistent: even a
+    rule that answers differently on each call is called once per index, and the guesser
+    sees exactly those answers in call order."""
+    calls = []
 
     def shifty(i):
-        calls["n"] += 1
-        return calls["n"]
+        calls.append(i)
+        return len(calls)
 
-    o = SequenceOracle(shifty)
-    first = o.query(3)
-    assert o.query(3) == first
-    assert calls["n"] == 1
+    seen = []
+
+    def guesser(prefix):
+        seen.append(prefix.entries)
+        return 0
+
+    source = SequenceOracle(shifty)
+    cli.trace_guesser(guesser, source, 4)
+    assert calls == [0, 1, 2, 3]
+    assert seen == [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4)]
+    assert source.query(3) == 5
 
 
 def test_negative_values_rejected():

@@ -12,9 +12,9 @@ bench's ``mu.sigma2.lg``, and both sentences of the bench's ``Gz`` pair with
   its length, gives the same truth on every one-entry extension (locality).
 
 For the ``contains_zero_delta2()`` pair and the bench's ``Gz`` pair, one
-``guesser_from_delta2``, whose two streams share one memo, asked about each
-word in walk order guesses 1 exactly when ``mu_from_sigma2`` of the set's
-sentence is at most that of the complement's.
+``guesser_from_delta2``, one stream whose two searches, mu's and nu's, share
+one memo, asked about each word in walk order guesses 1 exactly when
+``mu_from_sigma2`` of the set's sentence is at most that of the complement's.
 """
 
 from pathlib import Path

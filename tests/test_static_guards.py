@@ -149,10 +149,9 @@ RULES = {
         only="cli.py"),
     "memo-stays-in-the-stream": Rule(
         "Only the stream classes of synth reach a stream's memo or restart a stream: "
-        "nothing outside a stream shares, swaps or clears its memo, or restarts it "
-        "(SequenceOracle's _memo is its own memo of the rule's values)",
+        "nothing outside a stream shares, swaps or clears its memo, or restarts it",
         where(names({"_memo", "_restart"})),
-        {"oracle.py": {"SequenceOracle"}, "synth.py": {"MuStream", "_Delta2Stream"}},
+        {"synth.py": {"MuStream", "_Delta2Stream"}},
         """
         def share(a, b):
             a._memo = b._memo

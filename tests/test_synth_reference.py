@@ -3,8 +3,8 @@ prefix views, against the hand-written tuple hosts in ``synth_reference``: the
 same values and the same exceptions, texts included, on prefixes in any order:
 ascending views of one list, repeated, shorter than the last, equal but of
 another list, or not extending it.  Each reference host reads ``tuple(view)``.  A Delta2 guesser,
-whose two streams share one memo, against mu_from_sigma2 for the set and its
-complement, also when a host raises: the same guesses whenever it answers.
+one stream whose two searches, mu's and nu's, share one memo, against mu_from_sigma2 for the
+set and its complement, also when a host raises: the same guesses whenever it answers.
 ``delta2_from_topology`` against the reference that packed i and j into the
 ellipsis tuple: the same attempts, mu values and guesses."""
 
@@ -126,7 +126,8 @@ def test_mu_prime_host_matches_the_reference(make, order):
 
 
 # ---------------------------------------------------------------------------
-# A Delta2 guesser's two streams share one memo: the same guesses as the reference
+# A Delta2 guesser is one stream whose mu and nu searches share one memo: the same
+# guesses as the reference
 
 
 def reference_guess(spec: Delta2Spec, prefix: FinitePrefix, sig) -> int:
