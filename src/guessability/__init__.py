@@ -20,7 +20,6 @@ from .synth import (
     MuStream,
     contains_zero_delta2,
     guesser_from_delta2,
-    mu_from_sigma2,
     mu_prime_host,
     sentences_from_guesser,
 )
@@ -30,7 +29,7 @@ __all__ = [
     "FinitePrefix", "from_spec", "zero_pad",
     "free_vars", "substitute",
     "AttemptOutcome", "EvaluationBudgetExhausted", "eval_bounded",
-    "MuStream", "contains_zero_delta2", "guesser_from_delta2", "mu_from_sigma2",
-    "mu_prime_host", "sentences_from_guesser",
+    "MuStream", "contains_zero_delta2", "guesser_from_delta2", "mu_prime_host",
+    "sentences_from_guesser",
     "ExtensionOracles",
 ]

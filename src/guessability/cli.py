@@ -171,8 +171,7 @@ def cmd_eval(args) -> int:
             raise CliError("--bound is read only for a quantified sentence")
         result = semantics.eval_qf(formula, source, assignment, sig)
         shown = "true" if result.value else "false"
-        max_q = "none" if result.max_queried is None else lang.decimal(
-            result.max_queried, "read index", CliError)
+        max_q = "none" if result.max_queried is None else lang.decimal(result.max_queried, "read index")
         if args.json:
             _json({"value": bool(result.value), "max_queried": result.max_queried,
                    "queried": sorted(result.queried)})

@@ -69,15 +69,15 @@ def natural(text: str, what: str, error: Callable[[str], Exception] = LangError)
         raise error(f"{what} of {len(text)} digits is too long") from None
 
 
-def decimal(n: int, what: str, error: Callable[[str], Exception] = LangError) -> str:
-    """The converse of ``natural``: ``str(n)``, or ``error`` naming ``what`` and its digit count."""
+def decimal(n: int, what: str) -> str:
+    """The converse of ``natural``: ``str(n)``, or LangError naming ``what`` and its digit count."""
     try:
         return str(n)
     except ValueError:
         digits = int(math.log10(n))  # the float may round either way at a power of ten
         while n >= 10 ** digits:
             digits += 1
-        raise error(f"{what} of {digits} digits is too long") from None
+        raise LangError(f"{what} of {digits} digits is too long") from None
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Callable, Mapping
+from itertools import repeat
 
 from .lang import (
     BINARY,
@@ -146,6 +147,22 @@ class _Evaluation:
                 f"evaluation spent more than {MAX_BOUNDED_INSTANCES} quantifier instances"
                 " and ellipsis entries")
 
+    def applied(self, app: FixedApp | Pred, s: Mapping[str, int]) -> int | bool:
+        """The host's value on the arguments, an ``int`` for a function and a ``bool`` for a
+        predicate; only what the host or that conversion raises gets ``raised_by``."""
+        if isinstance(app, FixedApp):
+            (arity, host), convert = self.sig.function(app.symbol), int
+        else:
+            (arity, host), convert = self.sig.predicate(app.symbol), bool
+        if len(app.args) != arity:
+            raise ValueError(f"{app.symbol!r} expects {arity} arguments, got {len(app.args)}")
+        args = tuple(map(self.value, app.args, repeat(s)))  # map, not a comprehension: no frame
+        try:
+            return convert(host(*args))
+        except Exception as exc:
+            exc.__dict__.setdefault("raised_by", f"the host of {app.symbol!r}")
+            raise
+
     def value(self, term: Term, s: Mapping[str, int]) -> int:
         if isinstance(term, Numeral):
             return term.value
@@ -154,15 +171,7 @@ class _Evaluation:
         if isinstance(term, SeqApp):
             return self.read(self.value(term.arg, s))
         if isinstance(term, FixedApp):
-            arity, host = self.sig.function(term.symbol)
-            if len(term.args) != arity:
-                raise ValueError(f"{term.symbol!r} expects {arity} arguments, got {len(term.args)}")
-            args = [self.value(a, s) for a in term.args]
-            try:
-                return int(host(*args))
-            except Exception as exc:
-                exc.__dict__.setdefault("raised_by", f"the host of {term.symbol!r}")
-                raise
+            return self.applied(term, s)
         if isinstance(term, EllipsisApp):
             # the bound evaluates first, then the body at binder = 0..bound, ascending,
             # each entry spending one unit unless the memo already holds it
@@ -189,15 +198,7 @@ class _Evaluation:
         if isinstance(formula, Eq):
             return self.value(formula.left, s) == self.value(formula.right, s)
         if isinstance(formula, Pred):
-            arity, host = self.sig.predicate(formula.symbol)
-            if len(formula.args) != arity:
-                raise ValueError(f"{formula.symbol!r} expects {arity} arguments, got {len(formula.args)}")
-            args = [self.value(a, s) for a in formula.args]
-            try:
-                return bool(host(*args))
-            except Exception as exc:
-                exc.__dict__.setdefault("raised_by", f"the host of {formula.symbol!r}")
-                raise
+            return self.applied(formula, s)
         if isinstance(formula, Not):
             return not self.truth(formula.body, s)
         connective = _CONNECTIVES.get(formula.__class__)

@@ -59,7 +59,7 @@ class Guesser(Record):
         except Exception as exc:
             exc.__dict__.setdefault("raised_by", f"the guesser {self.provenance!r}")
             raise
-        if guess not in (0, 1):
+        if not (isinstance(guess, int) and not isinstance(guess, bool) and guess in (0, 1)):
             raise ValueError(f"guesser returned {guess!r}; guesses are 0 or 1")
         return guess
 
@@ -83,31 +83,6 @@ def _delta2_from_texts(pi2_text: str, sigma2_text: str, sig: Signature | None) -
 
 # ---------------------------------------------------------------------------
 # mu from an exists-forall sentence
-
-
-def mu_from_sigma2(sentence: Sigma2Sentence, prefix: FinitePrefix,
-                   sig: Signature | None = None) -> int:
-    """Least unrefuted outer witness for the sentence, searched up to len(prefix).
-
-    A pair (a, b) counts as nice when the attempt over the prefix under
-    outer=a, inner=b fails or holds; a is very nice when (a, b) is nice for
-    every b <= len(prefix).  A witness past the prefix's last index cannot be
-    refuted by what has been observed, so the search never looks beyond it:
-    the value is the least genuinely very nice a within the prefix, else
-    len(prefix).  The value is therefore always finite.
-
-    This is the one-shot reference: it decides every attempt afresh.
-    MuStream computes the same values incrementally.
-    """
-    if len(prefix) == 0:
-        raise ValueError("mu needs at least one observed entry")
-    sig = sig if sig is not None else default_signature()
-    for a in range(len(prefix)):
-        outcomes = (attempt(sentence.matrix, prefix, sig, {sentence.outer: a, sentence.inner: b})
-                    for b in range(len(prefix) + 1))
-        if not any(outcome.succeeded and not outcome.truth for outcome in outcomes):
-            return a
-    return len(prefix)
 
 
 def _thresholds(matrix: Formula, var: str, sig: Signature) -> list[Term] | None:
@@ -140,7 +115,13 @@ def _thresholds(matrix: Formula, var: str, sig: Signature) -> list[Term] | None:
 
 
 class MuStream:
-    """The values of mu_from_sigma2 over a prefix that grows one entry at a time.
+    """mu for the sentence over a prefix that grows one entry at a time.
+
+    A witness ``a`` is refuted by an inner value ``b <= len(prefix)`` whose
+    attempt over the prefix under outer=a, inner=b succeeds and is false.  A
+    witness past the prefix's last index cannot be refuted by what has been
+    observed, so mu is the least unrefuted witness below len(prefix), else
+    len(prefix), and always finite.
 
     Attempts are deterministic and read only the observed entries when they
     succeed, so a decided attempt keeps its result on every extension, and a
@@ -150,15 +131,16 @@ class MuStream:
     once for each value of the body's free variables (see EllipsisMemo), which
     assumes deterministic hosts; a restart clears the memo.
 
-    Both ways of searching take their attempts from one loop (_decided), which tries
-    each inner ``b`` when it first appears or, once failed, falls due, and
-    yields the truth of each attempt that succeeds.  When the outer variable
-    occurs only as a whole operand of a comparison (see _thresholds), which
-    entries an attempt reads, and so whether it fails and where, does not
-    depend on the witness ``a``.  Then each b is decided once, at a = 0, and
-    the values c of the compared terms cut the witnesses at 0 and at each c
-    and c + 1 into intervals on which the matrix is constant; one attempt per
-    interval decides it, and the false intervals stay refuted.  mu is the
+    Both ways of searching decide each inner ``b`` in one loop (_decided), which
+    tries it when it first appears or, once failed, falls due, and yields the
+    truth of each attempt that succeeds.  When the outer variable occurs only
+    as a whole operand of a comparison (see _thresholds), which entries an
+    attempt reads, and so whether it fails and where, does not depend on the
+    witness ``a``.  Then each b is decided once, at a = 0, and the values c of
+    the compared terms cut the witnesses at 0 and at each c and c + 1 into
+    intervals on which the matrix is constant; _refute_intervals makes one
+    more attempt at the cut that starts each interval past 0, which succeeds
+    as the one at a = 0 did, and the false intervals stay refuted.  mu is the
     least witness that no interval covers, capped at len(prefix).  A b costs
     one attempt per interval, at most 2k + 1 for k compared terms, so a trace
     of H pushes costs O(H) attempts.
@@ -166,8 +148,8 @@ class MuStream:
     Otherwise the stream decides the due bs for the current witness ``a`` until
     one refutes it, and a trace costs O(H^2) attempts.
 
-    Either way the stream skips attempts that mu_from_sigma2 makes, so a host
-    that raises only when it is called again shows up there and not here.
+    Either way the stream skips attempts that deciding each prefix afresh
+    makes, so a host that raises only when it is called again does not show up here.
     """
 
     def __init__(self, sentence: Sigma2Sentence, sig: Signature | None = None):

@@ -72,7 +72,8 @@ SYNTH_RUNS = [
 
 
 # runs that pin assignments and the printed values of mu: free variables bound by
-# --assign, one left unassigned (it reads 0), --assign under --bound, and --json
+# --assign, one left unassigned (it reads 0), --assign under --bound, and --json;
+# and an adversary that finds no extension out of the set (exit 4)
 VALUE_FILES = {
     "qf2.lg": "f(x) = y\n",
     "bounded.lg": "exists y. f(y) = add(x, 1)\n",
@@ -89,6 +90,8 @@ VALUE_RUNS = [
      "--sig", "bench/inputs/gz.sig", "--kind", "diagonal", "--flips", "3", "--budget", "500",
      "--json"],
     ["adversary", "--guesser", "parity-of-length", "--kind", "diagonal", "--flips", "4", "--json"],
+    ["adversary", "--guesser", "constant-1", "--kind", "diagonal", "--set", "contains-zero",
+     "--flips", "2"],
 ]
 
 

@@ -1,5 +1,9 @@
 """Constructions ``synth`` has replaced, kept verbatim as the references the
-differential tests in ``test_synth_reference.py`` check the new ones against.
+differential tests check the new ones against.
+
+``mu_from_sigma2``, the paper's definition of mu decided afresh for one prefix,
+which every differential of ``MuStream`` and of a Delta2 guesser's stream checks
+against; no command computes mu but through a stream.
 
 The two hand-written tuple-to-prefix adapters ``synth`` had while a sequence
 host read a tuple: ``register_guesser``, whose host built a prefix on every
@@ -16,9 +20,35 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from guessability.lang import Signature
+from guessability.lang import Sigma2Sentence, Signature, default_signature
 from guessability.oracle import FinitePrefix
+from guessability.semantics import attempt
 from guessability.synth import Delta2Spec, Guesser, TopologySpec, _delta2_from_texts
+
+
+def mu_from_sigma2(sentence: Sigma2Sentence, prefix: FinitePrefix,
+                   sig: Signature | None = None) -> int:
+    """Least unrefuted outer witness for the sentence, searched up to len(prefix).
+
+    A pair (a, b) counts as nice when the attempt over the prefix under
+    outer=a, inner=b fails or holds; a is very nice when (a, b) is nice for
+    every b <= len(prefix).  A witness past the prefix's last index cannot be
+    refuted by what has been observed, so the search never looks beyond it:
+    the value is the least genuinely very nice a within the prefix, else
+    len(prefix).  The value is therefore always finite.
+
+    This is the one-shot reference: it decides every attempt afresh.
+    MuStream computes the same values incrementally.
+    """
+    if len(prefix) == 0:
+        raise ValueError("mu needs at least one observed entry")
+    sig = sig if sig is not None else default_signature()
+    for a in range(len(prefix)):
+        outcomes = (attempt(sentence.matrix, prefix, sig, {sentence.outer: a, sentence.inner: b})
+                    for b in range(len(prefix) + 1))
+        if not any(outcome.succeeded and not outcome.truth for outcome in outcomes):
+            return a
+    return len(prefix)
 
 
 def register_guesser(sig: Signature, name: str, guesser: Guesser) -> None:

@@ -35,7 +35,6 @@ from guessability.synth import (
     delta2_from_topology,
     guesser_from_delta2,
     guesser_sentence_texts,
-    mu_from_sigma2,
     mu_prime_host,
     overguesser_sentence_text,
     sentences_from_guesser,
@@ -45,6 +44,7 @@ from guessability.synth import (
 )
 
 import formula_gen
+from synth_reference import mu_from_sigma2
 
 
 def report(number: int, name: str, failures: list) -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from guessability import lang, synth
+from guessability import cli, lang, synth
 from guessability.oracle import FinitePrefix, from_spec
 from guessability.semantics import EllipsisMemo, attempt
 
@@ -74,6 +74,23 @@ def test_a_warm_guess_step_of_the_bench_gz_guesser(seq):
         guesser(prefix)
     prefix = prefix.extended(source.query(40))
     assert calls_of(guesser, prefix) <= 183
+
+
+@pytest.mark.parametrize("seq", ["const:1", "plantzero:10"])
+def test_a_gz_guess_trace_to_horizon_1000(monkeypatch, seq):
+    """The attempts a trace of the bench's ``Gz`` guesser makes through ``synth.attempt``, on a
+    nonmember and on a member, each search's included."""
+    attempts = 0
+
+    def counted(*args):
+        nonlocal attempts
+        attempts += 1
+        return attempt(*args)
+
+    monkeypatch.setattr(synth, "attempt", counted)
+    spec, sig = gz_spec()
+    cli.trace_guesser(synth.guesser_from_delta2(spec, sig), from_spec(seq), 1000)
+    assert attempts <= 7998
 
 
 def test_a_warm_push_of_the_bench_mu_stream():

@@ -1119,14 +1119,36 @@ HOST_B = "error: RuntimeError raised by the host of 'B': kaboom\n"
 GUESSER = "error: RuntimeError raised by the guesser 'boom': kaboom\n"
 
 
-@pytest.mark.parametrize("sentence, symbol", [
-    ("B[ f(z) : z .. 2 ] = 0", "B"), ("F(f(0)) = 0", "F"), ("P(f(0))", "P")],
-    ids=["sequence", "function", "predicate"])
-def test_eval_names_the_host_that_raised(capsys, raising, tmp_path, sentence, symbol):
+def nothing(*args):
+    return None
+
+
+def junk_raises(value):
+    """What the evaluator's conversion of a host's value to a natural raises on ``value``."""
+    try:
+        int(value)
+    except TypeError as exc:
+        return f"TypeError raised by the host of {{!r}}: {exc}"
+
+
+@pytest.mark.parametrize("sentence, symbol, host, raised", [
+    ("B[ f(z) : z .. 2 ] = 0", "B", kaboom, "RuntimeError raised by the host of {!r}: kaboom"),
+    ("F(f(0)) = 0", "F", kaboom, "RuntimeError raised by the host of {!r}: kaboom"),
+    ("P(f(0))", "P", kaboom, "RuntimeError raised by the host of {!r}: kaboom"),
+    ("B[ f(z) : z .. 2 ] = 0", "B", nothing, junk_raises(None)),
+    ("F(f(0)) = 0", "F", nothing, junk_raises(None))],
+    ids=["sequence", "function", "predicate", "sequence-None", "function-None"])
+def test_eval_names_the_host_that_raised(capsys, monkeypatch, raising, tmp_path, sentence, symbol,
+                                         host, raised):
+    """A host that raises, or returns what is not a number, is named, so the conversion of
+    its value is blamed on it too."""
+    monkeypatch.setitem(lang.SEQ_BUILTINS, "boom", host)
+    monkeypatch.setitem(lang.FN_BUILTINS, "boom", (1, host))
+    monkeypatch.setitem(lang.PRED_BUILTINS, "boom", (1, host))
     path = tmp_path / "s.lg"
     path.write_text(sentence)
     code, out, err = run(capsys, "eval", str(path), "--sig", raising["sig"], "--seq", "id")
-    assert (code, out, err) == (5, "", f"error: RuntimeError raised by the host of {symbol!r}: kaboom\n")
+    assert (code, out, err) == (5, "", f"error: {raised.format(symbol)}\n")
 
 
 def test_mu_and_guess_name_the_host_that_raised(capsys, raising):

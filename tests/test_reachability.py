@@ -38,12 +38,8 @@ print(json.dumps([[code.co_filename, code.co_firstlineno] for code in codes]))
 """
 
 UNREACHED = {
-    "adversary.ExtensionUnavailable.__init__":
-        "exit 4, a set with no extension at some prefix, which no corpus command meets",
     "adversary.cantor_extenders": "adversary --set cantor, which the corpus does not run",
     "adversary.cantor_extenders.<locals>.on_alphabet": "the alphabet test of cantor_extenders",
-    "adversary.contains_zero_extenders":
-        "adversary --set contains-zero, which the corpus does not run",
     "cli._Parser.error": "a usage error, which no corpus command makes",
     "cli.run": "the process entry of the console script; the corpus calls cli.main in process",
     "lang.Record.__delattr__": "refuses to mutate a record; no code of the package tries",
@@ -60,7 +56,7 @@ UNREACHED = {
     "oracle.QueryBeyondLimit.__str__": "built only when shown; every attempt catches the error",
     "oracle.SequenceOracle.__repr__": "shown only in a traceback or a debugger",
     "semantics.AttemptOutcome.succeeded":
-        "read by mu_from_sigma2 and by the attempt observer of bench/tracing.py",
+        "read by the attempt observer of bench/tracing.py",
     "synth._topology_hosts.<locals>.cell": "the topology pair's hosts give it its meaning in "
                                            "the library; synth topology only writes the pair",
     "synth._topology_hosts.<locals>.length": "a host of the topology pair, as cell",
@@ -68,8 +64,6 @@ UNREACHED = {
     "synth.guesser_and": "a boolean guesser combinator, which the README documents",
     "synth.guesser_not": "a boolean guesser combinator, which the README documents",
     "synth.guesser_or": "a boolean guesser combinator, which the README documents",
-    "synth.mu_from_sigma2": "the paper's definition of mu, the oracle of every stream "
-                            "differential; bench/tracing.py wraps it",
     "synth.mu_prime_host": "makes an overguesser a symbol, which the README documents",
     "synth.mu_prime_host.<locals>.shifted": "the host mu_prime_host returns",
 }
@@ -140,9 +134,9 @@ def test_every_function_no_command_reaches_is_listed_with_its_reason(reached):
 
 
 def test_the_gate_fails_on_an_unreached_function_missing_from_the_list(reached):
-    listed = {name: reason for name, reason in UNREACHED.items() if name != "synth.mu_from_sigma2"}
+    listed = {name: reason for name, reason in UNREACHED.items() if name != "synth.mu_prime_host"}
     assert gate(unreached(reached), listed) == [
-        "synth.mu_from_sigma2: no command reaches it, and UNREACHED gives no reason to keep it"]
+        "synth.mu_prime_host: no command reaches it, and UNREACHED gives no reason to keep it"]
 
 
 def test_the_gate_fails_when_a_listed_function_becomes_reached(reached, workdir):

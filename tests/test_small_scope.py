@@ -30,8 +30,8 @@ from guessability.synth import (
     complement_sigma2,
     contains_zero_delta2,
     guesser_from_delta2,
-    mu_from_sigma2,
 )
+from synth_reference import mu_from_sigma2
 
 INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 ALPHABET = (0, 1, 2)

@@ -46,7 +46,6 @@ from guessability.synth import (
     guesser_not,
     guesser_or,
     guesser_sentence_texts,
-    mu_from_sigma2,
     mu_prime_host,
     sentences_from_guesser,
     sigma2_from_countable_family,
@@ -55,6 +54,7 @@ from guessability.synth import (
 
 import formula_gen
 import record_twins
+from synth_reference import mu_from_sigma2
 
 INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 
@@ -482,9 +482,10 @@ def test_contains_zero_guesser_examples():
 
 
 def test_guessers_must_answer_zero_or_one():
-    bad = Guesser(evaluate=lambda p: 2)
-    with pytest.raises(ValueError):
-        bad(FinitePrefix((1,)))
+    for junk in (2, 1.0, True):
+        bad = Guesser(evaluate=lambda p: junk)
+        with pytest.raises(ValueError, match=r"guesses are 0 or 1"):
+            bad(FinitePrefix((1,)))
 
 
 # ---------------------------------------------------------------------------

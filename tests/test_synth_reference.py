@@ -131,8 +131,8 @@ def test_mu_prime_host_matches_the_reference(make, order):
 
 
 def reference_guess(spec: Delta2Spec, prefix: FinitePrefix, sig) -> int:
-    mu = synth.mu_from_sigma2(spec.sigma2, prefix, sig)
-    nu = synth.mu_from_sigma2(synth.complement_sigma2(spec), prefix, sig)
+    mu = synth_reference.mu_from_sigma2(spec.sigma2, prefix, sig)
+    nu = synth_reference.mu_from_sigma2(synth.complement_sigma2(spec), prefix, sig)
     return 1 if mu <= nu else 0
 
 
@@ -273,7 +273,7 @@ def test_topology_pairs_match_the_reference(for_set, for_complement, entries):
                 for shared in (None, memo)])
         assert outcomes[0] == outcomes[1], p
         if len(p):
-            mus = [[(synth.mu_from_sigma2(sentence, p, sig), stream.push(p[-1]))
+            mus = [[(synth_reference.mu_from_sigma2(sentence, p, sig), stream.push(p[-1]))
                     for sentence, stream in zip(sentences, side_streams)]
                    for (_, sig, _, sentences), side_streams in zip(sides, streams)]
             assert mus[0] == mus[1], p
