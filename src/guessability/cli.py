@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import os
 import sys
 from collections.abc import Callable
@@ -202,32 +203,36 @@ def _guess_spec_from_args(args, sig) -> synth.Delta2Spec:
     return _load_delta2(args.sigma2, args.pi2, sig)
 
 
+class _Rows(contextlib.AbstractContextManager):
+    """Writes a trace's rows to stdout as they are decided, keeping none: ``row(length, value)``
+    in one write each, so an interrupt never splits a row; ends a line left open on an error."""
+
+    def __init__(self, row: Callable[[int, int], str]):
+        self.row, self.length, self.last = row, 0, "\n"
+
+    def __call__(self, value: int) -> int:
+        self.length += 1
+        self.last = self.row(self.length, value)
+        if sys.stdout is not None:  # None when started with standard output closed (>&-)
+            sys.stdout.write(self.last)
+        return value
+
+    def __exit__(self, error, *_) -> None:
+        if error is not None and not self.last.endswith("\n"):
+            print()
+
+
+def _listed(head: str, sep: str) -> Callable[[int, int], str]:
+    return lambda length, value: f"{head}{value}" if length == 1 else f"{sep}{value}"
+
+
 def cmd_guess(args) -> int:
     sig = _load_signature(args.sig)
-    spec = _guess_spec_from_args(args, sig)
-    guesser = synth.guesser_from_delta2(spec, sig)
-    guesses, opened = [], False  # only --json keeps the guesses; the text prints each on one line
-
-    def shown(prefix: oracle.FinitePrefix) -> int:
-        nonlocal opened
-        guess = guesser(prefix)
-        if args.json:
-            guesses.append(guess)
-        else:
-            print(f" {guess}" if opened else f"trace: {guess}", end="")
-            opened = True
-        return guess
-
-    try:
-        trace = trace_guesser(shown, oracle.from_spec(args.seq), args.horizon)
-    finally:
-        if opened:  # also when a later guess raised, so the error comes after a whole line
-            print()
-    if args.json:
-        _json({"trace": guesses, "stable_from": trace.stable_from, "final": trace.final})
-    else:
-        print(f"stable_from: {trace.stable_from}")
-        print(f"final: {trace.final}")
+    guesser = synth.guesser_from_delta2(_guess_spec_from_args(args, sig), sig)
+    with _Rows(_listed('{"trace": [', ", ") if args.json else _listed("trace: ", " ")) as rows:
+        trace = trace_guesser(lambda p: rows(guesser(p)), oracle.from_spec(args.seq), args.horizon)
+    print(f'], "stable_from": {trace.stable_from}, "final": {trace.final}}}' if args.json
+          else f"\nstable_from: {trace.stable_from}\nfinal: {trace.final}")
     return EXIT_OK
 
 
@@ -238,14 +243,11 @@ def cmd_mu(args) -> int:
     sentence = _load_sentence(args.sentence, sig, lang.Sigma2Sentence.from_formula)
     source = oracle.from_spec(args.seq)
     stream = synth.MuStream(sentence, sig)
-    if args.json:
-        _json({"mu": [stream.push(source.query(i)) for i in range(args.horizon)]})
-    else:
-        out = sys.stdout  # None when started with standard output closed (>&-)
+    with _Rows(_listed('{"mu": [', ", ") if args.json else lambda n, mu: f"len={n} mu={mu}\n") as rows:
         for i in range(args.horizon):
-            row = f"len={i + 1} mu={stream.push(source.query(i))}\n"
-            if out is not None:
-                out.write(row)  # row and newline in one write, so an interrupt never splits a row
+            rows(stream.push(source.query(i)))
+    if args.json:
+        print("]}")
     return EXIT_OK
 
 
@@ -520,7 +522,8 @@ def run() -> None:
 
     Ends the process with ``main``'s code, or with ``EXIT_PIPE`` and nothing
     on stderr when standard output is closed early, or with ``EXIT_OUTPUT``
-    and one error line when another write to it fails; a failed write to
+    and one error line when another write to it fails, or with ``EXIT_INTERRUPT``
+    and one error line for an interrupt that escapes ``main``; a failed write to
     stderr changes none of these.  Then it runs the exit hooks, flushes both
     streams and calls ``os._exit``, so the interpreter's teardown never runs.
     """
@@ -528,6 +531,9 @@ def run() -> None:
         code = main()
         if sys.stdout is not None:  # None when started with standard output closed (>&-)
             sys.stdout.flush()
+    except KeyboardInterrupt:  # one that came while main handled another error, or in the flush
+        _complain("error: interrupted")
+        code = EXIT_INTERRUPT
     except BrokenPipeError:
         code = EXIT_PIPE
     except OSError as exc:  # any other failed write, as to a full disk

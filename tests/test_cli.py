@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -417,6 +418,7 @@ def peak_growth_per_step(run) -> float:
     """Peak traced bytes per step of ``run(horizon)`` from 10,000 steps to 20,000, after
     a short run has filled every cache that is built once."""
     def peak(horizon: int) -> int:
+        gc.collect()
         tracemalloc.start()
         try:
             run(horizon)
@@ -437,7 +439,9 @@ def read_into_a_prefix(horizon: int) -> None:
 @pytest.mark.parametrize("argv", [
     ["mu", "{sentence}", "--seq", "cycle:[1]"],
     ["guess", "--spec", "contains-zero", "--seq", "const:1"],
-], ids=["mu", "guess"])
+    ["mu", "{sentence}", "--seq", "cycle:[1]", "--json"],
+    ["guess", "--spec", "contains-zero", "--seq", "const:1", "--json"],
+], ids=["mu", "guess", "mu-json", "guess-json"])
 def test_a_trace_keeps_no_rows(tmp_path, argv):
     """Per step, a trace holds its prefix's list slot (8 bytes; a small entry is a shared
     int) and nothing else: less than two slots in all, and less than the one slot a list
@@ -1159,16 +1163,20 @@ def test_mu_and_guess_name_the_host_that_raised(capsys, raising):
 
 def test_mu_and_guess_keep_the_rows_printed_before_a_host_raised(capsys, monkeypatch, raising):
     """``B`` raises once it is handed four entries, first asked at length 4, so rows 1..3 are
-    printed; the open ``trace:`` line is ended before the error."""
+    printed; an open line (``trace:``, or the unclosed JSON object) is ended before the error."""
     def late(view):
         return kaboom() if len(view) >= 4 else 0
 
     monkeypatch.setitem(lang.SEQ_BUILTINS, "boom", late)
-    mu = run(capsys, "mu", raising["sigma2"], "--sig", raising["sig"], "--seq", "id", "--horizon", "9")
-    assert mu == (5, "len=1 mu=0\nlen=2 mu=0\nlen=3 mu=0\n", HOST_B)
-    guess = run(capsys, "guess", "--sigma2", raising["sigma2"], "--pi2", raising["pi2"],
-                "--sig", raising["sig"], "--seq", "id", "--horizon", "9")
-    assert guess == (5, "trace: 1 1 1\n", HOST_B)
+    for flags, mu_rows, guess_rows in (
+            ([], "len=1 mu=0\nlen=2 mu=0\nlen=3 mu=0\n", "trace: 1 1 1\n"),
+            (["--json"], '{"mu": [0, 0, 0\n', '{"trace": [1, 1, 1\n')):
+        mu = run(capsys, "mu", raising["sigma2"], "--sig", raising["sig"], "--seq", "id",
+                 "--horizon", "9", *flags)
+        assert mu == (5, mu_rows, HOST_B), flags
+        guess = run(capsys, "guess", "--sigma2", raising["sigma2"], "--pi2", raising["pi2"],
+                    "--sig", raising["sig"], "--seq", "id", "--horizon", "9", *flags)
+        assert guess == (5, guess_rows, HOST_B), flags
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "permutation", "cantor"])

@@ -91,7 +91,10 @@ def test_a_closed_pipe_ends_with_exit_141_and_nothing_on_stderr(monkeypatch):
 @pytest.mark.parametrize("argv, first", [
     (["mu", str(ROOT / "bench" / "inputs" / "mu.sigma2.lg"), "--seq", "cycle:[1]"], b"len=1 mu="),
     (["guess", "--spec", "contains-zero", "--seq", "const:1"], b"trace: 0"),
-], ids=["mu", "guess"])
+    (["mu", str(ROOT / "bench" / "inputs" / "mu.sigma2.lg"), "--seq", "cycle:[1]", "--json"],
+     b'{"mu": ['),
+    (["guess", "--spec", "contains-zero", "--seq", "const:1", "--json"], b'{"trace": ['),
+], ids=["mu", "guess", "mu-json", "guess-json"])
 def test_an_interrupt_keeps_what_was_printed_and_exits_130(argv, first, monkeypatch):
     """A trace too long to end prints its rows as they are decided, so the first
     arrive at once, a buffer at a time when buffered; SIGINT then ends it with
@@ -110,6 +113,43 @@ def test_an_interrupt_keeps_what_was_printed_and_exits_130(argv, first, monkeypa
         assert head == first, mode
         assert (proc.returncode, err) == (cli.EXIT_INTERRUPT, b"error: interrupted\n"), mode
     assert cli.EXIT_INTERRUPT == 130
+
+
+class InterruptOnce:
+    """Calls ``then`` after raising ``KeyboardInterrupt`` on the first call, as a Ctrl-C would."""
+
+    def __init__(self, then):
+        self.then, self.raised = then, False
+
+    def __call__(self, *args):
+        if not self.raised:
+            self.raised = True
+            raise KeyboardInterrupt
+        return self.then(*args)
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["mu", "--nope"], "complain"),
+    (["guess", "--spec", "contains-zero", "--seq", "const:1", "--horizon", "2"], "flush"),
+], ids=["while-reporting-an-error", "in-the-final-flush"])
+def test_an_interrupt_after_main_handled_its_errors_exits_130(monkeypatch, capsys, argv, where):
+    """An interrupt that arrives while ``main`` reports another error, or while ``run`` flushes
+    stdout, ends the process as one that arrives during a command does."""
+    codes = []
+    monkeypatch.setattr(sys, "argv", ["guessability", *argv])
+    monkeypatch.setattr(os, "_exit", codes.append)
+    monkeypatch.setattr("atexit._run_exitfuncs", lambda: None)  # the test process's hooks stay
+    if where == "complain":
+        monkeypatch.setattr(cli, "_complain", InterruptOnce(cli._complain))
+    else:
+        monkeypatch.setattr(sys.stdout, "flush", InterruptOnce(sys.stdout.flush))
+    try:
+        cli.run()
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped run")
+    out, err = capsys.readouterr()
+    assert (codes, err) == ([cli.EXIT_INTERRUPT], "error: interrupted\n")
+    assert out == ("" if where == "complain" else "trace: 0 0\nstable_from: 1\nfinal: 0\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

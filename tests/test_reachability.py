@@ -46,10 +46,11 @@ UNREACHED = {
     "lang.Record.__repr__": "shown only in a traceback or a debugger",
     "lang.Record.__setattr__": "refuses to mutate a record; no code of the package tries",
     "lang._monus": "the host of the builtin monus, which no corpus sentence applies",
-    "lang._rebuilt": "the node rebuild of substitute",
-    "lang._substitute_under_binder": "the capture check of substitute",
-    "lang.substitute": "capture-checked substitution, which the README documents and "
-                       "a renaming of bound variables may come to use",
+    "lang._rebuilt": "the node rebuild of substitute, which acceptance criterion 2 checks",
+    "lang._substitute_under_binder": "the capture check of substitute, which acceptance "
+                                     "criterion 2 checks",
+    "lang.substitute": "capture-checked substitution, the weak substitution lemma of acceptance "
+                       "criterion 2 (test_criterion_2_weak_substitution)",
     "oracle.FinitePrefix.__hash__": "a prefix is a value, so equal prefixes hash equal; "
                                     "no command hashes one",
     "oracle.FinitePrefix.__repr__": "shown only in a traceback or a debugger",
